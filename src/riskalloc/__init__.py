@@ -5,6 +5,10 @@ on a sum-based crisis event (VaR band or exact hyperplane, RVaR band, ES
 tail) by plain Monte Carlo, Hamiltonian Monte Carlo with hyperplane
 reflection, or random-scan Gibbs sampling, with parameter tuning driven
 by an unconditional presample.
+
+The names below are the user-facing API; the engines' building blocks
+(targets, leapfrog, h-function inversion, ...) are importable from their
+submodules.
 """
 
 from .copulas import (
@@ -14,31 +18,9 @@ from .copulas import (
     Independence,
     StudentTCopula,
     SurvivalClayton,
-    copula_from_dict,
 )
-from .events import (
-    ConcreteCrisisEvent,
-    CrisisEventSpec,
-    EventTarget,
-    LinearConstraint,
-    ReducedVarTarget,
-    estimate_event,
-    hit_time,
-    reduce_var_event,
-    reflect,
-    standardize_constraints,
-)
-from .gibbs import (
-    BandEvent,
-    DegenerateSliceError,
-    GibbsDiagnostics,
-    GibbsParams,
-    band_from_event,
-    full_conditional_sample,
-    rsgs_sample,
-    select_probs,
-    thin_interval,
-)
+from .events import CrisisEventSpec
+from .gibbs import GibbsParams
 from .harness import (
     AllocationReport,
     ComparisonRow,
@@ -50,122 +32,53 @@ from .harness import (
     time_adjusted_mse,
     write_comparison_csv,
 )
-from .hmc import (
-    HmcDiagnostics,
-    HmcParams,
-    Standardizer,
-    StandardizedTarget,
-    TuneResult,
-    hmc_sample,
-    leapfrog,
-    leapfrog_reflect,
-    standardize,
-    tune,
-)
-from .marginals import GPD, Marginal, Normal, Pareto, StudentT, marginal_from_dict
-from .mc import (
-    ConditionalCountError,
-    McResult,
-    McRunConfig,
-    Presample,
-    mc_allocate,
-    mc_presample,
-)
-from .measures import (
-    EstimateWithSE,
-    MarginalRiskMeasure,
-    acceptance_rate,
-    acf,
-    batch_means_se,
-    empirical_measure,
-    empirical_quantile,
-)
+from .hmc import HmcParams
+from .marginals import GPD, Marginal, Normal, Pareto, StudentT
+from .mc import ConditionalCountError
+from .measures import MarginalRiskMeasure, batch_means_se  # noqa: F401  (package attribute)
 from .models import (
     PRESET_NAMES,
     JointLossModel,
-    equicorrelation,
     load_model,
     model_from_dict,
     preset,
     student_t_model,
 )
-from .oracle import elliptical_oracle, standard_es, standard_measure
+from .oracle import elliptical_oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationReport",
-    "BandEvent",
     "Clayton",
     "ComparisonRow",
-    "ConcreteCrisisEvent",
     "ConditionalCountError",
     "Copula",
     "CrisisEventSpec",
-    "DegenerateSliceError",
-    "EstimateWithSE",
-    "EventTarget",
     "GPD",
     "GaussianCopula",
-    "GibbsDiagnostics",
     "GibbsParams",
-    "HmcDiagnostics",
     "HmcParams",
     "Independence",
     "JointLossModel",
-    "LinearConstraint",
     "Marginal",
     "MarginalRiskMeasure",
-    "McResult",
-    "McRunConfig",
     "Normal",
     "PRESET_NAMES",
     "Pareto",
-    "Presample",
-    "ReducedVarTarget",
     "RunConfig",
-    "StandardizedTarget",
-    "Standardizer",
     "StudentT",
     "StudentTCopula",
     "SurvivalClayton",
-    "TuneResult",
-    "acceptance_rate",
-    "acf",
-    "band_from_event",
-    "batch_means_se",
     "compare",
-    "copula_from_dict",
     "elliptical_oracle",
-    "empirical_measure",
-    "empirical_quantile",
-    "equicorrelation",
-    "estimate_event",
-    "full_conditional_sample",
-    "hit_time",
-    "hmc_sample",
-    "leapfrog",
-    "leapfrog_reflect",
     "load_model",
-    "marginal_from_dict",
-    "mc_allocate",
-    "mc_presample",
     "model_from_dict",
     "oracle_for",
     "preset",
-    "reduce_var_event",
-    "reflect",
-    "rsgs_sample",
     "run",
     "run_config_from_dict",
-    "select_probs",
-    "standard_es",
-    "standard_measure",
-    "standardize",
-    "standardize_constraints",
     "student_t_model",
-    "thin_interval",
     "time_adjusted_mse",
-    "tune",
     "write_comparison_csv",
 ]

@@ -8,20 +8,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .events import CrisisEventSpec, EventTarget, estimate_event, reduce_var_event
-from .gibbs import GibbsParams, band_from_event, rsgs_sample, select_probs, thin_interval
+from .events import CrisisEventSpec
 from .harness import (
     RunConfig,
     compare,
     oracle_for,
+    prepare,
     run,
     run_config_from_dict,
     write_comparison_csv,
 )
-from .hmc import standardize, tune
-from .mc import mc_presample
 from .measures import MEASURE_KINDS, MarginalRiskMeasure
 from .models import PRESET_NAMES, load_model, preset
 
@@ -117,42 +113,18 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    model = load_model(_model_spec(args))
-    spec = _event_from_args(args)
-    presample = mc_presample(model, args.n_mc, np.random.SeedSequence(args.seed).spawn(1)[0])
-    event = estimate_event(spec, presample.matrix, model.support_class)
-    cond = presample.matrix[event.contains_rows(presample.matrix)]
+    config = RunConfig(
+        model=_model_spec(args),
+        event=_event_from_args(args),
+        engine=args.engine,
+        n_mc=args.n_mc,
+        seed=args.seed,
+    )
+    details = prepare(config).details
     if args.engine == "gibbs":
-        band = band_from_event(event)
-        p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
-        pre = GibbsParams(p, 1)
-        pre_path, _ = rsgs_sample(model, band, pre, cond.mean(axis=0), pre.n_pre, args.seed)
-        thin = thin_interval(pre_path, pre.rho_target)
-        payload = {
-            "engine": "gibbs",
-            "p": [float(v) for v in p],
-            "thin_T": thin.interval,
-            "thin_capped": thin.capped,
-        }
+        payload = {"engine": "gibbs", **{k: details[k] for k in ("p", "thin_T", "thin_capped")}}
     else:
-        if spec.kind == "var":
-            target = reduce_var_event(model, event.thresholds["v_star"])
-            pts = cond[:, :-1]
-            pts = pts[[all(c.slack(x) > 0.0 for c in target.constraints) for x in pts]]
-        else:
-            target = EventTarget(model, event)
-            pts = cond
-        std_target, _ = standardize(target, pts)
-        result = tune(std_target, std_target.standardizer.to_y_rows(pts), seed=args.seed)
-        payload = {
-            "engine": "hmc",
-            "eps": result.params.eps,
-            "T": result.params.T,
-            "alpha_bar": result.alpha_bar,
-            "n_trajectories": result.n_trajectories,
-            "n_capped": result.n_capped,
-            "n_halvings": result.n_halvings,
-        }
+        payload = {"engine": "hmc", "eps": details["eps"], "T": details["T"], **details["tuning"]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -1,10 +1,12 @@
-"""Crisis events as intersections of linear half-spaces.
+"""Crisis events as sum bands.
 
-An event is a conjunction of constraints h.x >= v on the loss vector, built
-from empirical quantiles of presample row sums.  The VaR event is special:
-with a positive band half-width delta it becomes the RVaR band event used by
-plain Monte Carlo; with delta = 0 it is the exact hyperplane {1.x = v*},
-which the samplers handle through a (d-1)-dimensional reduced target.
+An event is the band {v1 <= 1.x <= v2} on the loss vector, with v1 and v2
+read off empirical quantiles of presample row sums, intersected with the
+half-spaces x_j >= 0 when the losses are pure.  The VaR event is special:
+with a positive band half-width delta it is the band between the
+alpha -/+ delta quantiles, which plain Monte Carlo can hit; with delta = 0
+it is the exact hyperplane {1.x = v*}, which the samplers handle through a
+(d-1)-dimensional reduced target.
 
 The module also provides the constraint geometry the reflective sampler
 needs: boundary hit times, mirror reflections, and the affine mapping of
@@ -13,7 +15,7 @@ constraints into standardized coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +27,11 @@ SUPPORT_CLASSES = ("pure-losses", "pnl")
 # relative tolerance for the VaR sum equality; the identity is maintained
 # algebraically, this only absorbs float drift
 EQUALITY_RTOL = 1e-9
+
+PURE_LOSSES_ONLY = (
+    "var dimension reduction requires a model with nonnegative "
+    "losses; profit-and-loss models are not supported"
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,26 +83,57 @@ class CrisisEventSpec:
         if self.delta > 0.0 and kind != "var":
             raise ValueError("delta applies only to the var event kind")
 
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "levels": list(self.levels), "delta": self.delta}
+
 
 @dataclass(frozen=True, eq=False)
 class ConcreteCrisisEvent:
-    """An estimated event: constraints, thresholds, optional sum equality.
+    """An estimated event: the sum band {v1 <= 1.x <= v2}, plus x >= 0 when
+    the losses are pure (nonnegative).
 
-    sum_equality is set only for the exact VaR event (delta = 0) and means
-    1.x = v*; the delta > 0 VaR event carries band constraints instead so
-    that membership matches what plain Monte Carlo can actually hit.
+    Every event kind is such a band: es has v2 = inf, rvar and the delta > 0
+    var event have both bounds finite, and the exact var event (delta = 0)
+    has v1 = v2 = v*, the hyperplane {1.x = v*}.  kind, levels, delta and
+    thresholds record what the band was estimated from.
     """
 
     kind: str
     levels: tuple
     delta: float
-    constraints: tuple
+    v1: float
+    v2: float
+    d: int
+    nonnegative: bool
     thresholds: dict
-    sum_equality: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "v1", float(self.v1))
+        object.__setattr__(self, "v2", float(self.v2))
+        if not self.v1 <= self.v2:
+            raise ValueError(f"band needs v1 <= v2, got [{self.v1}, {self.v2}]")
 
     @property
-    def dim(self) -> int:
-        return int(self.constraints[0].h.size) if self.constraints else 0
+    def sum_equality(self) -> float | None:
+        """v* for the exact var event (v1 = v2), else None."""
+        return self.v1 if self.v1 == self.v2 else None
+
+    @property
+    def constraints(self) -> tuple:
+        """The event as half-spaces h.x >= v: finite band bounds, then x_j >= 0.
+
+        The exact var hyperplane is not a half-space; see sum_equality.
+        """
+        ones = np.ones(self.d)
+        out = []
+        if self.v1 < self.v2:
+            if np.isfinite(self.v1):
+                out.append(LinearConstraint(ones, self.v1))
+            if np.isfinite(self.v2):
+                out.append(LinearConstraint(-ones, -self.v2))
+        if self.nonnegative:
+            out.extend(_coordinate_constraints(self.d))
+        return tuple(out)
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -111,9 +149,10 @@ class ConcreteCrisisEvent:
     def contains_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         mask = np.ones(rows.shape[0], dtype=bool)
-        if self.constraints:
-            hmat = np.stack([c.h for c in self.constraints])
-            vvec = np.array([c.v for c in self.constraints])
+        constraints = self.constraints
+        if constraints:
+            hmat = np.stack([c.h for c in constraints])
+            vvec = np.array([c.v for c in constraints])
             mask &= (rows @ hmat.T >= vvec).all(axis=1)
         if self.sum_equality is not None:
             v = self.sum_equality
@@ -154,45 +193,36 @@ def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> Conc
     if n < 100:
         raise ValueError(f"presample too small to estimate thresholds: n={n} < 100")
     s = x.sum(axis=1)
-    ones = np.ones(d)
 
-    constraints: list = []
-    sum_eq = None
     if spec.kind == "es":
-        v = empirical_quantile(s, spec.levels[0])
-        constraints.append(LinearConstraint(ones, v))
-        thresholds = {"v": v}
+        v1 = empirical_quantile(s, spec.levels[0])
+        v2 = np.inf
+        thresholds = {"v": v1}
     elif spec.kind == "rvar":
         v1 = empirical_quantile(s, spec.levels[0])
         v2 = empirical_quantile(s, spec.levels[1])
-        constraints.append(LinearConstraint(ones, v1))
-        constraints.append(LinearConstraint(-ones, -v2))
         thresholds = {"v1": v1, "v2": v2}
     else:
         alpha = spec.levels[0]
-        v_star = empirical_quantile(s, alpha)
-        thresholds = {"v_star": v_star}
+        v1 = v2 = empirical_quantile(s, alpha)
+        thresholds = {"v_star": v1}
         if spec.delta > 0.0:
             if not (0.0 < alpha - spec.delta and alpha + spec.delta < 1.0):
                 raise ValueError(
                     f"band levels {alpha} +/- {spec.delta} fall outside (0, 1)"
                 )
-            v_lo = empirical_quantile(s, alpha - spec.delta)
-            v_hi = empirical_quantile(s, alpha + spec.delta)
-            constraints.append(LinearConstraint(ones, v_lo))
-            constraints.append(LinearConstraint(-ones, -v_hi))
-            thresholds.update(v_lo=v_lo, v_hi=v_hi)
-        else:
-            sum_eq = v_star
-    if support_class == "pure-losses":
-        constraints.extend(_coordinate_constraints(d))
+            v1 = empirical_quantile(s, alpha - spec.delta)
+            v2 = empirical_quantile(s, alpha + spec.delta)
+            thresholds.update(v_lo=v1, v_hi=v2)
     return ConcreteCrisisEvent(
         kind=spec.kind,
         levels=spec.levels,
         delta=spec.delta,
-        constraints=tuple(constraints),
+        v1=v1,
+        v2=v2,
+        d=d,
+        nonnegative=support_class == "pure-losses",
         thresholds=thresholds,
-        sum_equality=sum_eq,
     )
 
 
@@ -234,10 +264,7 @@ class ReducedVarTarget:
 
     def __init__(self, model, v_star: float):
         if model.support_class != "pure-losses":
-            raise ValueError(
-                "var dimension reduction requires a model with nonnegative "
-                "losses; profit-and-loss models are not supported"
-            )
+            raise ValueError(PURE_LOSSES_ONLY)
         if model.d < 2:
             raise ValueError("dimension reduction needs d >= 2")
         self.model = model

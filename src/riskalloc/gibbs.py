@@ -13,14 +13,13 @@ interval from prerun autocorrelations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .copulas import clip01
-from .events import ConcreteCrisisEvent
+from .events import EQUALITY_RTOL, ConcreteCrisisEvent
 from .measures import acf
 
 DEGENERATE_MASS = 1e-14
@@ -29,49 +28,6 @@ MAX_DEGENERATE_REDRAWS = 100
 
 class DegenerateSliceError(RuntimeError):
     """The truncated conditional slice carries (numerically) no mass."""
-
-
-@dataclass(frozen=True, eq=False)
-class BandEvent:
-    """The event {x : v1 <= h.x <= v2}; either bound may be infinite."""
-
-    h: np.ndarray
-    v1: float
-    v2: float
-
-    def __post_init__(self):
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        if h.ndim != 1 or not np.any(h != 0.0):
-            raise ValueError("band normal must be a nonzero vector")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v1", float(self.v1))
-        object.__setattr__(self, "v2", float(self.v2))
-        if not self.v1 < self.v2:
-            raise ValueError(f"band needs v1 < v2, got [{self.v1}, {self.v2}]")
-
-    def contains(self, x, rtol: float = 1e-9) -> bool:
-        s = float(self.h @ np.asarray(x, dtype=float))
-        tol = rtol * max(1.0, abs(self.v1) if np.isfinite(self.v1) else 1.0,
-                         abs(self.v2) if np.isfinite(self.v2) else 1.0)
-        return self.v1 - tol <= s <= self.v2 + tol
-
-
-def band_from_event(event: ConcreteCrisisEvent) -> BandEvent:
-    """Convert a sum-constraint crisis event into its band form."""
-    if event.sum_equality is not None:
-        raise ValueError(
-            "the coordinate-update sampler cannot target the exact var "
-            "event (a zero-width band); use a positive delta band or the "
-            "hmc engine"
-        )
-    d = event.dim
-    ones = np.ones(d)
-    if event.kind == "es":
-        return BandEvent(ones, event.thresholds["v"], np.inf)
-    if event.kind == "rvar":
-        return BandEvent(ones, event.thresholds["v1"], event.thresholds["v2"])
-    return BandEvent(ones, event.thresholds["v_lo"], event.thresholds["v_hi"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +49,13 @@ class GibbsParams:
         if not (isinstance(self.thin_T, (int, np.integer)) and self.thin_T >= 1):
             raise ValueError("thinning interval must be a positive integer")
         object.__setattr__(self, "thin_T", int(self.thin_T))
+
+    def to_json_dict(self) -> dict:
+        return {"p": [float(v) for v in self.p], "thin_T": self.thin_T}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> GibbsParams:
+        return cls(np.asarray(d["p"], dtype=float), int(d["thin_T"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,16 +117,18 @@ def thin_interval(prerun_path, rho_target: float = 0.15) -> ThinResult:
 # -- truncated full-conditional inversion ---------------------------------------
 
 
-def _slice_interval(j: int, x_rest, band: BandEvent):
+def _slice_interval(j: int, x_rest, event: ConcreteCrisisEvent):
     """Truncation interval for coordinate j given the others, in x_j space."""
-    h_rest = np.delete(band.h, j)
-    s_rest = float(h_rest @ np.asarray(x_rest, dtype=float))
-    hj = float(band.h[j])
-    if hj == 0.0:
-        return -np.inf, np.inf
-    a = (band.v1 - s_rest) / hj if np.isfinite(band.v1) else -np.inf * np.sign(hj)
-    b = (band.v2 - s_rest) / hj if np.isfinite(band.v2) else np.inf * np.sign(hj)
-    return (a, b) if hj > 0.0 else (b, a)
+    s_rest = float(np.ones(event.d - 1) @ np.asarray(x_rest, dtype=float))
+    return event.v1 - s_rest, event.v2 - s_rest
+
+
+def _in_band(event: ConcreteCrisisEvent, x) -> bool:
+    """v1 <= 1.x <= v2 up to a relative 1e-9: a conditional mean or a
+    clamped draw may sit one ulp outside the band."""
+    s = float(np.ones(event.d) @ x)
+    tol = EQUALITY_RTOL * max([1.0] + [abs(v) for v in (event.v1, event.v2) if np.isfinite(v)])
+    return event.v1 - tol <= s <= event.v2 + tol
 
 
 def _cond_cdf_bound(model, j: int, u_rest, x) -> float:
@@ -191,29 +156,30 @@ def _draw_in_slice(model, j: int, u_rest, lo: float, hi: float, u: float):
     return x_new, clip01(float(model.marginals[j].cdf(x_new)))
 
 
-def full_conditional_sample(model, j: int, x_rest, band: BandEvent, u: float) -> float:
-    """Exact draw of coordinate j given the others, truncated to the band.
+def full_conditional_sample(model, j: int, x_rest, event: ConcreteCrisisEvent, u: float) -> float:
+    """Exact draw of coordinate j given the others, truncated to the event's band.
 
     u is the uniform innovation; the draw inverts the conditional-copula
     cdf at C_lo + u (C_hi - C_lo), so the result lies in the slice.
     """
-    lo, hi = _slice_interval(j, x_rest, band)
+    lo, hi = _slice_interval(j, x_rest, event)
     u_rest = model._u_rest(j, x_rest)
     x_new, _ = _draw_in_slice(model, j, u_rest, lo, hi, u)
     return x_new
 
 
-def rsgs_sample(model, band: BandEvent, params: GibbsParams, x0, n: int, seed):
-    """Random-scan Gibbs chain emitting one state per thin_T updates."""
+def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: int, seed):
+    """Random-scan Gibbs chain on the event's sum band, emitting one state
+    per thin_T updates."""
     d = model.d
-    if band.h.size != d:
+    if event.d != d:
         raise ValueError("band dimension does not match the model")
     if params.p.size != d:
         raise ValueError("selection probabilities must have one entry per coordinate")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (d,):
         raise ValueError(f"initial state must have dimension {d}")
-    if not band.contains(x):
+    if not _in_band(event, x):
         raise ValueError("initial state violates the band")
     if not np.isfinite(model.logpdf(x)):
         raise ValueError("initial state has non-finite log-density")
@@ -232,7 +198,7 @@ def rsgs_sample(model, band: BandEvent, params: GibbsParams, x0, n: int, seed):
             j = int(np.searchsorted(cum, rng.random(), side="right"))
             x_rest = np.delete(x, j)
             u_rest = clip01(np.delete(u_state, j))
-            lo, hi = _slice_interval(j, x_rest, band)
+            lo, hi = _slice_interval(j, x_rest, event)
             try:
                 x_new, u_new = _draw_in_slice(model, j, u_rest, lo, hi, rng.random())
             except DegenerateSliceError:

@@ -1,10 +1,12 @@
 """Run orchestration: config in, allocation report and artifact files out.
 
-A run is one (model, event, engine) combination.  The pipeline is always
-presample -> event estimation -> engine dispatch -> per-coordinate
-measure + standard error.  Reports are deterministic given (config, seed);
-wall-clock timings live in the manifest, never in the report, so the
-report file is byte-identical across repeat runs.
+A run is one (model, event, engine) combination.  prepare() takes it from
+the presample through event estimation (with the mc widening rule) and
+the conditional rows to the engine's target and tuned parameters; run()
+adds the main chain and the per-coordinate measure + standard error, and
+`riskalloc tune` prints what prepare() tuned.  Reports are deterministic
+given (config, seed); wall-clock timings live in the manifest, never in
+the report, so the report file is byte-identical across repeat runs.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ import numpy as np
 from .events import (
     ConcreteCrisisEvent,
     CrisisEventSpec,
+    PURE_LOSSES_ONLY,
+    SUPPORT_CLASSES,
     EventTarget,
     estimate_event,
     reduce_var_event,
 )
-from .gibbs import GibbsParams, band_from_event, rsgs_sample, select_probs, thin_interval
+from .gibbs import GibbsParams, rsgs_sample, select_probs, thin_interval
 from .hmc import HmcParams, hmc_sample, standardize, tune
-from .mc import ConditionalCountError, McRunConfig, mc_allocate, mc_presample
+from .mc import ConditionalCountError, mc_presample
 from .measures import MarginalRiskMeasure, batch_means_se
 from .models import JointLossModel, load_model
 from .oracle import elliptical_oracle
@@ -45,6 +49,9 @@ except ImportError:  # pragma: no cover
 
 
 # -- configuration ---------------------------------------------------------------
+
+# the parameter type each MCMC engine takes as overrides; mc takes none
+OVERRIDE_TYPES = {"hmc": HmcParams, "gibbs": GibbsParams}
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,7 @@ class RunConfig:
                 if not isinstance(m, MarginalRiskMeasure):
                     raise TypeError("measures must be MarginalRiskMeasure instances")
         if self.overrides is not None:
-            want = {"hmc": HmcParams, "gibbs": GibbsParams}.get(self.engine)
+            want = OVERRIDE_TYPES.get(self.engine)
             if want is None:
                 raise ValueError("the mc engine takes no parameter overrides")
             if not isinstance(self.overrides, want):
@@ -93,21 +100,9 @@ class RunConfig:
             model = self.model
         else:
             model = "<in-memory model>"
-        overrides = None
-        if isinstance(self.overrides, HmcParams):
-            overrides = {"eps": self.overrides.eps, "T": self.overrides.T}
-        elif isinstance(self.overrides, GibbsParams):
-            overrides = {
-                "p": [float(v) for v in self.overrides.p],
-                "thin_T": self.overrides.thin_T,
-            }
         return {
             "model": model,
-            "event": {
-                "kind": self.event.kind,
-                "levels": list(self.event.levels),
-                "delta": self.event.delta,
-            },
+            "event": self.event.to_json_dict(),
             "engine": self.engine,
             "measures": None
             if self.measures is None
@@ -116,7 +111,7 @@ class RunConfig:
             "n_mcmc": self.n_mcmc,
             "seed": self.seed,
             "output_dir": None if self.output_dir is None else str(self.output_dir),
-            "overrides": overrides,
+            "overrides": None if self.overrides is None else self.overrides.to_json_dict(),
             "min_conditional": self.min_conditional,
         }
 
@@ -135,15 +130,8 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
         )
     overrides = cfg.pop("overrides", None)
     engine = cfg.setdefault("engine", "mc")
-    if overrides is not None:
-        if engine == "hmc":
-            overrides = HmcParams(float(overrides["eps"]), int(overrides["T"]))
-        elif engine == "gibbs":
-            overrides = GibbsParams(
-                np.asarray(overrides["p"], dtype=float), int(overrides["thin_T"])
-            )
-        else:
-            raise ValueError("the mc engine takes no parameter overrides")
+    if overrides is not None and engine in OVERRIDE_TYPES:
+        overrides = OVERRIDE_TYPES[engine].from_json_dict(overrides)
     known = {"model", "engine", "n_mc", "n_mcmc", "seed", "output_dir", "min_conditional"}
     extra = set(cfg) - known
     if extra:
@@ -211,16 +199,8 @@ class AllocationReport:
             "model": self.model_name,
             "seed": self.seed,
             "n": self.n,
-            "requested_event": {
-                "kind": self.requested_event.kind,
-                "levels": list(self.requested_event.levels),
-                "delta": self.requested_event.delta,
-            },
-            "event_spec": {
-                "kind": self.event_spec.kind,
-                "levels": list(self.event_spec.levels),
-                "delta": self.event_spec.delta,
-            },
+            "requested_event": self.requested_event.to_json_dict(),
+            "event_spec": self.event_spec.to_json_dict(),
             "event": self.event.to_json_dict(),
             "allocations": [a.to_json_dict() for a in self.allocations],
             "sum_of_estimates": self.sum_estimate(),
@@ -229,7 +209,47 @@ class AllocationReport:
         }
 
 
-# -- engine dispatch -------------------------------------------------------------
+# -- engine/event rules ----------------------------------------------------------
+
+# (engine, event form) -> (the support classes the pair runs on, the message
+# that rejects it on any other model); a pair not listed runs on every model
+ENGINE_EVENT_RULES = {
+    ("mc", "exact var"): (
+        (),
+        "plain Monte Carlo cannot hit the zero-probability exact var "
+        "event; use a positive delta band",
+    ),
+    ("gibbs", "exact var"): (
+        (),
+        "the gibbs engine needs a band event and the exact var event "
+        "has zero width; use a positive delta band or the hmc engine",
+    ),
+    ("hmc", "exact var"): (
+        (),
+        "hmc on the exact var event still needs conditional presample "
+        "points for standardization and tuning, which only the delta "
+        "band provides; use a positive delta",
+    ),
+    # hmc samples the var hyperplane through the reduced simplex target
+    ("hmc", "var band"): (("pure-losses",), PURE_LOSSES_ONLY),
+}
+
+
+def _event_form(spec: CrisisEventSpec) -> str:
+    if spec.kind != "var":
+        return spec.kind
+    return "var band" if spec.delta > 0.0 else "exact var"
+
+
+def _check_supported(engine: str, spec: CrisisEventSpec, support_class: str) -> None:
+    allowed, message = ENGINE_EVENT_RULES.get(
+        (engine, _event_form(spec)), (SUPPORT_CLASSES, None)
+    )
+    if support_class not in allowed:
+        raise ValueError(message)
+
+
+# -- the run pipeline ------------------------------------------------------------
 
 
 def _default_measures(d: int) -> tuple:
@@ -238,32 +258,6 @@ def _default_measures(d: int) -> tuple:
 
 def _model_name(spec) -> str:
     return spec if isinstance(spec, str) else "inline"
-
-
-def _check_compatibility(config: RunConfig, model: JointLossModel) -> None:
-    spec = config.event
-    if spec.kind == "var" and spec.delta <= 0.0:
-        if config.engine == "mc":
-            raise ValueError(
-                "plain Monte Carlo cannot hit the zero-probability exact var "
-                "event; use a positive delta band"
-            )
-        if config.engine == "gibbs":
-            raise ValueError(
-                "the gibbs engine needs a band event and the exact var event "
-                "has zero width; use a positive delta band or the hmc engine"
-            )
-        raise ValueError(
-            "hmc on the exact var event still needs conditional presample "
-            "points for standardization and tuning, which only the delta "
-            "band provides; use a positive delta"
-        )
-    if config.engine == "hmc" and spec.kind == "var":
-        if model.support_class != "pure-losses":
-            raise ValueError(
-                "var dimension reduction requires a model with nonnegative "
-                "losses; profit-and-loss models are not supported"
-            )
 
 
 def _widened(spec: CrisisEventSpec) -> CrisisEventSpec:
@@ -288,27 +282,55 @@ def _conditional_rows(event, presample_matrix, min_conditional, spec):
     return cond
 
 
-def _allocations(sample, measures) -> tuple:
-    out = []
-    for j, m in enumerate(measures):
-        e = batch_means_se(sample[:, j], m)
-        out.append(
-            CoordinateAllocation(j + 1, m.kind, m.levels, e.point, e.se, e.few_batches)
+@dataclass(frozen=True, eq=False)
+class PreparedRun:
+    """A run up to its main chain.
+
+    spec is the event actually estimated: the requested one, unless the mc
+    widening rule lowered its lower level (widening_log says how).  cond
+    holds the presample rows inside event.  params are the engine's tuned
+    or overridden parameters (None for mc) and details the engine_details
+    known before the chain.  The chain runs on target from start with
+    chain_seed; started is the perf_counter reading before the presample.
+    """
+
+    config: RunConfig
+    model: JointLossModel
+    measures: tuple
+    spec: CrisisEventSpec
+    event: ConcreteCrisisEvent
+    cond: np.ndarray
+    widening_log: tuple
+    params: object
+    details: dict
+    target: object
+    start: np.ndarray
+    chain_seed: object
+    started: float
+
+
+def prepare(config: RunConfig) -> PreparedRun:
+    """Everything before the main chain: presample, event, conditional rows,
+    and the engine's target and tuned (or overridden) parameters."""
+    model = load_model(config.model)
+    measures = config.measures or _default_measures(model.d)
+    if len(measures) != model.d:
+        raise ValueError(
+            f"need one measure per coordinate: got {len(measures)} for d={model.d}"
         )
-    return tuple(out)
-
-
-def _run_mc(model, config, measures, seed):
-    spec = config.event
-    log = []
+    _check_supported(config.engine, config.event, model.support_class)
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    started = time.perf_counter()
+    presample = mc_presample(model, config.n_mc, seeds[0])
+    spec, log = config.event, []
     while True:
+        event = estimate_event(spec, presample, model.support_class)
         try:
-            res = mc_allocate(
-                model,
-                McRunConfig(config.n_mc, seed, spec, measures, config.min_conditional),
-            )
+            cond = _conditional_rows(event, presample, config.min_conditional, spec)
+            break
         except ConditionalCountError as err:
-            wider = _widened(spec)
+            # only plain MC widens; the samplers report the shortfall
+            wider = _widened(spec) if config.engine == "mc" else None
             if wider is None:
                 raise
             log.append(
@@ -316,19 +338,32 @@ def _run_mc(model, config, measures, seed):
                 f"lower level: {spec.kind}{spec.levels} -> {wider.kind}{wider.levels}"
             )
             spec = wider
-            continue
-        allocations = tuple(
-            CoordinateAllocation(j + 1, m.kind, m.levels, e.point, e.se, e.few_batches)
-            for j, (m, e) in enumerate(zip(measures, res.estimates))
-        )
-        details = {"k_conditional": res.k, "acr": 1.0}
-        return res.event, spec, allocations, details, res.conditional_sample, None, res.runtime, log
+    details = {"k_conditional": int(len(cond))}
+    target = start = params = None
+    if config.engine == "mc":
+        details["acr"] = 1.0
+    elif config.engine == "hmc":
+        target, start, params = _prepare_hmc(model, spec, event, cond, config, seeds[1], details)
+    else:
+        start, params = _prepare_gibbs(model, event, cond, config, seeds[1], details)
+    return PreparedRun(
+        config=config,
+        model=model,
+        measures=measures,
+        spec=spec,
+        event=event,
+        cond=cond,
+        widening_log=tuple(log),
+        params=params,
+        details=details,
+        target=target,
+        start=start,
+        chain_seed=seeds[2],
+        started=started,
+    )
 
 
-def _run_hmc(model, config, measures, presample, seeds):
-    spec = config.event
-    event = estimate_event(spec, presample.matrix, model.support_class)
-    cond = _conditional_rows(event, presample.matrix, config.min_conditional, spec)
+def _prepare_hmc(model, spec, event, cond, config, seed, details):
     if spec.kind == "var":
         target = reduce_var_event(model, event.thresholds["v_star"])
         pts = cond[:, :-1]
@@ -346,25 +381,12 @@ def _run_hmc(model, config, measures, presample, seeds):
     if config.overrides is not None:
         params, tuning = config.overrides, None
     else:
-        tuning = tune(std_target, y_pts, seed=seeds[1])
+        tuning = tune(std_target, y_pts, seed=seed)
         params = tuning.params
-    y0 = y_pts.mean(axis=0)
-    t0 = time.perf_counter()
-    path_y, diag = hmc_sample(std_target, params, y0, config.n_mcmc, seeds[2])
-    runtime = time.perf_counter() - t0
-    path_x = std.to_x_rows(path_y)
-    sample = target.lift_rows(path_x) if spec.kind == "var" else path_x
-    allocations = _allocations(sample, measures)
-    details = {
-        "k_conditional": int(len(cond)),
-        "eps": params.eps,
-        "T": params.T,
-        "tuned": tuning is not None,
-        "acr": diag.acr,
-        "n_nonfinite": diag.n_nonfinite,
-        "mean_reflections": float(diag.reflections_per_proposal.mean()),
-        "standardization_jittered": std.jittered,
-    }
+    details.update(
+        eps=params.eps, T=params.T, tuned=tuning is not None,
+        standardization_jittered=std.jittered,
+    )
     if tuning is not None:
         details["tuning"] = {
             "alpha_bar": tuning.alpha_bar,
@@ -372,88 +394,95 @@ def _run_hmc(model, config, measures, presample, seeds):
             "n_capped": tuning.n_capped,
             "n_halvings": tuning.n_halvings,
         }
-    diag_rows = [
-        (i + 1, float(diag.hamiltonian_errors[i]), int(diag.accepted[i]))
-        for i in range(config.n_mcmc)
-    ]
-    return event, spec, allocations, details, sample, ("delta_H", diag_rows), runtime, []
+    return std_target, y_pts.mean(axis=0), params
 
 
-def _run_gibbs(model, config, measures, presample, seeds):
-    spec = config.event
-    event = estimate_event(spec, presample.matrix, model.support_class)
-    band = band_from_event(event)
-    cond = _conditional_rows(event, presample.matrix, config.min_conditional, spec)
+def _prepare_gibbs(model, event, cond, config, seed, details):
     x0 = cond.mean(axis=0)
     if config.overrides is not None:
         params = config.overrides
-        prerun_info = {"tuned": False}
+        details["tuned"] = False
     else:
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
         pre = GibbsParams(p, 1)
-        pre_path, _ = rsgs_sample(model, band, pre, x0, pre.n_pre, seeds[1])
+        pre_path, _ = rsgs_sample(model, event, pre, x0, pre.n_pre, seed)
         thin = thin_interval(pre_path, pre.rho_target)
         params = GibbsParams(p, thin.interval)
         x0 = pre_path[-1]
-        prerun_info = {
-            "tuned": True,
-            "thin_capped": thin.capped,
-            "n_pre": pre.n_pre,
-        }
+        details.update(tuned=True, thin_capped=thin.capped, n_pre=pre.n_pre)
+    details.update(p=[float(v) for v in params.p], thin_T=params.thin_T)
+    return x0, params
+
+
+def _hmc_chain(prep: PreparedRun, details: dict):
+    n = prep.config.n_mcmc
     t0 = time.perf_counter()
-    path, diag = rsgs_sample(model, band, params, x0, config.n_mcmc, seeds[2])
+    path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
     runtime = time.perf_counter() - t0
-    allocations = _allocations(path, measures)
-    details = {
-        "k_conditional": int(len(cond)),
-        "p": [float(v) for v in params.p],
-        "thin_T": params.thin_T,
-        "acr": 1.0,
-        "n_degenerate_redraws": diag.n_degenerate_redraws,
-    }
-    details.update(prerun_info)
-    diag_rows = [
+    path_x = prep.target.standardizer.to_x_rows(path_y)
+    sample = prep.target.base.lift_rows(path_x) if prep.spec.kind == "var" else path_x
+    details.update(
+        acr=diag.acr,
+        n_nonfinite=diag.n_nonfinite,
+        mean_reflections=float(diag.reflections_per_proposal.mean()),
+    )
+    rows = [(i + 1, float(diag.hamiltonian_errors[i]), int(diag.accepted[i])) for i in range(n)]
+    return sample, ("delta_H", rows), runtime
+
+
+def _gibbs_chain(prep: PreparedRun, details: dict):
+    t0 = time.perf_counter()
+    path, diag = rsgs_sample(
+        prep.model, prep.event, prep.params, prep.start, prep.config.n_mcmc, prep.chain_seed
+    )
+    runtime = time.perf_counter() - t0
+    details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
+    rows = [
         (i + 1, int(diag.coordinates_updated[i]) + 1, 1)
         for i in range(diag.coordinates_updated.size)
     ]
-    return event, spec, allocations, details, path, ("coordinate_updated", diag_rows), runtime, []
+    return path, ("coordinate_updated", rows), runtime
+
+
+def _allocations(sample, measures) -> tuple:
+    out = []
+    for j, m in enumerate(measures):
+        e = batch_means_se(sample[:, j], m)
+        out.append(
+            CoordinateAllocation(j + 1, m.kind, m.levels, e.point, e.se, e.few_batches)
+        )
+    return tuple(out)
 
 
 def run(config: RunConfig) -> AllocationReport:
-    """Execute one allocation run and write artifacts if requested."""
-    model = load_model(config.model)
-    measures = config.measures or _default_measures(model.d)
-    if len(measures) != model.d:
-        raise ValueError(
-            f"need one measure per coordinate: got {len(measures)} for d={model.d}"
-        )
-    _check_compatibility(config, model)
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    """Execute one allocation run and write artifacts if requested.
 
+    runtime_seconds is what compare charges: presample through measures for
+    mc, the main chain alone for the samplers.
+    """
+    prep = prepare(config)
+    details = dict(prep.details)
     if config.engine == "mc":
-        out = _run_mc(model, config, measures, seeds[0])
-        n = config.n_mc
+        sample, diagnostics, n = prep.cond, None, config.n_mc
+        allocations = _allocations(sample, prep.measures)
+        runtime = time.perf_counter() - prep.started
     else:
-        presample = mc_presample(model, config.n_mc, seeds[0])
-        if config.engine == "hmc":
-            out = _run_hmc(model, config, measures, presample, seeds)
-        else:
-            out = _run_gibbs(model, config, measures, presample, seeds)
+        chain = _hmc_chain if config.engine == "hmc" else _gibbs_chain
+        sample, diagnostics, runtime = chain(prep, details)
+        allocations = _allocations(sample, prep.measures)
         n = config.n_mcmc
-
-    event, spec, allocations, details, sample, diagnostics, runtime, log = out
     report = AllocationReport(
         engine=config.engine,
         model_name=_model_name(config.model),
         seed=config.seed,
         n=n,
         requested_event=config.event,
-        event_spec=spec,
-        event=event,
+        event_spec=prep.spec,
+        event=prep.event,
         allocations=allocations,
         engine_details=details,
         runtime_seconds=runtime,
-        widening_log=tuple(log),
+        widening_log=prep.widening_log,
     )
     if config.output_dir is not None:
         _write_artifacts(report, sample, diagnostics, config)

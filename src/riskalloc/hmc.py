@@ -39,6 +39,13 @@ class HmcParams:
             raise ValueError("integration time must be a positive integer")
         object.__setattr__(self, "T", int(self.T))
 
+    def to_json_dict(self) -> dict:
+        return {"eps": self.eps, "T": self.T}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> HmcParams:
+        return cls(float(d["eps"]), int(d["T"]))
+
 
 @dataclass(frozen=True, eq=False)
 class HmcDiagnostics:

@@ -1,68 +1,23 @@
-"""Plain Monte Carlo estimation of systemic risk allocations.
+"""The unconditional presample and plain Monte Carlo's failure mode.
 
-Simulate i.i.d. losses, estimate the crisis event thresholds from the same
-draws, keep the rows that fall in the event, and apply marginal risk
-measures to the conditional subsample.  The presample it produces also
-drives the samplers' tuning heuristics.
+Every run starts from i.i.d. draws of the loss vector: plain Monte Carlo
+keeps the rows that fall in the crisis event as its conditional sample,
+and the samplers take their event thresholds, start points and tuning
+heuristics from the same rows.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from .events import ConcreteCrisisEvent, CrisisEventSpec, estimate_event
-from .measures import MarginalRiskMeasure, batch_means_se
+from .events import CrisisEventSpec
 
 
-@dataclass(frozen=True, eq=False)
-class Presample:
-    """Raw i.i.d. draws plus the summary statistics consumers need."""
-
-    matrix: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-    row_sums: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[1]
-
-
-def mc_presample(model, n: int, seed) -> Presample:
+def mc_presample(model, n: int, seed) -> np.ndarray:
+    """n i.i.d. draws of the loss vector as an n x d matrix."""
     if n < 100:
         raise ValueError(f"presample size must be at least 100, got {n}")
-    rng = np.random.default_rng(seed)
-    x = model.sample(int(n), rng)
-    return Presample(
-        matrix=x,
-        mean=x.mean(axis=0),
-        cov=np.atleast_2d(np.cov(x, rowvar=False)),
-        row_sums=x.sum(axis=1),
-    )
-
-
-@dataclass(frozen=True)
-class McRunConfig:
-    n: int
-    seed: int
-    spec: CrisisEventSpec
-    measures: tuple
-    min_conditional: int = 100
-
-    def __post_init__(self):
-        object.__setattr__(self, "measures", tuple(self.measures))
-        if self.n < 1:
-            raise ValueError("sample size must be positive")
-        for m in self.measures:
-            if not isinstance(m, MarginalRiskMeasure):
-                raise TypeError("measures must be MarginalRiskMeasure instances")
+    return model.sample(int(n), np.random.default_rng(seed))
 
 
 class ConditionalCountError(RuntimeError):
@@ -77,41 +32,3 @@ class ConditionalCountError(RuntimeError):
             f"(need {needed}); widen the event, e.g. lower its lower level "
             f"by 0.01, or increase n"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class McResult:
-    estimates: tuple
-    event: ConcreteCrisisEvent
-    conditional_sample: np.ndarray
-    k: int
-    runtime: float
-
-
-def mc_allocate(model, cfg: McRunConfig) -> McResult:
-    if len(cfg.measures) != model.d:
-        raise ValueError(
-            f"need one measure per coordinate: got {len(cfg.measures)} for d={model.d}"
-        )
-    if cfg.spec.kind == "var" and cfg.spec.delta <= 0.0:
-        raise ValueError(
-            "plain Monte Carlo cannot hit the zero-probability exact var "
-            "event; use a positive delta band"
-        )
-    t0 = time.perf_counter()
-    pre = mc_presample(model, cfg.n, cfg.seed)
-    event = estimate_event(cfg.spec, pre.matrix, model.support_class)
-    cond = pre.matrix[event.contains_rows(pre.matrix)]
-    k = cond.shape[0]
-    if k < cfg.min_conditional:
-        raise ConditionalCountError(k, cfg.min_conditional, cfg.spec)
-    estimates = tuple(
-        batch_means_se(cond[:, j], m) for j, m in enumerate(cfg.measures)
-    )
-    return McResult(
-        estimates=estimates,
-        event=event,
-        conditional_sample=cond,
-        k=k,
-        runtime=time.perf_counter() - t0,
-    )

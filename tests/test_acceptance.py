@@ -15,7 +15,6 @@ from riskalloc.copulas import Independence
 from riskalloc.events import CrisisEventSpec, EventTarget, estimate_event
 from riskalloc.gibbs import (
     GibbsParams,
-    band_from_event,
     rsgs_sample,
     select_probs,
     thin_interval,
@@ -205,12 +204,11 @@ def test_criterion_08_gibbs_stationarity():
         event = estimate_event(spec, draws, model.support_class)
         cond = draws[event.contains_rows(draws)]
         mc_rows = cond[:10_000]
-        band = band_from_event(event)
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
-        pre_path, _ = rsgs_sample(model, band, GibbsParams(p, 1), cond.mean(axis=0), 100, seed)
+        pre_path, _ = rsgs_sample(model, event, GibbsParams(p, 1), cond.mean(axis=0), 100, seed)
         thin = thin_interval(pre_path, 0.15)
         path, _ = rsgs_sample(
-            model, band, GibbsParams(p, thin.interval), pre_path[-1], 10_000, 10_000 + seed
+            model, event, GibbsParams(p, thin.interval), pre_path[-1], 10_000, 10_000 + seed
         )
         pvals = [stats.ks_2samp(path[:, j], mc_rows[:, j]).pvalue for j in range(2)]
         worst_p = min(worst_p, *pvals)

@@ -138,3 +138,38 @@ def test_compare_prints_table_and_csv(tmp_path, capsys):
     assert len(csv_lines) == 7
     # M2 is elliptical, so the bias column is populated
     assert csv_lines[1].split(",")[3] != ""
+
+
+def _tuned_and_used(flags, tmp_path, capsys):
+    """What `tune` prints and the engine_details `allocate` reports, same flags."""
+    assert main(["tune", *flags]) == 0
+    tuned = json.loads(capsys.readouterr().out)
+    assert main(["allocate", *flags, "--n", "100", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return tuned, json.loads((tmp_path / "report.json").read_text())["engine_details"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tune_prints_the_gibbs_parameters_allocate_uses(seed, tmp_path, capsys):
+    flags = ["--model", "M2", "--event", "es", "--levels", "0.99", "--engine", "gibbs",
+             "--seed", str(seed)]
+    tuned, used = _tuned_and_used(flags, tmp_path, capsys)
+    assert tuned == {"engine": "gibbs", "p": used["p"], "thin_T": used["thin_T"],
+                     "thin_capped": used["thin_capped"]}
+
+
+def test_tune_prints_the_hmc_parameters_allocate_uses(tmp_path, capsys):
+    flags = ["--model", "M1", "--event", "rvar", "--levels", "0.975,0.99", "--engine", "hmc",
+             "--n-mc", "10000", "--seed", "1"]
+    tuned, used = _tuned_and_used(flags, tmp_path, capsys)
+    assert tuned == {"engine": "hmc", "eps": used["eps"], "T": used["T"], **used["tuning"]}
+
+
+def test_tune_rejects_an_incompatible_pair_like_allocate(capsys):
+    flags = ["--model", "M1", "--event", "var", "--levels", "0.99", "--engine", "hmc",
+             "--n-mc", "4000"]
+    assert main(["allocate", *flags]) == 2
+    refused = capsys.readouterr().err
+    assert "positive delta" in refused
+    assert main(["tune", *flags]) == 2
+    assert capsys.readouterr().err == refused

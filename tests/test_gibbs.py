@@ -3,18 +3,16 @@ import pytest
 from scipy import stats
 
 from riskalloc.copulas import Independence
-from riskalloc.events import CrisisEventSpec, estimate_event
+from riskalloc.events import ConcreteCrisisEvent, CrisisEventSpec, estimate_event
 from riskalloc.gibbs import (
-    BandEvent,
     DegenerateSliceError,
     GibbsParams,
-    band_from_event,
     full_conditional_sample,
     rsgs_sample,
     select_probs,
     thin_interval,
-    _slice_interval,
 )
+from riskalloc.harness import RunConfig, run
 from riskalloc.marginals import GPD, Marginal
 from riskalloc.models import JointLossModel, equicorrelation, preset
 
@@ -40,14 +38,17 @@ class Uniform01(Marginal):
         return np.asarray(u, dtype=float)
 
 
+def sum_band(d, v1, v2):
+    """The sum band {v1 <= 1.x <= v2} in d dimensions, without sign constraints."""
+    return ConcreteCrisisEvent("rvar", (0.5, 0.9), 0.0, v1, v2, d, False, {})
+
+
 def test_band_event_validation():
-    BandEvent(np.ones(2), 1.0, np.inf)
-    BandEvent(np.ones(2), -np.inf, np.inf)
+    sum_band(2, 1.0, np.inf)
+    sum_band(2, -np.inf, np.inf)
     with pytest.raises(ValueError):
-        BandEvent(np.zeros(2), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        BandEvent(np.ones(2), 2.0, 1.0)
-    b = BandEvent(np.ones(2), 1.0, 2.0)
+        sum_band(2, 2.0, 1.0)
+    b = sum_band(2, 1.0, 2.0)
     assert b.contains([0.7, 0.5])
     assert not b.contains([2.0, 0.5])
 
@@ -59,19 +60,16 @@ def ladder_presample(n=1000, d=2):
 
 def test_band_from_event_kinds():
     pre = ladder_presample()
-    es = band_from_event(estimate_event(CrisisEventSpec("es", (0.99,)), pre, "pnl"))
+    es = estimate_event(CrisisEventSpec("es", (0.99,)), pre, "pnl")
     assert es.v1 == 990.0 and es.v2 == np.inf
-    rv = band_from_event(
-        estimate_event(CrisisEventSpec("rvar", (0.9, 0.99)), pre, "pnl")
-    )
+    rv = estimate_event(CrisisEventSpec("rvar", (0.9, 0.99)), pre, "pnl")
     assert (rv.v1, rv.v2) == (900.0, 990.0)
-    vb = band_from_event(
-        estimate_event(CrisisEventSpec("var", (0.99,), delta=0.001), pre, "pnl")
-    )
+    vb = estimate_event(CrisisEventSpec("var", (0.99,), delta=0.001), pre, "pnl")
     assert (vb.v1, vb.v2) == (989.0, 991.0)
     exact = estimate_event(CrisisEventSpec("var", (0.99,)), pre, "pnl")
+    assert exact.v1 == exact.v2 == 990.0
     with pytest.raises(ValueError, match="delta band|hmc"):
-        band_from_event(exact)
+        run(RunConfig("M1", CrisisEventSpec("var", (0.99,)), "gibbs"))
 
 
 def test_select_probs_identity_and_equicorr():
@@ -135,18 +133,18 @@ def test_thin_interval_ar1():
 
 def test_full_conditional_truncated_uniform_oracle():
     m = JointLossModel([Uniform01(), Uniform01()], Independence(2))
-    band = BandEvent(np.ones(2), 1.0, np.inf)
+    band = sum_band(2, 1.0, np.inf)
     x = full_conditional_sample(m, 0, np.array([0.3]), band, 0.5)
     assert x == pytest.approx(0.85, abs=1e-12)
     # lower-tail truncation: X1 | X1 + 0.3 <= 1 is U(0, 0.7)
-    band2 = BandEvent(np.ones(2), -np.inf, 1.0)
+    band2 = sum_band(2, -np.inf, 1.0)
     x2 = full_conditional_sample(m, 0, np.array([0.3]), band2, 0.5)
     assert x2 == pytest.approx(0.35, abs=1e-12)
 
 
 def test_full_conditional_unconstrained_matches_conditional_cdf():
     m = preset("M1")
-    band = BandEvent(np.ones(3), -np.inf, np.inf)
+    band = sum_band(3, -np.inf, np.inf)
     x_rest = np.array([1.0, 1.0])
     rng = np.random.default_rng(4)
     draws = np.array(
@@ -158,7 +156,7 @@ def test_full_conditional_unconstrained_matches_conditional_cdf():
 
 def test_full_conditional_banded_matches_truncated_cdf():
     m = preset("M1")
-    band = BandEvent(np.ones(3), 3.0, 6.0)
+    band = sum_band(3, 3.0, 6.0)
     x_rest = np.array([1.0, 1.0])
     lo, hi = 1.0, 4.0  # slice bounds for coordinate 0
     c_lo = m.conditional_cdf(0, x_rest, lo)
@@ -175,26 +173,9 @@ def test_full_conditional_banded_matches_truncated_cdf():
     assert np.max(np.abs(empirical - truncated)) < 0.02
 
 
-def test_full_conditional_respects_negative_weights():
-    # bands with h_j < 0 swap the slice orientation
-    m = preset("M2")
-    h = np.array([1.0, -2.0, 0.5])
-    band = BandEvent(h, -1.0, 3.0)
-    x_rest = np.array([0.4, -0.2])
-    lo, hi = _slice_interval(1, x_rest, band)
-    assert lo < hi
-    # {-1 <= h.x <= 3} and {-3 <= (-h).x <= 1} are the same set
-    mirrored = _slice_interval(1, x_rest, BandEvent(-h, -3.0, 1.0))
-    assert mirrored == (lo, hi)
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        x = full_conditional_sample(m, 1, x_rest, band, rng.random())
-        assert lo - 1e-12 <= x <= hi + 1e-12
-
-
 def test_degenerate_slice_raises():
     m = preset("M1")
-    band = BandEvent(np.ones(3), 1e7, 1e7 + 1e-6)
+    band = sum_band(3, 1e7, 1e7 + 1e-6)
     with pytest.raises(DegenerateSliceError):
         full_conditional_sample(m, 0, np.array([0.1, 0.1]), band, 0.5)
 
@@ -214,24 +195,23 @@ def test_rsgs_emits_feasible_states_and_is_deterministic():
     x = m.sample(50_000, np.random.default_rng(7))
     ev = estimate_event(CrisisEventSpec("es", (0.99,)), x, m.support_class)
     cond = x[ev.contains_rows(x)]
-    band = band_from_event(ev)
     params = GibbsParams(select_probs(np.cov(cond, rowvar=False)), 3)
     x0 = cond.mean(axis=0)
-    path, diag = rsgs_sample(m, band, params, x0, 500, seed=8)
+    path, diag = rsgs_sample(m, ev, params, x0, 500, seed=8)
     assert path.shape == (500, 3)
     sums = path.sum(axis=1)
-    assert np.all(sums >= band.v1 - 1e-9 * max(1.0, abs(band.v1)))
+    assert np.all(sums >= ev.v1 - 1e-9 * max(1.0, abs(ev.v1)))
     assert np.all(path >= 0.0)
     assert diag.coordinates_updated.shape == (1500,)
     assert set(np.unique(diag.coordinates_updated)) <= {0, 1, 2}
-    path2, diag2 = rsgs_sample(m, band, params, x0, 500, seed=8)
+    path2, diag2 = rsgs_sample(m, ev, params, x0, 500, seed=8)
     assert np.array_equal(path, path2)
     assert np.array_equal(diag.coordinates_updated, diag2.coordinates_updated)
 
 
 def test_rsgs_selection_frequencies_follow_p():
     m = preset("M2")
-    band = BandEvent(np.ones(3), -np.inf, np.inf)
+    band = sum_band(3, -np.inf, np.inf)
     p = np.array([0.6, 0.3, 0.1])
     path, diag = rsgs_sample(m, band, GibbsParams(p, 2), np.zeros(3), 2000, seed=9)
     freq = np.bincount(diag.coordinates_updated, minlength=3) / 4000.0
@@ -240,7 +220,7 @@ def test_rsgs_selection_frequencies_follow_p():
 
 def test_rsgs_start_validation():
     m = preset("M1")
-    band = BandEvent(np.ones(3), 5.0, 10.0)
+    band = sum_band(3, 5.0, 10.0)
     params = GibbsParams(np.full(3, 1.0 / 3.0), 2)
     with pytest.raises(ValueError, match="band"):
         rsgs_sample(m, band, params, np.zeros(3), 10, seed=0)
@@ -263,11 +243,10 @@ def test_single_site_update_preserves_target():
         ev = estimate_event(spec, x, m.support_class)
         cond = x[ev.contains_rows(x)]
         assert len(cond) > n_move + n_ref
-        band = band_from_event(ev)
         moved = np.empty((n_move, 2))
         params = GibbsParams(np.full(2, 0.5), 1)
         for i in range(n_move):
-            path, _ = rsgs_sample(m, band, params, cond[i], 1, seed=7000 * seed + i)
+            path, _ = rsgs_sample(m, ev, params, cond[i], 1, seed=7000 * seed + i)
             moved[i] = path[0]
         ref = cond[n_move : n_move + n_ref]
         # conditional-quantile grid: bin x2 within each x1 bin so that every
@@ -305,10 +284,9 @@ def test_rsgs_matches_mc_on_wide_band():
         x = m.sample(60_000, np.random.default_rng(100 + seed))
         ev = estimate_event(CrisisEventSpec("rvar", (0.5, 0.9)), x, m.support_class)
         cond = x[ev.contains_rows(x)]
-        band = band_from_event(ev)
-        pre, _ = rsgs_sample(m, band, GibbsParams(p, 1), cond.mean(axis=0), 100, seed=seed)
+        pre, _ = rsgs_sample(m, ev, GibbsParams(p, 1), cond.mean(axis=0), 100, seed=seed)
         thin = thin_interval(pre)
-        path, _ = rsgs_sample(m, band, GibbsParams(p, thin.interval), pre[-1], 5000, seed=1000 + seed)
+        path, _ = rsgs_sample(m, ev, GibbsParams(p, thin.interval), pre[-1], 5000, seed=1000 + seed)
         ks = [stats.ks_2samp(path[:, j], cond[:, j]) for j in range(2)]
         worst_stat = max(worst_stat, *(k.statistic for k in ks))
         if all(k.pvalue > 0.01 for k in ks):

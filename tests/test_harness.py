@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from riskalloc import harness
 from riskalloc.events import CrisisEventSpec
 from riskalloc.gibbs import GibbsParams
 from riskalloc.harness import (
@@ -232,6 +233,23 @@ def test_mc_widening_logged_and_applied():
     assert len(rep.widening_log) == 1
     assert "lowered the lower level" in rep.widening_log[0]
     assert rep.engine_details["k_conditional"] >= 100
+
+
+def test_mc_widening_draws_the_presample_once(monkeypatch):
+    calls = []
+    presample = harness.mc_presample
+
+    def counted(model, n, seed):
+        calls.append(n)
+        return presample(model, n, seed)
+
+    monkeypatch.setattr(harness, "mc_presample", counted)
+    rep = run(RunConfig("M1", CrisisEventSpec("es", (0.9999,)), "mc", seed=0))
+    assert rep.widening_log and calls == [100_000]
+    # widening the one presample equals asking for the widened event outright
+    direct = run(RunConfig("M1", rep.event_spec, "mc", seed=0))
+    assert rep.allocations == direct.allocations
+    assert rep.event.to_json_dict() == direct.event.to_json_dict()
 
 
 def test_widening_gives_up_below_zero():
