@@ -48,7 +48,11 @@ def _check_interior(u):
 
 
 class Copula:
-    """Base class; subclasses are immutable after construction."""
+    """Base class; subclasses are immutable after construction.
+
+    Subclasses implement the unchecked _logdensity and _grad_logdensity;
+    logdensity and grad_logdensity check the argument and call them.
+    """
 
     def __init__(self, dim: int):
         if dim < 2:
@@ -56,12 +60,21 @@ class Copula:
         self.dim = int(dim)
 
     def logdensity(self, u):
-        raise NotImplementedError
+        """log c(u) for u in the open unit cube."""
+        return self._logdensity(_check_interior(u))
 
     def density(self, u):
         return math.exp(self.logdensity(u))
 
     def grad_logdensity(self, u):
+        """The gradient of log c at u in the open unit cube."""
+        return self._grad_logdensity(_check_interior(u))
+
+    # the unchecked twins: u is a float array already in the open unit cube
+    def _logdensity(self, u):
+        raise NotImplementedError
+
+    def _grad_logdensity(self, u):
         raise NotImplementedError
 
     def hfun(self, j, uj, u_rest):
@@ -87,12 +100,10 @@ class Copula:
 
 
 class Independence(Copula):
-    def logdensity(self, u):
-        _check_interior(u)
+    def _logdensity(self, u):
         return 0.0
 
-    def grad_logdensity(self, u):
-        _check_interior(u)
+    def _grad_logdensity(self, u):
         return np.zeros(self.dim)
 
     def hfun(self, j, uj, u_rest):
@@ -118,14 +129,12 @@ class Clayton(Copula):
         # h exponent 1/theta + d - 1 and its reciprocal for the inverse
         self._hexp = 1.0 / self.theta + d - 1.0
 
-    def logdensity(self, u):
-        u = _check_interior(u)
+    def _logdensity(self, u):
         th, d = self.theta, self.dim
         w = np.sum(u ** -th) - d + 1.0
         return self._logconst - (th + 1.0) * float(np.sum(np.log(u))) - (1.0 / th + d) * math.log(w)
 
-    def grad_logdensity(self, u):
-        u = _check_interior(u)
+    def _grad_logdensity(self, u):
         th, d = self.theta, self.dim
         t = u ** (-th - 1.0)
         w = np.sum(t * u) - d + 1.0
@@ -162,13 +171,19 @@ class SurvivalClayton(Copula):
         self.base = Clayton(theta, dim)
         self.theta = self.base.theta
 
+    # one check on 1 - u covers u as well: it rejects every u outside the
+    # open cube, and also a u so small that 1 - u rounds to 1
     def logdensity(self, u):
-        u = _check_interior(u)
-        return self.base.logdensity(1.0 - u)
+        return self.base.logdensity(1.0 - np.asarray(u, dtype=float))
 
     def grad_logdensity(self, u):
-        u = _check_interior(u)
-        return -self.base.grad_logdensity(1.0 - u)
+        return -self.base.grad_logdensity(1.0 - np.asarray(u, dtype=float))
+
+    def _logdensity(self, u):
+        return self.base._logdensity(1.0 - u)
+
+    def _grad_logdensity(self, u):
+        return -self.base._grad_logdensity(1.0 - u)
 
     def hfun(self, j, uj, u_rest):
         u_rest = self._check_j(j, u_rest)
@@ -229,13 +244,11 @@ class GaussianCopula(_EllipticalCopula):
     def _scores(self, u):
         return special.ndtri(clip01(u))
 
-    def logdensity(self, u):
-        u = _check_interior(u)
+    def _logdensity(self, u):
         z = self._scores(u)
         return -0.5 * self._logdet - 0.5 * float(z @ (self._rinv @ z) - z @ z)
 
-    def grad_logdensity(self, u):
-        u = _check_interior(u)
+    def _grad_logdensity(self, u):
         z = self._scores(u)
         dlogc_dz = z - self._rinv @ z
         # dz/du = 1/phi(z)
@@ -286,16 +299,14 @@ class StudentTCopula(_EllipticalCopula):
     def _uni_logpdf(self, z):
         return self._uni_lognorm - 0.5 * (self.nu + 1.0) * np.log1p(z * z / self.nu)
 
-    def logdensity(self, u):
-        u = _check_interior(u)
+    def _logdensity(self, u):
         z = self._scores(u)
         nu, d = self.nu, self.dim
         q = float(z @ (self._rinv @ z))
         log_joint = self._mvt_lognorm - 0.5 * (nu + d) * math.log1p(q / nu)
         return log_joint - float(np.sum(self._uni_logpdf(z)))
 
-    def grad_logdensity(self, u):
-        u = _check_interior(u)
+    def _grad_logdensity(self, u):
         z = self._scores(u)
         nu, d = self.nu, self.dim
         rz = self._rinv @ z

@@ -14,6 +14,33 @@ from .copulas import Copula, Independence, StudentTCopula, SurvivalClayton, clip
 from .marginals import GPD, Marginal, Pareto, StudentT, marginal_from_dict
 
 
+def _same_distribution(a: Marginal, b: Marginal) -> bool:
+    """One class and equal parameters.  A marginal whose attributes cannot
+    be compared equals only itself."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    try:
+        return bool(vars(a) == vars(b))
+    except (TypeError, ValueError):
+        return False
+
+
+def _group_coordinates(marginals) -> tuple:
+    """(marginal, coordinate indices) per distinct marginal, in order of
+    first appearance: the array methods then run once per group."""
+    groups = []  # [marginal, [indices]]
+    for j, m in enumerate(marginals):
+        for g in groups:
+            if _same_distribution(g[0], m):
+                g[1].append(j)
+                break
+        else:
+            groups.append([m, [j]])
+    return tuple((m, np.array(idx)) for m, idx in groups)
+
+
 class JointLossModel:
     def __init__(self, marginals, copula: Copula):
         marginals = list(marginals)
@@ -24,6 +51,7 @@ class JointLossModel:
         self.marginals = marginals
         self.copula = copula
         self.d = copula.dim
+        self._groups = _group_coordinates(marginals)
         self.support_class = (
             "pure-losses"
             if all(m.support == "nonnegative-half-line" for m in marginals)
@@ -34,7 +62,7 @@ class JointLossModel:
 
     def in_support(self, x):
         x = np.asarray(x, dtype=float)
-        return all(bool(m.in_support(x[j])) for j, m in enumerate(self.marginals))
+        return all(bool(np.all(m.in_support(x[idx]))) for m, idx in self._groups)
 
     def logpdf(self, x) -> float:
         """Joint log-density; -inf sentinel off the support."""
@@ -43,14 +71,21 @@ class JointLossModel:
             raise ValueError(f"x must be a {self.d}-vector")
         if not self.in_support(x):
             return -np.inf
+        lp = np.empty(self.d)
         u = np.empty(self.d)
+        for m, idx in self._groups:
+            xg = x[idx]
+            lp[idx] = m.logpdf(xg)
+            u[idx] = m.cdf(xg)
+        # added left to right as Python floats: from d = 8 on, np.sum adds
+        # in another order and changes the last bits
         total = 0.0
-        for j, m in enumerate(self.marginals):
-            total += float(m.logpdf(x[j]))
-            u[j] = m.cdf(x[j])
+        for v in lp.tolist():
+            total += v
         if not np.isfinite(total):
             return -np.inf
-        return total + float(self.copula.logdensity(clip01(u)))
+        # clip01 keeps u interior, so the copula's argument check is skipped
+        return total + float(self.copula._logdensity(clip01(u)))
 
     def grad_logpdf(self, x):
         """Chain rule: grad_j = (d_j log c)(F(x)) f_j(x_j) + dlogpdf_j(x_j)."""
@@ -60,11 +95,12 @@ class JointLossModel:
         u = np.empty(self.d)
         fx = np.empty(self.d)
         dm = np.empty(self.d)
-        for j, m in enumerate(self.marginals):
-            u[j] = m.cdf(x[j])
-            fx[j] = m.pdf(x[j])
-            dm[j] = m.dlogpdf(x[j])
-        gc = self.copula.grad_logdensity(clip01(u))
+        for m, idx in self._groups:
+            xg = x[idx]
+            u[idx] = m.cdf(xg)
+            fx[idx] = m.pdf(xg)
+            dm[idx] = m.dlogpdf(xg)
+        gc = self.copula._grad_logdensity(clip01(u))
         return gc * fx + dm
 
     # -- sampling ------------------------------------------------------------

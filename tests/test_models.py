@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
-from riskalloc.copulas import Independence, SurvivalClayton
-from riskalloc.marginals import GPD
+from riskalloc.copulas import Clayton, Independence, SurvivalClayton, clip01
+from riskalloc.marginals import GPD, Marginal, Pareto
 from riskalloc.models import (
     JointLossModel,
     equicorrelation,
@@ -193,3 +195,119 @@ def test_model_from_dict_and_load_model(m1):
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         JointLossModel([GPD(0.3, 1.0)] * 3, Independence(2))
+
+
+# -- grouped evaluation: exact equality with the per-coordinate loop ----------
+
+
+class Uniform(Marginal):
+    """Uniform on [0, upper]; its array attribute makes two instances
+    incomparable, so each stays in a group of its own."""
+
+    support = "nonnegative-half-line"
+
+    def __init__(self, upper):
+        self.bounds = np.array([0.0, float(upper)])
+
+    def logpdf(self, x):
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.bounds
+        return np.where((x >= lo) & (x <= hi), -math.log(hi), -np.inf)
+
+    def dlogpdf(self, x):
+        self._check_dlogpdf_arg(x)
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def cdf(self, x):
+        return np.clip(np.asarray(x, dtype=float) / self.bounds[1], 0.0, 1.0)
+
+
+EXACT_MODELS = {
+    "M1": lambda: preset("M1"),
+    "M2": lambda: preset("M2"),
+    "M3": lambda: preset("M3"),
+    "mixed": lambda: JointLossModel(
+        [GPD(0.3, 1.0), GPD(0.3, 1.0), GPD(0.5, 2.0), Pareto(3.0, 2.5)],
+        SurvivalClayton(1.5, 4),
+    ),
+    "custom": lambda: JointLossModel([Uniform(2.0), Uniform(2.0), GPD(0.3, 1.0)], Clayton(1.0, 3)),
+    # from d = 8 on, np.sum no longer adds the log-densities left to right
+    "wide": lambda: JointLossModel(
+        [GPD(0.3, 1.0)] * 5 + [Pareto(3.0, 2.5)] * 4, SurvivalClayton(1.5, 9)
+    ),
+}
+_BUILT = {}
+
+
+def _exact_model(name):
+    if name not in _BUILT:
+        _BUILT[name] = EXACT_MODELS[name]()
+    return _BUILT[name]
+
+
+def reference_logpdf(model, x):
+    """The per-coordinate evaluation the grouped one must reproduce bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if not all(bool(m.in_support(x[j])) for j, m in enumerate(model.marginals)):
+        return -np.inf
+    u = np.empty(model.d)
+    total = 0.0
+    for j, m in enumerate(model.marginals):
+        total += float(m.logpdf(x[j]))
+        u[j] = m.cdf(x[j])
+    if not np.isfinite(total):
+        return -np.inf
+    return total + float(model.copula.logdensity(clip01(u)))
+
+
+def reference_grad_logpdf(model, x):
+    x = np.asarray(x, dtype=float)
+    if not all(bool(m.in_support(x[j])) for j, m in enumerate(model.marginals)):
+        raise ValueError("gradient requested outside the support")
+    u, fx, dm = np.empty(model.d), np.empty(model.d), np.empty(model.d)
+    for j, m in enumerate(model.marginals):
+        u[j] = m.cdf(x[j])
+        fx[j] = m.pdf(x[j])
+        dm[j] = m.dlogpdf(x[j])
+    return model.copula.grad_logdensity(clip01(u)) * fx + dm
+
+
+# x = 0, u below the 1e-12 clamp, the body, and u above 1 - 1e-12 (large x)
+NONNEGATIVE = st.one_of(
+    st.just(0.0), st.floats(0.0, 1e-10), st.floats(0.0, 50.0), st.floats(1e3, 1e12)
+)
+# off the half-line support (the left tail on M2), and NaN
+NEGATIVE_OR_NAN = st.one_of(st.floats(-1e12, -1e-300), st.just(math.nan))
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_MODELS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_grouped_evaluation_equals_per_coordinate_loop(name, data):
+    model = _exact_model(name)
+    x = np.array(data.draw(st.lists(NONNEGATIVE, min_size=model.d, max_size=model.d)))
+    for j in data.draw(st.sets(st.integers(0, model.d - 1), max_size=2)):
+        x[j] = data.draw(NEGATIVE_OR_NAN)
+    assert model.logpdf(x) == reference_logpdf(model, x)
+    try:
+        want = reference_grad_logpdf(model, x)
+    except ValueError:
+        with pytest.raises(ValueError):
+            model.grad_logpdf(x)
+        return
+    got = model.grad_logpdf(x)
+    assert got.shape == want.shape
+    # exact equality, with NaN only where the reference has NaN
+    np.testing.assert_array_equal(got, want)
+
+
+def test_coordinates_grouped_by_distribution():
+    def groups(model):
+        return [idx.tolist() for _, idx in model._groups]
+
+    assert groups(preset("M1")) == [[0, 1, 2]]
+    assert groups(preset("M2")) == [[0, 1, 2]]
+    assert groups(preset("M3")) == [[0], [1]]
+    assert groups(_exact_model("mixed")) == [[0, 1], [2], [3]]
+    assert groups(_exact_model("custom")) == [[0], [1], [2]]
+    assert groups(_exact_model("wide")) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
