@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -286,12 +286,15 @@ def _conditional_rows(event, presample_matrix, min_conditional, spec):
 class PreparedRun:
     """A run up to its main chain.
 
-    spec is the event actually estimated: the requested one, unless the mc
-    widening rule lowered its lower level (widening_log says how).  cond
-    holds the presample rows inside event.  params are the engine's tuned
-    or overridden parameters (None for mc) and details the engine_details
-    known before the chain.  The chain runs on target from start with
-    chain_seed; started is the perf_counter reading before the presample.
+    spec and event are what the run estimates: the requested event, unless
+    the mc widening rule lowered its lower level (widening_log says how),
+    or hmc runs on a var band, where the chain samples the hyperplane
+    {1.x = v*} and the band only supplied the conditional rows.  cond holds
+    the presample rows inside the estimated band.  params are the engine's
+    tuned or overridden parameters (None for mc) and details the
+    engine_details known before the chain.  The chain runs on target from
+    start with chain_seed; started is the perf_counter reading before the
+    presample.
     """
 
     config: RunConfig
@@ -344,6 +347,8 @@ def prepare(config: RunConfig) -> PreparedRun:
         details["acr"] = 1.0
     elif config.engine == "hmc":
         target, start, params = _prepare_hmc(model, spec, event, cond, config, seeds[1], details)
+        if spec.kind == "var":
+            spec, event = _var_hyperplane(spec, event)
     else:
         start, params = _prepare_gibbs(model, event, cond, config, seeds[1], details)
     return PreparedRun(
@@ -361,6 +366,13 @@ def prepare(config: RunConfig) -> PreparedRun:
         chain_seed=seeds[2],
         started=started,
     )
+
+
+def _var_hyperplane(spec, band):
+    """The exact var event {1.x = v*} that hmc samples on a var band.  The
+    band's thresholds (v_star, v_lo, v_hi) stay on record."""
+    v_star = band.thresholds["v_star"]
+    return replace(spec, delta=0.0), replace(band, delta=0.0, v1=v_star, v2=v_star)
 
 
 def _prepare_hmc(model, spec, event, cond, config, seed, details):

@@ -64,7 +64,7 @@ DIGESTS = {
     'M1-es-mc-widened': ('9731f0a20a7d4ae18171217de6f999820f977a3fab1ae5f8c6cfb2d3073d004b', '524a3987f298857eaa73ed7c1151816261fb411fade97ec3ead6ee857a31f7b2', None),
     'M1-rvar-gibbs': ('ff8299d23bc3dd59e5df267f63fbeafa6e429b50e4afc6c031b6a810b90a5c05', '0084540ed60b4c47ffddaa68416ab2b3c95bb7cbf9aa2ba68eb8471db77a3808', 'db284454e326734d868b732e837a641a7a5a64fde7f2c340af8bae0213b1f1f1'),
     'M1-rvar-hmc': ('aebd92d6e9ff9082df4622ff4d8a31098024b9f2c3db4f2f45f93aa892eecbd4', '69b073f82aaf55ccf91cc4a7992526424089f3e75ebbbb59a91e710f28f82f74', 'ce0f672fd38f9f42c3ec655c0e96281c574c3b35dd0cc45c93e86e60313bd275'),
-    'M1-var-band-hmc': ('b3f6dc64e8abf6c39618c3329909aadb1c188ff0a7719e28463c30415c1937b9', '552e54a190bc1992850835b9ec42b4be878a2a7e75878690c841fd8cf831e165', '56aac0561fd95feba8b9a1704cf2585252626e4ebb30a26e98633c25a424279d'),
+    'M1-var-band-hmc': ('ecb8e120cc56cb5be3976a9762d21ca1900a91712f4ea5d97973fc596348ab47', '552e54a190bc1992850835b9ec42b4be878a2a7e75878690c841fd8cf831e165', '56aac0561fd95feba8b9a1704cf2585252626e4ebb30a26e98633c25a424279d'),
     'M2-es-gibbs': ('b5857402eb13e6ce66472875b7d0c7b651dc395160479124eb3a97386d729370', 'de064d926d02edaab63efc716368fcc82c874fe777b6c88ee6656da21e0d1c63', 'cda1a2c44ea8d22e41ddf7f3911485fbb9c931a6ec7b12e5721a627d96154493'),
     'M2-es-gibbs-overrides': ('a60b9decf5093a0a4173a661d81a819f0acf78325a37ee70a0b3bca9b622dc78', 'fd85eefeac0943e34251f81a5d195e4ecb26a936ebea8f545db0b203a853ff2b', 'd256b6996d6a035096653118c9d0e0c13c472300602fd09d9fdc77c070f54201'),
     'M2-es-hmc': ('01491c99ff0baebcefdb6716d31fe91e680f0a0707b8d94e6b5614579cdb9781', '69769589ca660c4c292f550971eda9214ca724e954f6222fea46d42dd5dd3ab7', '434ddd2a389880c3d751d9e4ffd5f08367ff949ad505ce2e4537767286d1fb78'),

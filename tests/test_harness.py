@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riskalloc import harness
-from riskalloc.events import CrisisEventSpec
+from riskalloc.events import EQUALITY_RTOL, CrisisEventSpec
 from riskalloc.gibbs import GibbsParams
 from riskalloc.harness import (
     AllocationReport,
@@ -221,6 +221,29 @@ def test_rvar_sample_sums_stay_in_band(tmp_path):
         v1, v2 = rep.event.thresholds["v1"], rep.event.thresholds["v2"]
         assert sums.min() >= v1 - 1e-9 and sums.max() <= v2 + 1e-9
         assert v1 <= rep.sum_estimate() <= v2
+
+
+def test_hmc_on_a_var_band_reports_the_hyperplane_it_samples(tmp_path):
+    band = CrisisEventSpec("var", (0.99,), delta=0.001)
+    rep = run(
+        RunConfig("M1", band, "hmc", n_mc=20_000, n_mcmc=100, min_conditional=20,
+                  seed=0, output_dir=tmp_path)
+    )
+    v_star = rep.event.thresholds["v_star"]
+    assert rep.event.sum_equality == v_star
+    assert rep.event.v1 == rep.event.v2 == v_star
+    assert set(rep.event.thresholds) == {"v_star", "v_lo", "v_hi"}
+    assert rep.requested_event == band
+    assert rep.event_spec == CrisisEventSpec("var", (0.99,), delta=0.0)
+    doc = json.loads(_read(tmp_path / "report.json"))
+    assert doc["event"]["sum_equality"] == v_star and doc["event_spec"]["delta"] == 0.0
+    assert doc["requested_event"]["delta"] == 0.001
+    # the hyperplane's only half-spaces are x_j >= 0
+    assert [c["v"] for c in doc["event"]["constraints"]] == [0.0, 0.0, 0.0]
+    rows = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1)
+    tol = EQUALITY_RTOL * max(1.0, abs(v_star))
+    assert np.all(np.abs(rows.sum(axis=1) - v_star) <= tol)
+    assert rep.event.contains_rows(rows).all()
 
 
 # -- the widening rule --------------------------------------------------------
