@@ -5,8 +5,9 @@ the presample through event estimation (with the mc widening rule) and
 the conditional rows to the engine's target and tuned parameters; run()
 adds the main chain and the per-coordinate measure + standard error, and
 `riskalloc tune` prints what prepare() tuned.  Reports are deterministic
-given (config, seed); wall-clock timings live in the manifest, never in
-the report, so the report file is byte-identical across repeat runs.
+given (config, seed); wall-clock timings (the run's total and its
+per-phase split) live in the manifest, never in the report, so the report
+file is byte-identical across repeat runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,7 @@ class AllocationReport:
     engine_details: dict
     runtime_seconds: float
     widening_log: tuple = ()
+    phase_seconds: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -294,7 +296,7 @@ class PreparedRun:
     tuned or overridden parameters (None for mc) and details the
     engine_details known before the chain.  The chain runs on target from
     start with chain_seed; started is the perf_counter reading before the
-    presample.
+    presample and phase_seconds the wall time of each phase so far.
     """
 
     config: RunConfig
@@ -310,6 +312,7 @@ class PreparedRun:
     start: np.ndarray
     chain_seed: object
     started: float
+    phase_seconds: dict
 
 
 def prepare(config: RunConfig) -> PreparedRun:
@@ -325,6 +328,7 @@ def prepare(config: RunConfig) -> PreparedRun:
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     started = time.perf_counter()
     presample = mc_presample(model, config.n_mc, seeds[0])
+    presampled = time.perf_counter()
     spec, log = config.event, []
     while True:
         event = estimate_event(spec, presample, model.support_class)
@@ -341,6 +345,7 @@ def prepare(config: RunConfig) -> PreparedRun:
                 f"lower level: {spec.kind}{spec.levels} -> {wider.kind}{wider.levels}"
             )
             spec = wider
+    estimated = time.perf_counter()
     details = {"k_conditional": int(len(cond))}
     target = start = params = None
     if config.engine == "mc":
@@ -365,6 +370,11 @@ def prepare(config: RunConfig) -> PreparedRun:
         start=start,
         chain_seed=seeds[2],
         started=started,
+        phase_seconds={
+            "presample": presampled - started,
+            "event": estimated - presampled,
+            "prepare": time.perf_counter() - estimated,
+        },
     )
 
 
@@ -428,9 +438,7 @@ def _prepare_gibbs(model, event, cond, config, seed, details):
 
 def _hmc_chain(prep: PreparedRun, details: dict):
     n = prep.config.n_mcmc
-    t0 = time.perf_counter()
     path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
-    runtime = time.perf_counter() - t0
     path_x = prep.target.standardizer.to_x_rows(path_y)
     sample = prep.target.base.lift_rows(path_x) if prep.spec.kind == "var" else path_x
     details.update(
@@ -439,21 +447,19 @@ def _hmc_chain(prep: PreparedRun, details: dict):
         mean_reflections=float(diag.reflections_per_proposal.mean()),
     )
     rows = [(i + 1, float(diag.hamiltonian_errors[i]), int(diag.accepted[i])) for i in range(n)]
-    return sample, ("delta_H", rows), runtime
+    return sample, ("delta_H", rows)
 
 
 def _gibbs_chain(prep: PreparedRun, details: dict):
-    t0 = time.perf_counter()
     path, diag = rsgs_sample(
         prep.model, prep.event, prep.params, prep.start, prep.config.n_mcmc, prep.chain_seed
     )
-    runtime = time.perf_counter() - t0
     details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
     rows = [
         (i + 1, int(diag.coordinates_updated[i]) + 1, 1)
         for i in range(diag.coordinates_updated.size)
     ]
-    return path, ("coordinate_updated", rows), runtime
+    return path, ("coordinate_updated", rows)
 
 
 def _allocations(sample, measures) -> tuple:
@@ -469,20 +475,24 @@ def _allocations(sample, measures) -> tuple:
 def run(config: RunConfig) -> AllocationReport:
     """Execute one allocation run and write artifacts if requested.
 
-    runtime_seconds is what compare charges: presample through measures for
-    mc, the main chain alone for the samplers.
+    runtime_seconds is what compare charges, the same for every engine: the
+    wall time from the presample to the end of the measures.  phase_seconds
+    splits it into presample, event, prepare (standardize and tune, or the
+    gibbs prerun), chain and measures.
     """
     prep = prepare(config)
     details = dict(prep.details)
+    chain_started = time.perf_counter()
     if config.engine == "mc":
         sample, diagnostics, n = prep.cond, None, config.n_mc
-        allocations = _allocations(sample, prep.measures)
-        runtime = time.perf_counter() - prep.started
     else:
         chain = _hmc_chain if config.engine == "hmc" else _gibbs_chain
-        sample, diagnostics, runtime = chain(prep, details)
-        allocations = _allocations(sample, prep.measures)
+        sample, diagnostics = chain(prep, details)
         n = config.n_mcmc
+    chained = time.perf_counter()
+    allocations = _allocations(sample, prep.measures)
+    finished = time.perf_counter()
+    phases = dict(prep.phase_seconds, chain=chained - chain_started, measures=finished - chained)
     report = AllocationReport(
         engine=config.engine,
         model_name=_model_name(config.model),
@@ -493,8 +503,9 @@ def run(config: RunConfig) -> AllocationReport:
         event=prep.event,
         allocations=allocations,
         engine_details=details,
-        runtime_seconds=runtime,
+        runtime_seconds=finished - prep.started,
         widening_log=prep.widening_log,
+        phase_seconds=phases,
     )
     if config.output_dir is not None:
         _write_artifacts(report, sample, diagnostics, config)
@@ -528,6 +539,7 @@ def _write_artifacts(report, sample, diagnostics, config):
         "event": report.event.to_json_dict(),
         "widening_log": list(report.widening_log),
         "runtime_seconds": report.runtime_seconds,
+        "phase_seconds": report.phase_seconds,
         "artifacts": ["report.json", "samples.csv"]
         + (["diagnostics.csv"] if diagnostics is not None else []),
     }
@@ -562,8 +574,11 @@ def compare(reports, oracle=None) -> list:
 
     The first MCMC run (if any) is the time reference: an mc row's variance
     is scaled to the sample size it could afford in that run's wall-clock
-    budget.  MCMC rows use their own budget (ratio 1).  With no oracle the
-    bias column is absent and the MSE is the variance term alone.
+    budget.  MCMC rows use their own budget (ratio 1).  Every budget is the
+    run's runtime_seconds, presample through measures, so the samplers pay
+    for their presample, tuning and prerun as mc pays for its presample.
+    With no oracle the bias column is absent and the MSE is the variance
+    term alone.
     """
     reports = list(reports)
     reference = next((r for r in reports if r.engine != "mc"), None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,38 @@ def test_hmc_on_a_var_band_reports_the_hyperplane_it_samples(tmp_path):
     tol = EQUALITY_RTOL * max(1.0, abs(v_star))
     assert np.all(np.abs(rows.sum(axis=1) - v_star) <= tol)
     assert rep.event.contains_rows(rows).all()
+
+
+@pytest.mark.parametrize("engine", ["mc", "gibbs", "hmc"])
+def test_manifest_splits_the_runtime_into_phases(engine, tmp_path):
+    extra = {"overrides": HmcParams(0.05, 5)} if engine == "hmc" else {}
+    rep = run(RunConfig("M1", ES90, engine, n_mc=2000, n_mcmc=100, seed=1,
+                        output_dir=tmp_path, **extra))
+    manifest = json.loads(_read(tmp_path / "manifest.json"))
+    phases = manifest["phase_seconds"]
+    assert set(phases) == {"presample", "event", "prepare", "chain", "measures"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= manifest["runtime_seconds"]
+    assert phases == rep.phase_seconds
+    assert manifest["runtime_seconds"] == rep.runtime_seconds
+    # the report stays free of timings
+    assert "phase_seconds" not in json.loads(_read(tmp_path / "report.json"))
+
+
+def test_samplers_are_charged_from_the_presample(monkeypatch):
+    # a slow presample shows in every engine's runtime, not only in mc's
+    presample = harness.mc_presample
+
+    def slow(model, n, seed):
+        time.sleep(0.2)
+        return presample(model, n, seed)
+
+    monkeypatch.setattr(harness, "mc_presample", slow)
+    for engine in ("mc", "gibbs", "hmc"):
+        extra = {"overrides": HmcParams(0.05, 5)} if engine == "hmc" else {}
+        rep = run(RunConfig("M1", ES90, engine, n_mc=2000, n_mcmc=100, seed=1, **extra))
+        assert rep.runtime_seconds >= 0.2
+        assert rep.phase_seconds["presample"] >= 0.2
 
 
 # -- the widening rule --------------------------------------------------------
