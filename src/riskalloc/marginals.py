@@ -14,7 +14,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Marginal:
-    """Base class. Subclasses set ``support`` and the five evaluations."""
+    """Base class. Subclasses set ``support`` and the five evaluations.
+
+    The evaluations act elementwise on arrays: JointLossModel calls each
+    once on the sub-vector of all coordinates that share one distribution
+    (same class, equal attributes).
+    """
 
     support = "real-line"  # or "nonnegative-half-line"
 
