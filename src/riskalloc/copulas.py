@@ -37,7 +37,22 @@ U_EPS = 1e-12
 
 
 def clip01(u):
-    return np.clip(u, U_EPS, 1.0 - U_EPS)
+    # np.minimum(np.maximum(...)) is np.clip's value, NaN included, without
+    # the wrapper's overhead on the hot path; on an array the second step
+    # writes into the first one's result, so a presample-sized u costs one
+    # new array, as np.clip did
+    lo = np.maximum(u, U_EPS)
+    return np.minimum(lo, 1.0 - U_EPS, out=lo if isinstance(lo, np.ndarray) else None)
+
+
+def _log(w):
+    """math.log for a point's scalar, np.log for a batch: numpy's vector log
+    can differ from libm's in the last bit, and a point keeps libm's value."""
+    return math.log(w) if isinstance(w, float) else np.log(w)
+
+
+def _log1p(w):
+    return math.log1p(w) if isinstance(w, float) else np.log1p(w)
 
 
 def _check_interior(u):
@@ -51,7 +66,9 @@ class Copula:
     """Base class; subclasses are immutable after construction.
 
     Subclasses implement the unchecked _logdensity and _grad_logdensity;
-    logdensity and grad_logdensity check the argument and call them.
+    logdensity and grad_logdensity check the argument and call them.  The
+    densities take a point u of shape (d,) or a batch of shape (K, d) and
+    reduce over the last axis.
     """
 
     def __init__(self, dim: int):
@@ -70,7 +87,8 @@ class Copula:
         """The gradient of log c at u in the open unit cube."""
         return self._grad_logdensity(_check_interior(u))
 
-    # the unchecked twins: u is a float array already in the open unit cube
+    # the unchecked twins: u is a float array (a point or a batch of rows)
+    # already in the open unit cube
     def _logdensity(self, u):
         raise NotImplementedError
 
@@ -101,10 +119,10 @@ class Copula:
 
 class Independence(Copula):
     def _logdensity(self, u):
-        return 0.0
+        return np.zeros(u.shape[:-1])[()]
 
     def _grad_logdensity(self, u):
-        return np.zeros(self.dim)
+        return np.zeros(u.shape)
 
     def hfun(self, j, uj, u_rest):
         self._check_j(j, u_rest)
@@ -131,13 +149,13 @@ class Clayton(Copula):
 
     def _logdensity(self, u):
         th, d = self.theta, self.dim
-        w = np.sum(u ** -th) - d + 1.0
-        return self._logconst - (th + 1.0) * float(np.sum(np.log(u))) - (1.0 / th + d) * math.log(w)
+        w = (u ** -th).sum(axis=-1) - d + 1.0
+        return self._logconst - (th + 1.0) * np.log(u).sum(axis=-1) - (1.0 / th + d) * _log(w)
 
     def _grad_logdensity(self, u):
         th, d = self.theta, self.dim
         t = u ** (-th - 1.0)
-        w = np.sum(t * u) - d + 1.0
+        w = (t * u).sum(axis=-1, keepdims=True) - d + 1.0
         return -(th + 1.0) / u + (1.0 + d * th) * t / w
 
     def hfun(self, j, uj, u_rest):
@@ -246,11 +264,11 @@ class GaussianCopula(_EllipticalCopula):
 
     def _logdensity(self, u):
         z = self._scores(u)
-        return -0.5 * self._logdet - 0.5 * float(z @ (self._rinv @ z) - z @ z)
+        return -0.5 * self._logdet - 0.5 * (np.vecdot(z, np.matvec(self._rinv, z)) - np.vecdot(z, z))
 
     def _grad_logdensity(self, u):
         z = self._scores(u)
-        dlogc_dz = z - self._rinv @ z
+        dlogc_dz = z - np.matvec(self._rinv, z)
         # dz/du = 1/phi(z)
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return dlogc_dz / phi
@@ -302,15 +320,15 @@ class StudentTCopula(_EllipticalCopula):
     def _logdensity(self, u):
         z = self._scores(u)
         nu, d = self.nu, self.dim
-        q = float(z @ (self._rinv @ z))
-        log_joint = self._mvt_lognorm - 0.5 * (nu + d) * math.log1p(q / nu)
-        return log_joint - float(np.sum(self._uni_logpdf(z)))
+        q = np.vecdot(z, np.matvec(self._rinv, z))
+        log_joint = self._mvt_lognorm - 0.5 * (nu + d) * _log1p(q / nu)
+        return log_joint - self._uni_logpdf(z).sum(axis=-1)
 
     def _grad_logdensity(self, u):
         z = self._scores(u)
         nu, d = self.nu, self.dim
-        rz = self._rinv @ z
-        q = float(z @ rz)
+        rz = np.matvec(self._rinv, z)
+        q = np.vecdot(z, rz)[..., None]
         djoint_dz = -(nu + d) * rz / (nu + q)
         duni_dz = -(nu + 1.0) * z / (nu + z * z)
         pdf_z = np.exp(self._uni_logpdf(z))

@@ -9,8 +9,10 @@ it is the exact hyperplane {1.x = v*}, which the samplers handle through a
 (d-1)-dimensional reduced target.
 
 The module also provides the constraint geometry the reflective sampler
-needs: boundary hit times, mirror reflections, and the affine mapping of
-constraints into standardized coordinates.
+needs: constraints stacked as arrays, boundary hit times, mirror
+reflections, and the affine mapping of constraints into standardized
+coordinates.  The targets and the geometry take a point of shape (d,) or
+a batch of shape (K, d).
 """
 
 from __future__ import annotations
@@ -52,6 +54,32 @@ class LinearConstraint:
     def slack(self, x) -> float:
         """h.x - v; nonnegative on the feasible side."""
         return float(self.h @ np.asarray(x, dtype=float)) - self.v
+
+
+class HalfSpaces(tuple):
+    """A tuple of LinearConstraint that also holds them stacked: the normals
+    as the rows of an (m, d) matrix and the offsets as an m-vector, built
+    once so that a sampler step need not stack them again."""
+
+    def __new__(cls, constraints=()):
+        if isinstance(constraints, HalfSpaces):
+            return constraints
+        self = super().__new__(cls, constraints)
+        self.normals = np.stack([c.h for c in self]) if self else None
+        self.offsets = np.array([c.v for c in self])
+        return self
+
+    def dots(self, x) -> np.ndarray:
+        """h.x for every constraint: shape (m,) for a point, (K, m) for a
+        batch.  np.vecdot gives each the bits of the 1-D h @ x."""
+        x = np.asarray(x, dtype=float)
+        if not self:
+            return np.empty(x.shape[:-1] + (0,))
+        return np.vecdot(x[..., None, :], self.normals)
+
+    def slack(self, x) -> np.ndarray:
+        """h.x - v for every constraint; nonnegative on the feasible side."""
+        return self.dots(x) - self.offsets
 
 
 @dataclass(frozen=True)
@@ -238,16 +266,15 @@ class EventTarget:
         self.model = model
         self.event = event
         self.dim = model.d
-        self.constraints = tuple(event.constraints)
+        self.constraints = HalfSpaces(event.constraints)
 
-    def feasible(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return all(float(c.h @ x) >= c.v for c in self.constraints)
+    def feasible(self, x):
+        """Whether the point, or each row of the batch, satisfies every constraint."""
+        walls = self.constraints
+        return (walls.dots(x) >= walls.offsets).all(axis=-1)
 
-    def logpdf(self, x) -> float:
-        if not self.feasible(x):
-            return -np.inf
-        return self.model.logpdf(x)
+    def logpdf(self, x):
+        return np.where(self.feasible(x), self.model.logpdf(x), -np.inf)[()]
 
     def grad_logpdf(self, x) -> np.ndarray:
         return self.model.grad_logpdf(x)
@@ -272,57 +299,53 @@ class ReducedVarTarget:
         self.dim = model.d - 1
         cons = _coordinate_constraints(self.dim)
         cons.append(LinearConstraint(-np.ones(self.dim), -self.v_star))
-        self.constraints = tuple(cons)
+        self.constraints = HalfSpaces(cons)
 
     def lift(self, x_reduced) -> np.ndarray:
+        """Append the implied last coordinate to a point or to each row."""
         x_reduced = np.asarray(x_reduced, dtype=float)
-        return np.append(x_reduced, self.v_star - x_reduced.sum())
+        last = self.v_star - x_reduced.sum(axis=-1)
+        return np.concatenate([x_reduced, last[..., None]], axis=-1)
 
-    def lift_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        last = self.v_star - rows.sum(axis=1)
-        return np.column_stack([rows, last])
-
-    def logpdf(self, x_reduced) -> float:
+    def logpdf(self, x_reduced):
         return self.model.logpdf(self.lift(x_reduced))
 
     def grad_logpdf(self, x_reduced) -> np.ndarray:
         g = self.model.grad_logpdf(self.lift(x_reduced))
-        return g[:-1] - g[-1]
+        return g[..., :-1] - g[..., -1:]
 
 
 def reduce_var_event(model, v_star: float) -> ReducedVarTarget:
     return ReducedVarTarget(model, v_star)
 
 
-def hit_time(x, p, eps: float, constraint: LinearConstraint):
-    """Fraction of the step x -> x + eps*p at which the hyperplane is crossed.
+def hit_time(x, p, eps, walls: HalfSpaces) -> np.ndarray:
+    """Fraction of the step x -> x + eps*p at which each hyperplane is reached.
 
-    Returns the crossing time if it lies in [0, 1], else None.  Callers are
-    expected to pass feasible x, so only motion toward the boundary can
-    produce a valid time.
+    x and p are a point (d,) or a batch (K, d), eps a scalar or one value per
+    row; the result has shape (m,) or (K, m).  A constraint the motion heads
+    toward (eps*h.p < 0) gets its crossing time if that lies in [0, 1];
+    every other entry is inf.  Callers are expected to pass feasible x.
     """
-    denom = eps * float(constraint.h @ np.asarray(p, dtype=float))
-    if denom == 0.0:
-        return None
-    t = (constraint.v - float(constraint.h @ np.asarray(x, dtype=float))) / denom
-    if 0.0 <= t <= 1.0:
-        return t
-    return None
+    denom = np.asarray(eps, dtype=float)[..., None] * walls.dots(p)
+    toward = denom < 0.0
+    t = np.divide(walls.offsets - walls.dots(x), denom, out=np.full(denom.shape, np.inf),
+                  where=toward)
+    return np.where((t >= 0.0) & (t <= 1.0), t, np.inf)
 
 
-def reflect(x_star, p, constraint: LinearConstraint):
-    """Mirror a boundary point and its momentum across the constraint hyperplane.
+def reflect(x_star, p, h, v):
+    """Mirror boundary points and their momenta across hyperplanes h.x = v.
 
-    The momentum keeps its tangential part and flips the normal part, so
-    kinetic energy is preserved exactly.
+    h is one normal (d,) with its offset v, or one normal per row (K, d)
+    with an offset per row.  The momentum keeps its tangential part and
+    flips the normal part, so kinetic energy is preserved exactly.
     """
     x_star = np.asarray(x_star, dtype=float)
     p = np.asarray(p, dtype=float)
-    h = constraint.h
-    hh = float(h @ h)
-    x_r = x_star - 2.0 * ((float(h @ x_star) - constraint.v) / hh) * h
-    p_r = p - 2.0 * (float(h @ p) / hh) * h
+    hh = np.vecdot(h, h)[..., None]
+    x_r = x_star - 2.0 * ((np.vecdot(h, x_star)[..., None] - np.asarray(v)[..., None]) / hh) * h
+    p_r = p - 2.0 * (np.vecdot(h, p)[..., None] / hh) * h
     return x_r, p_r
 
 
@@ -333,6 +356,6 @@ def standardize_constraints(constraints, chol, mu):
     sign, _ = np.linalg.slogdet(chol)
     if sign == 0.0:
         raise ValueError("standardization matrix is singular")
-    return tuple(
+    return HalfSpaces(
         LinearConstraint(chol.T @ c.h, c.v - float(c.h @ mu)) for c in constraints
     )

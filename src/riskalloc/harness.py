@@ -6,8 +6,8 @@ the conditional rows to the engine's target and tuned parameters; run()
 adds the main chain and the per-coordinate measure + standard error, and
 `riskalloc tune` prints what prepare() tuned.  Reports are deterministic
 given (config, seed); wall-clock timings (the run's total and its
-per-phase split) live in the manifest, never in the report, so the report
-file is byte-identical across repeat runs.
+per-phase split) and hmc's work counters live in the manifest, never in the
+report, so the report file is byte-identical across repeat runs.
 """
 
 from __future__ import annotations
@@ -177,6 +177,7 @@ class AllocationReport:
     runtime_seconds: float
     widening_log: tuple = ()
     phase_seconds: dict = field(default_factory=dict)
+    work: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -296,7 +297,10 @@ class PreparedRun:
     tuned or overridden parameters (None for mc) and details the
     engine_details known before the chain.  The chain runs on target from
     start with chain_seed; started is the perf_counter reading before the
-    presample and phase_seconds the wall time of each phase so far.
+    presample and phase_seconds the wall time of each phase so far.  work
+    holds hmc's work counters: tune_steps (lockstep steps of the tuning
+    scans), tune_trajectory_steps (trajectory steps within them) and
+    chain_grad_evals (2 T n_mcmc); it is empty for the other engines.
     """
 
     config: RunConfig
@@ -313,6 +317,7 @@ class PreparedRun:
     chain_seed: object
     started: float
     phase_seconds: dict
+    work: dict
 
 
 def prepare(config: RunConfig) -> PreparedRun:
@@ -348,10 +353,13 @@ def prepare(config: RunConfig) -> PreparedRun:
     estimated = time.perf_counter()
     details = {"k_conditional": int(len(cond))}
     target = start = params = None
+    work = {}
     if config.engine == "mc":
         details["acr"] = 1.0
     elif config.engine == "hmc":
-        target, start, params = _prepare_hmc(model, spec, event, cond, config, seeds[1], details)
+        target, start, params, work = _prepare_hmc(
+            model, spec, event, cond, config, seeds[1], details
+        )
         if spec.kind == "var":
             spec, event = _var_hyperplane(spec, event)
     else:
@@ -370,6 +378,7 @@ def prepare(config: RunConfig) -> PreparedRun:
         start=start,
         chain_seed=seeds[2],
         started=started,
+        work=work,
         phase_seconds={
             "presample": presampled - started,
             "event": estimated - presampled,
@@ -389,17 +398,14 @@ def _prepare_hmc(model, spec, event, cond, config, seed, details):
     if spec.kind == "var":
         target = reduce_var_event(model, event.thresholds["v_star"])
         pts = cond[:, :-1]
-        strict = np.array(
-            [all(c.slack(x) > 0.0 for c in target.constraints) for x in pts]
-        )
-        pts = pts[strict]
+        pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
         if len(pts) < 2:
             raise ConditionalCountError(len(pts), 2, spec)
     else:
         target = EventTarget(model, event)
         pts = cond
     std_target, std = standardize(target, pts)
-    y_pts = std.to_y_rows(pts)
+    y_pts = std.to_y(pts)
     if config.overrides is not None:
         params, tuning = config.overrides, None
     else:
@@ -416,7 +422,12 @@ def _prepare_hmc(model, spec, event, cond, config, seed, details):
             "n_capped": tuning.n_capped,
             "n_halvings": tuning.n_halvings,
         }
-    return std_target, y_pts.mean(axis=0), params
+    work = {
+        "tune_steps": tuning.n_steps if tuning is not None else 0,
+        "tune_trajectory_steps": tuning.n_trajectory_steps if tuning is not None else 0,
+        "chain_grad_evals": 2 * params.T * config.n_mcmc,
+    }
+    return std_target, y_pts.mean(axis=0), params, work
 
 
 def _prepare_gibbs(model, event, cond, config, seed, details):
@@ -439,8 +450,8 @@ def _prepare_gibbs(model, event, cond, config, seed, details):
 def _hmc_chain(prep: PreparedRun, details: dict):
     n = prep.config.n_mcmc
     path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
-    path_x = prep.target.standardizer.to_x_rows(path_y)
-    sample = prep.target.base.lift_rows(path_x) if prep.spec.kind == "var" else path_x
+    path_x = prep.target.standardizer.to_x(path_y)
+    sample = prep.target.base.lift(path_x) if prep.spec.kind == "var" else path_x
     details.update(
         acr=diag.acr,
         n_nonfinite=diag.n_nonfinite,
@@ -506,6 +517,7 @@ def run(config: RunConfig) -> AllocationReport:
         runtime_seconds=finished - prep.started,
         widening_log=prep.widening_log,
         phase_seconds=phases,
+        work=prep.work,
     )
     if config.output_dir is not None:
         _write_artifacts(report, sample, diagnostics, config)
@@ -540,6 +552,7 @@ def _write_artifacts(report, sample, diagnostics, config):
         "widening_log": list(report.widening_log),
         "runtime_seconds": report.runtime_seconds,
         "phase_seconds": report.phase_seconds,
+        "work": report.work,
         "artifacts": ["report.json", "samples.csv"]
         + (["diagnostics.csv"] if diagnostics is not None else []),
     }

@@ -15,16 +15,21 @@ presample-driven heuristic that picks the stepsize and integration time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .events import hit_time, reflect, standardize_constraints
+from .events import HalfSpaces, hit_time, reflect, standardize_constraints
 
 MAX_REFLECTIONS = 10_000
 EPS_FLOOR = 1e-12
 FEASIBILITY_NUDGE = 1e-9
+# The drift skips the exact hit times when every row satisfies
+# v - h.x < (eps * CLEAR_MARGIN) * h.p for every constraint: each crossing
+# time toward a wall then exceeds 1 by far more than rounding can blur, so
+# hit_time would report no hit either.
+CLEAR_MARGIN = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,52 +74,79 @@ def leapfrog(x, p, eps: float, grad_u):
 def leapfrog_reflect(x, p, eps: float, grad_u, constraints):
     """One leapfrog step whose drift reflects off constraint hyperplanes.
 
-    Gradients are only evaluated at the step endpoints, which reflection
-    keeps feasible; the drift in between is piecewise linear.  Returns the
-    new state and the number of reflections performed.
+    x and p are one state (d,) or a batch of states (K, d) that step in
+    lockstep; grad_u takes the same shapes.  Gradients are only evaluated
+    at the step endpoints, which reflection keeps feasible; the drift in
+    between is piecewise linear.  Returns the new state and the number of
+    reflections performed, one count per row for a batch.
     """
+    walls = HalfSpaces(constraints)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     p = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
-    remaining = eps
-    n_reflections = 0
+    n_reflections = np.zeros(x.shape[:-1], dtype=np.int64)
+    x, p = _reflective_drift(x, p, eps, walls, n_reflections)
+    p = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
+    return x, p, n_reflections[()]
+
+
+def _reflective_drift(x, p, eps, walls, n_reflections):
+    """Drift every row for time eps; a row that reaches a hyperplane is
+    mirrored there and drifts on for the rest of its time.  Each round
+    reflects every row that hits, at its earliest hit (ties go to the first
+    constraint), and counts it in n_reflections, in place.  Tiny float
+    violations at the end are nudged back onto the boundary."""
+    if not walls:
+        return x + eps * p, p
+    if (walls.offsets - walls.dots(x) < (eps * CLEAR_MARGIN) * walls.dots(p)).all():
+        return _nudge_onto_boundary(x + eps * p, walls), p
+    remaining = np.full(x.shape[:-1], float(eps))
+    drifting = np.ones(x.shape[:-1], dtype=bool)
     while True:
-        hits = []
-        for idx, c in enumerate(constraints):
-            if float(c.h @ p) < 0.0:
-                t = hit_time(x, p, remaining, c)
-                if t is not None:
-                    hits.append((t, idx, c))
-        if not hits:
-            x = x + remaining * p
-            break
-        t_star, _, c_star = min(hits, key=lambda h: (h[0], h[1]))
-        n_reflections += 1
-        if n_reflections > MAX_REFLECTIONS:
+        # a row that has stopped has no time left, so it hits nothing
+        t = hit_time(x, p, remaining, walls)
+        t_star = t.min(axis=-1)
+        hit = t_star <= 1.0
+        # the rows that reach no wall drift to the end of the step
+        x = np.where((drifting & ~hit)[..., None], x + remaining[..., None] * p, x)
+        if not hit.any():
+            return _nudge_onto_boundary(x, walls), p
+        n_reflections += hit
+        if n_reflections.max() > MAX_REFLECTIONS:
             raise RuntimeError(
                 f"more than {MAX_REFLECTIONS} reflections in a single drift; "
                 "the stepsize is likely far too large for the constraint set"
             )
-        x, p = reflect(x + (t_star * remaining) * p, p, c_star)
-        remaining *= 1.0 - t_star
-        if remaining == 0.0:
-            break
-    # absorb float drift: tiny violations are projected back onto the boundary
-    for c in constraints:
-        gap = c.v - float(c.h @ x)
-        if 0.0 < gap <= FEASIBILITY_NUDGE * max(1.0, abs(c.v)):
-            x = x + (gap / float(c.h @ c.h)) * c.h
-    p = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
-    return x, p, n_reflections
+        j = t.argmin(axis=-1)[hit]
+        t_hit, left = t_star[hit], remaining[hit]
+        x_star = x[hit] + (t_hit * left)[..., None] * p[hit]
+        x[hit], p[hit] = reflect(x_star, p[hit], walls.normals[j], walls.offsets[j])
+        remaining = np.zeros(remaining.shape)
+        remaining[hit] = left * (1.0 - t_hit)
+        drifting = remaining != 0.0
+        if not drifting.any():
+            return _nudge_onto_boundary(x, walls), p
+
+
+def _nudge_onto_boundary(x, walls):
+    """Absorb float drift: a tiny violation is projected back onto the
+    boundary, one constraint after the other."""
+    if not (walls.dots(x) < walls.offsets).any():
+        return x
+    tol = FEASIBILITY_NUDGE * np.maximum(1.0, np.abs(walls.offsets))
+    for c, tol_c in zip(walls, tol):
+        gap = c.v - np.vecdot(x, c.h)
+        near = (gap > 0.0) & (gap <= tol_c)
+        x = np.where(near[..., None], x + (gap / np.vecdot(c.h, c.h))[..., None] * c.h, x)
+    return x
 
 
 def _check_start(target, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (target.dim,):
         raise ValueError(f"initial state must have dimension {target.dim}")
-    for c in getattr(target, "constraints", ()):
-        if c.slack(x0) < 1e-12:
-            raise ValueError("initial state must be strictly feasible")
+    if (HalfSpaces(getattr(target, "constraints", ())).slack(x0) < 1e-12).any():
+        raise ValueError("initial state must be strictly feasible")
     lp = target.logpdf(x0)
     if not np.isfinite(lp):
         raise ValueError("initial state has non-finite log-density")
@@ -124,7 +156,7 @@ def _check_start(target, x0):
 def hmc_sample(target, params: HmcParams, x0, n: int, seed):
     """Run the chain for n proposals; returns (path, diagnostics)."""
     x, lp = _check_start(target, x0)
-    constraints = tuple(getattr(target, "constraints", ()))
+    constraints = HalfSpaces(getattr(target, "constraints", ()))
     d = target.dim
 
     def grad_u(z):
@@ -179,18 +211,12 @@ class Standardizer:
     chol: np.ndarray
     jittered: bool = False
 
+    # both maps take a point (d,) or a batch of rows (K, d)
     def to_x(self, y) -> np.ndarray:
-        return self.mu + self.chol @ np.asarray(y, dtype=float)
-
-    def to_x_rows(self, rows) -> np.ndarray:
-        return np.asarray(rows, dtype=float) @ self.chol.T + self.mu
+        return np.asarray(y, dtype=float) @ self.chol.T + self.mu
 
     def to_y(self, x) -> np.ndarray:
-        return solve_triangular(self.chol, np.asarray(x, dtype=float) - self.mu,
-                                lower=True)
-
-    def to_y_rows(self, rows) -> np.ndarray:
-        diff = np.asarray(rows, dtype=float) - self.mu
+        diff = np.asarray(x, dtype=float) - self.mu
         return solve_triangular(self.chol, diff.T, lower=True).T
 
 
@@ -209,12 +235,12 @@ class StandardizedTarget:
             base.constraints, standardizer.chol, standardizer.mu
         )
 
-    def logpdf(self, y) -> float:
+    def logpdf(self, y):
         return self.base.logpdf(self.standardizer.to_x(y))
 
     def grad_logpdf(self, y) -> np.ndarray:
         x = self.standardizer.to_x(y)
-        return self.standardizer.chol.T @ self.base.grad_logpdf(x)
+        return np.matvec(self.standardizer.chol.T, self.base.grad_logpdf(x))
 
 
 def standardize(target, presample_conditional):
@@ -254,15 +280,79 @@ def standardize(target, presample_conditional):
 
 @dataclass(frozen=True)
 class TuneResult:
+    """The tuned parameters and how they were found.  n_steps (lockstep
+    steps) and n_trajectory_steps (trajectory steps), both summed over all
+    stepsizes tried, count work and take no part in equality."""
+
     params: HmcParams
     alpha_bar: float
     n_trajectories: int
     n_capped: int
     n_halvings: int
+    n_steps: int = field(default=0, compare=False)
+    n_trajectory_steps: int = field(default=0, compare=False)
 
     @property
     def capped(self) -> bool:
         return self.n_capped > 0
+
+
+def _scan(target, walls, starts, momenta, eps, t_max, alpha_bar):
+    """Advance one trajectory per start row, all in lockstep, each until its
+    first U-turn (the U-turn step itself is not recorded), its first step
+    with acceptance ratio below alpha_bar, or t_max steps.  Once a
+    trajectory j has failed, the rows after it are dropped and the scan
+    ends when every row before it has stopped: the rows after j would not
+    have run in a one-by-one scan.
+
+    Returns (stops, failure, n_steps, n_trajectory_steps).  failure is None
+    when every ratio stayed at or above alpha_bar, else (j, a): the first
+    failing trajectory in row order and its ratio at its first failing step.
+    """
+
+    def grad_u(z):
+        return -target.grad_logpdf(z)
+
+    def hamiltonian(z, mom):
+        return -target.logpdf(z) + 0.5 * np.vecdot(mom, mom)
+
+    k = starts.shape[0]
+    stops = np.full(k, t_max)
+    live = np.arange(k)
+    x0, x, p = starts, starts, momenta
+    h_prev = hamiltonian(x, p)
+    dist_prev = np.zeros(k)
+    delta_prev = np.zeros(k)  # a U-turn needs a positive previous delta
+    failure = None
+    n_steps = n_trajectory_steps = 0
+    for t in range(1, t_max + 1):
+        x, p, _ = leapfrog_reflect(x, p, eps, grad_u, walls)
+        n_steps += 1
+        n_trajectory_steps += live.size
+        h_curr = hamiltonian(x, p)
+        finite = np.isfinite(h_curr)
+        a = np.zeros(live.size)
+        a[finite] = np.exp(np.minimum(0.0, h_prev[finite] - h_curr[finite]))
+        diff = x - x0
+        dist = np.sqrt(np.vecdot(diff, diff))
+        delta = dist - dist_prev
+        uturn = (delta < 0.0) & (delta_prev > 0.0)
+        stops[live[uturn]] = t - 1
+        failed = ~uturn & (a < alpha_bar)
+        if failed.any():
+            i = np.flatnonzero(failed)[0]  # live rows stay in row order
+            if failure is None or live[i] < failure[0]:
+                failure = (int(live[i]), float(a[i]))
+        go = ~uturn & ~failed
+        if failure is not None:
+            go &= live < failure[0]
+        if not go.all():
+            live, x0, x, p = live[go], x0[go], x[go], p[go]
+            h_curr, dist, delta = h_curr[go], dist[go], delta[go]
+            if live.size == 0:
+                break
+        h_prev, dist_prev, delta_prev = h_curr, dist, delta
+    return stops, failure, n_steps, n_trajectory_steps
 
 
 def tune(target, presample_conditional, c_eps: float = 1.0,
@@ -274,37 +364,35 @@ def tune(target, presample_conditional, c_eps: float = 1.0,
     target (1 + (d-1)*0.65)/d.  Each trajectory starts at a presample point
     with fresh standard-normal momentum and stops at its first U-turn
     (distance to the start decreasing after having increased); T is the
-    floor of the mean stopping step over trajectories.  A scan is abandoned
-    as soon as its minimum ratio falls below target, which cannot change
-    the outcome because only the accepted stepsize's trajectories determine
-    T.
+    floor of the mean stopping step over trajectories.
+
+    The trajectories of one stepsize advance in lockstep as one batch, on
+    the same random stream as running them one after another: the k
+    momenta are one (k, d) block draw, which equals k draws of d numbers.
+    A stepsize fails at its first failing trajectory j in row order; the
+    scan ends once every trajectory before j has stopped, which cannot
+    change the outcome, and the stream is rewound and redrawn to where the
+    one-by-one scan leaves it, after j + 1 momenta.
     """
     pts = np.asarray(presample_conditional, dtype=float)
     if pts.ndim != 2:
         raise ValueError("presample must be a k x d matrix")
-    constraints = tuple(getattr(target, "constraints", ()))
-    feasible = [
-        x for x in pts
-        if np.isfinite(target.logpdf(x)) and all(c.slack(x) > 0.0 for c in constraints)
-    ]
-    if len(feasible) < 10:
+    walls = HalfSpaces(getattr(target, "constraints", ()))
+    feasible = np.isfinite(target.logpdf(pts)) & (walls.slack(pts) > 0.0).all(axis=-1)
+    starts = pts[feasible]
+    if len(starts) < 10:
         raise ValueError(
             f"tuning needs at least 10 strictly feasible presample points, "
-            f"got {len(feasible)}"
+            f"got {len(starts)}"
         )
     d = target.dim
     alpha_bar = (1.0 + (d - 1) * 0.65) / d
-
-    def grad_u(z):
-        return -target.grad_logpdf(z)
-
-    def hamiltonian(z, mom):
-        return -target.logpdf(z) + 0.5 * float(mom @ mom)
 
     rng = np.random.default_rng(seed)
     eps = c_eps * d ** (-0.25)
     n_halvings = 0
     worst = 0.0
+    n_steps = n_trajectory_steps = 0
     while True:
         eps *= 0.5
         n_halvings += 1
@@ -313,48 +401,24 @@ def tune(target, presample_conditional, c_eps: float = 1.0,
                 f"tuning stepsize underflowed below {EPS_FLOOR}; worst "
                 f"acceptance ratio so far {worst:.3g}"
             )
-        alpha_min = np.inf
-        stops = []
-        n_capped = 0
-        failed = False
-        for x0 in feasible:
-            p = rng.standard_normal(d)
-            x = np.array(x0, dtype=float)
-            h_prev = hamiltonian(x, p)
-            dist_prev = 0.0
-            delta_prev = None
-            t_stop = None
-            for t in range(1, t_max + 1):
-                x, p, _ = leapfrog_reflect(x, p, eps, grad_u, constraints)
-                h_curr = hamiltonian(x, p)
-                if np.isfinite(h_curr):
-                    a = math.exp(min(0.0, h_prev - h_curr))
-                else:
-                    a = 0.0
-                dist = float(np.linalg.norm(x - x0))
-                delta = dist - dist_prev
-                if delta_prev is not None and delta < 0.0 and delta_prev > 0.0:
-                    t_stop = t - 1  # the U-turn step itself is not recorded
-                    break
-                alpha_min = min(alpha_min, a)
-                if alpha_min < alpha_bar:
-                    failed = True
-                    break
-                h_prev, dist_prev, delta_prev = h_curr, dist, delta
-            if failed:
-                break
-            if t_stop is None:
-                t_stop = t_max
-                n_capped += 1
-            stops.append(t_stop)
-        if failed:
-            worst = alpha_min
+        state = rng.bit_generator.state
+        stops, failure, steps, trajectory_steps = _scan(
+            target, walls, starts, rng.standard_normal(starts.shape), eps, t_max, alpha_bar
+        )
+        n_steps += steps
+        n_trajectory_steps += trajectory_steps
+        if failure is not None:
+            j, worst = failure
+            rng.bit_generator.state = state
+            rng.standard_normal((j + 1, d))
             continue
         t_final = max(1, math.floor(float(np.mean(stops))))
         return TuneResult(
             params=HmcParams(eps=eps, T=t_final),
             alpha_bar=alpha_bar,
-            n_trajectories=len(feasible),
-            n_capped=n_capped,
+            n_trajectories=len(starts),
+            n_capped=int((stops == t_max).sum()),
             n_halvings=n_halvings,
+            n_steps=n_steps,
+            n_trajectory_steps=n_trajectory_steps,
         )

@@ -52,7 +52,7 @@ class Marginal:
         return u
 
     def _check_dlogpdf_arg(self, x):
-        if np.any(~self.in_support(x)):
+        if (~self.in_support(x)).any():
             raise ValueError(f"{type(self).__name__}: x outside support")
 
 

@@ -5,6 +5,7 @@ from riskalloc.events import (
     ConcreteCrisisEvent,
     CrisisEventSpec,
     EventTarget,
+    HalfSpaces,
     LinearConstraint,
     ReducedVarTarget,
     estimate_event,
@@ -137,20 +138,38 @@ def test_event_json_roundtrip():
 
 
 def test_hit_time_examples():
-    c = LinearConstraint([1.0, 0.0], 0.0)
-    assert hit_time(np.array([1.0, 1.0]), np.array([-2.0, 0.0]), 1.0, c) == 0.5
+    c = HalfSpaces([LinearConstraint([1.0, 0.0], 0.0)])
+    assert hit_time(np.array([1.0, 1.0]), np.array([-2.0, 0.0]), 1.0, c)[0] == 0.5
     # moving away from the hyperplane
-    assert hit_time(np.array([1.0, 1.0]), np.array([2.0, 0.0]), 1.0, c) is None
-    assert hit_time(np.array([1.0, 1.0]), np.array([-2.0, 0.0]), 0.0, c) is None
+    assert hit_time(np.array([1.0, 1.0]), np.array([2.0, 0.0]), 1.0, c)[0] == np.inf
+    assert hit_time(np.array([1.0, 1.0]), np.array([-2.0, 0.0]), 0.0, c)[0] == np.inf
     # motion parallel to the boundary
-    assert hit_time(np.array([1.0, 1.0]), np.array([0.0, 3.0]), 1.0, c) is None
+    assert hit_time(np.array([1.0, 1.0]), np.array([0.0, 3.0]), 1.0, c)[0] == np.inf
     # too far to reach within one step
-    assert hit_time(np.array([5.0, 0.0]), np.array([-2.0, 0.0]), 1.0, c) is None
+    assert hit_time(np.array([5.0, 0.0]), np.array([-2.0, 0.0]), 1.0, c)[0] == np.inf
+
+
+def test_hit_time_rows_and_constraints_at_once():
+    box = HalfSpaces([
+        LinearConstraint([1.0, 0.0], 0.0),
+        LinearConstraint([-1.0, 0.0], -1.0),
+        LinearConstraint([0.0, 1.0], 0.0),
+    ])
+    x = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.1]])
+    p = np.array([[-1.0, 0.0], [2.0, -2.0], [0.0, 0.0]])
+    t = hit_time(x, p, np.array([1.0, 1.0, 1.0]), box)
+    assert t.shape == (3, 3)
+    assert np.array_equal(t[0], [0.5, np.inf, np.inf])
+    assert np.array_equal(t[1], [np.inf, 0.25, 0.25])
+    assert np.all(t[2] == np.inf)
+    # each row's entry is the one-row call's, bit for bit
+    for k in range(3):
+        assert np.array_equal(hit_time(x[k], p[k], 1.0, box), t[k])
 
 
 def test_reflect_examples():
     c = LinearConstraint([1.0, 0.0], 0.0)
-    x_r, p_r = reflect(np.array([-0.4, 1.0]), np.array([-2.0, 3.0]), c)
+    x_r, p_r = reflect(np.array([-0.4, 1.0]), np.array([-2.0, 3.0]), c.h, c.v)
     assert np.allclose(x_r, [0.4, 1.0])
     assert np.allclose(p_r, [2.0, 3.0])
 
@@ -161,8 +180,8 @@ def test_reflect_involution_and_energy():
         c = LinearConstraint(rng.normal(size=3), rng.normal())
         x = rng.normal(size=3)
         p = rng.normal(size=3)
-        x1, p1 = reflect(x, p, c)
-        x2, p2 = reflect(x1, p1, c)
+        x1, p1 = reflect(x, p, c.h, c.v)
+        x2, p2 = reflect(x1, p1, c.h, c.v)
         assert np.allclose(x2, x, atol=1e-12)
         assert np.allclose(p2, p, atol=1e-12)
         assert np.linalg.norm(p1) == pytest.approx(np.linalg.norm(p), rel=1e-12)
@@ -170,29 +189,25 @@ def test_reflect_involution_and_energy():
 
 def test_reflected_walk_stays_feasible():
     # straight-line motion with reflections inside the unit box
-    cons = [
+    cons = HalfSpaces([
         LinearConstraint([1.0, 0.0], 0.0),
         LinearConstraint([-1.0, 0.0], -1.0),
         LinearConstraint([0.0, 1.0], 0.0),
         LinearConstraint([0.0, -1.0], -1.0),
-    ]
+    ])
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(0.1, 0.9, size=2)
         p = rng.normal(size=2)
         remaining = rng.uniform(0.5, 4.0)
         for _ in range(10_000):
-            hits = []
-            for c in cons:
-                if float(c.h @ p) < 0.0:
-                    t = hit_time(x, p, remaining, c)
-                    if t is not None:
-                        hits.append((t, c))
-            if not hits:
+            t = hit_time(x, p, remaining, cons)
+            j = int(t.argmin())
+            if t[j] == np.inf:
                 x = x + remaining * p
                 break
-            t_star, c_star = min(hits, key=lambda tc: tc[0])
-            x, p = reflect(x + t_star * remaining * p, p, c_star)
+            t_star, c_star = t[j], cons[j]
+            x, p = reflect(x + t_star * remaining * p, p, c_star.h, c_star.v)
             remaining *= 1.0 - t_star
         for c in cons:
             assert c.slack(x) >= -1e-9
@@ -212,7 +227,7 @@ def test_reduced_var_sum_identity():
     t = reduce_var_event(m, 9.6)
     rng = np.random.default_rng(4)
     pts = rng.dirichlet(np.ones(3), size=50)[:, :2] * 9.6
-    lifted = t.lift_rows(pts)
+    lifted = t.lift(pts)
     assert np.all(lifted.sum(axis=1) == 9.6)  # exact, not approximate
     assert np.allclose(lifted[:, :2], pts)
 

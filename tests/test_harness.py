@@ -263,6 +263,29 @@ def test_manifest_splits_the_runtime_into_phases(engine, tmp_path):
     assert "phase_seconds" not in json.loads(_read(tmp_path / "report.json"))
 
 
+def test_manifest_records_hmc_work_counters(tmp_path):
+    rep = run(RunConfig("M1", ES90, "hmc", n_mc=2000, n_mcmc=100, seed=1, output_dir=tmp_path))
+    manifest = json.loads(_read(tmp_path / "manifest.json"))
+    work = manifest["work"]
+    assert set(work) == {"tune_steps", "tune_trajectory_steps", "chain_grad_evals"}
+    assert work["chain_grad_evals"] == 2 * rep.engine_details["T"] * 100
+    assert 0 < work["tune_steps"] <= work["tune_trajectory_steps"]
+    assert work == rep.work
+    # the report stays free of work counters
+    assert "tune_steps" not in _read(tmp_path / "report.json").decode()
+
+
+@pytest.mark.parametrize("engine", ["mc", "gibbs", "hmc"])
+def test_manifest_work_without_tuning(engine, tmp_path):
+    extra = {"overrides": HmcParams(0.05, 5)} if engine == "hmc" else {}
+    run(RunConfig("M1", ES90, engine, n_mc=2000, n_mcmc=100, seed=1, output_dir=tmp_path, **extra))
+    work = json.loads(_read(tmp_path / "manifest.json"))["work"]
+    if engine == "hmc":
+        assert work == {"tune_steps": 0, "tune_trajectory_steps": 0, "chain_grad_evals": 1000}
+    else:
+        assert work == {}
+
+
 def test_samplers_are_charged_from_the_presample(monkeypatch):
     # a slow presample shows in every engine's runtime, not only in mc's
     presample = harness.mc_presample

@@ -1,9 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from riskalloc.events import CrisisEventSpec, EventTarget, LinearConstraint, estimate_event
+from riskalloc.events import (
+    CrisisEventSpec,
+    EventTarget,
+    HalfSpaces,
+    LinearConstraint,
+    estimate_event,
+    reduce_var_event,
+)
 from riskalloc.hmc import (
     HmcParams,
     Standardizer,
@@ -19,6 +27,10 @@ from riskalloc.measures import MarginalRiskMeasure, batch_means_se
 from riskalloc.models import preset
 
 
+# The test targets take a point (d,) or a batch of rows (K, d), as tune
+# calls them with batches.
+
+
 class GaussianTarget:
     """Unconstrained standard normal in d dimensions."""
 
@@ -28,7 +40,7 @@ class GaussianTarget:
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        return -0.5 * float(x @ x)
+        return -0.5 * np.vecdot(x, x)
 
     def grad_logpdf(self, x):
         return -np.asarray(x, dtype=float)
@@ -38,21 +50,20 @@ class FlatTarget:
     """Constant density over a constraint region; zero gradient."""
 
     def __init__(self, constraints, dim):
-        self.constraints = tuple(constraints)
+        self.constraints = HalfSpaces(constraints)
         self.dim = dim
 
     def logpdf(self, x):
-        if all(c.slack(x) >= 0 for c in self.constraints):
-            return 0.0
-        return -np.inf
+        inside = (self.constraints.slack(x) >= 0).all(axis=-1)
+        return np.where(inside, 0.0, -np.inf)[()]
 
     def grad_logpdf(self, x):
-        return np.zeros(self.dim)
+        return np.zeros(np.shape(x))
 
 
 class BrokenGradientTarget(GaussianTarget):
     def grad_logpdf(self, x):
-        return np.full(self.dim, np.nan)
+        return np.full(np.shape(x), np.nan)
 
 
 @pytest.fixture(scope="module")
@@ -265,13 +276,13 @@ def test_standardizer_whitens_and_roundtrips():
     assert not std.jittered
     cov = np.atleast_2d(np.cov(pts, rowvar=False))
     assert np.allclose(std.chol @ std.chol.T, cov, atol=1e-10)
-    y = std.to_y_rows(pts)
+    y = std.to_y(pts)
     assert np.allclose(np.cov(y, rowvar=False), np.eye(3), atol=0.05)
     assert np.allclose(y.mean(axis=0), 0.0, atol=1e-12)
     # round trip
     x = rng.normal(size=3)
     assert np.allclose(std.to_x(std.to_y(x)), x, atol=1e-10)
-    assert np.allclose(std.to_x_rows(y)[:5], pts[:5], atol=1e-8)
+    assert np.allclose(std.to_x(y)[:5], pts[:5], atol=1e-8)
 
 
 def test_standardized_target_chain_rule():
@@ -341,7 +352,165 @@ def test_tune_underflow_reports_worst_ratio():
 def test_tune_on_m1_event_gives_plausible_scales(m1_rvar_target):
     target, cond = m1_rvar_target
     std_tgt, std = standardize(target, cond)
-    y = std.to_y_rows(cond)[:150]
+    y = std.to_y(cond)[:150]
     res = tune(std_tgt, y, seed=15)
     assert 0.02 <= res.params.eps <= 0.8
     assert 2 <= res.params.T <= 60
+
+
+# -- batched tune against the one-by-one scan ---------------------------------
+
+
+def sequential_tune(target, presample_conditional, c_eps=1.0, t_max=1000, seed=0):
+    """The reference: the tuning scan one trajectory after another, on point
+    calls of the target and the integrator."""
+    pts = np.asarray(presample_conditional, dtype=float)
+    constraints = tuple(getattr(target, "constraints", ()))
+    feasible = [
+        x for x in pts
+        if np.isfinite(target.logpdf(x)) and all(c.slack(x) > 0.0 for c in constraints)
+    ]
+    if len(feasible) < 10:
+        raise ValueError(f"got {len(feasible)}")
+    d = target.dim
+    alpha_bar = (1.0 + (d - 1) * 0.65) / d
+
+    def grad_u(z):
+        return -target.grad_logpdf(z)
+
+    def hamiltonian(z, mom):
+        return -target.logpdf(z) + 0.5 * float(mom @ mom)
+
+    rng = np.random.default_rng(seed)
+    eps = c_eps * d ** (-0.25)
+    n_halvings = 0
+    worst = 0.0
+    while True:
+        eps *= 0.5
+        n_halvings += 1
+        if eps < 1e-12:
+            raise RuntimeError(
+                f"tuning stepsize underflowed below {1e-12}; worst "
+                f"acceptance ratio so far {worst:.3g}"
+            )
+        alpha_min = np.inf
+        stops = []
+        n_capped = 0
+        failed = False
+        for x0 in feasible:
+            p = rng.standard_normal(d)
+            x = np.array(x0, dtype=float)
+            h_prev = hamiltonian(x, p)
+            dist_prev = 0.0
+            delta_prev = None
+            t_stop = None
+            for t in range(1, t_max + 1):
+                x, p, _ = leapfrog_reflect(x, p, eps, grad_u, constraints)
+                h_curr = hamiltonian(x, p)
+                if np.isfinite(h_curr):
+                    a = math.exp(min(0.0, h_prev - h_curr))
+                else:
+                    a = 0.0
+                dist = float(np.linalg.norm(x - x0))
+                delta = dist - dist_prev
+                if delta_prev is not None and delta < 0.0 and delta_prev > 0.0:
+                    t_stop = t - 1
+                    break
+                alpha_min = min(alpha_min, a)
+                if alpha_min < alpha_bar:
+                    failed = True
+                    break
+                h_prev, dist_prev, delta_prev = h_curr, dist, delta
+            if failed:
+                break
+            if t_stop is None:
+                t_stop = t_max
+                n_capped += 1
+            stops.append(t_stop)
+        if failed:
+            worst = alpha_min
+            continue
+        return TuneResult(
+            params=HmcParams(eps=eps, T=max(1, math.floor(float(np.mean(stops))))),
+            alpha_bar=alpha_bar,
+            n_trajectories=len(feasible),
+            n_capped=n_capped,
+            n_halvings=n_halvings,
+        )
+
+
+def _tuning_problem(name, spec, n, seed):
+    """The standardized target and start rows hmc tunes on, as a run builds them."""
+    m = preset(name)
+    pre = m.sample(n, np.random.default_rng(seed))
+    ev = estimate_event(spec, pre, m.support_class)
+    cond = pre[ev.contains_rows(pre)]
+    if spec.kind == "var":
+        target = reduce_var_event(m, ev.thresholds["v_star"])
+        pts = cond[:, :-1]
+        pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
+    else:
+        target, pts = EventTarget(m, ev), cond
+    std_target, std = standardize(target, pts)
+    return std_target, std.to_y(pts)
+
+
+TUNE_CASES = [
+    ("M1", CrisisEventSpec("es", (0.9,)), 1000, 0, 1000),
+    ("M1", CrisisEventSpec("es", (0.9,)), 1000, 1, 1000),
+    ("M1", CrisisEventSpec("es", (0.9,)), 1000, 2, 5),
+    ("M2", CrisisEventSpec("es", (0.9,)), 1000, 0, 1000),
+    ("M2", CrisisEventSpec("es", (0.9,)), 1000, 1, 1000),
+    ("M3", CrisisEventSpec("es", (0.9,)), 500, 0, 1000),
+    ("M3", CrisisEventSpec("es", (0.9,)), 500, 5, 1000),
+    ("M1", CrisisEventSpec("rvar", (0.9, 0.99)), 1000, 0, 1000),
+    ("M1", CrisisEventSpec("rvar", (0.9, 0.99)), 1000, 1, 1000),
+    ("M1", CrisisEventSpec("var", (0.9,), 0.02), 2000, 0, 1000),
+    ("M1", CrisisEventSpec("var", (0.9,), 0.02), 2000, 1, 1000),
+]
+
+
+@functools.cache
+def _tuned_case(i):
+    name, spec, n, seed, t_max = TUNE_CASES[i]
+    target, y = _tuning_problem(name, spec, n, seed)
+    return target, y, tune(target, y, t_max=t_max, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "i", range(len(TUNE_CASES)),
+    ids=[f"{c[0]}-{c[1].kind}-seed{c[3]}-tmax{c[4]}" for c in TUNE_CASES],
+)
+def test_batched_tune_equals_the_one_by_one_scan(i):
+    target, y, res = _tuned_case(i)
+    _, _, _, seed, t_max = TUNE_CASES[i]
+    assert res == sequential_tune(target, y, t_max=t_max, seed=seed)
+    assert 0 < res.n_steps <= res.n_trajectory_steps
+
+
+def test_tune_cases_rewind_the_stream_and_cap_trajectories():
+    # the cases above include failed stepsizes (so the stream is rewound
+    # and redrawn before the next one) and capped trajectories
+    results = [_tuned_case(i)[2] for i in range(len(TUNE_CASES))]
+    assert max(r.n_halvings for r in results) >= 2
+    assert max(r.n_capped for r in results) > 0
+
+
+class RoughTarget(GaussianTarget):
+    """A standard normal with a log-density ripple far finer than any step,
+    so every stepsize fails at a ratio that varies from scan to scan."""
+
+    def logpdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return -0.5 * np.vecdot(x, x) + 3.0 * np.sin(1e15 * x[..., 0])
+
+
+@pytest.mark.parametrize("target", [BrokenGradientTarget(2), RoughTarget(2)],
+                         ids=["broken-gradient", "rough"])
+def test_tune_underflow_reports_the_reference_worst_ratio(target):
+    pts = np.random.default_rng(14).normal(size=(12, 2))
+    with pytest.raises(RuntimeError, match="underflow") as want:
+        sequential_tune(target, pts, seed=14)
+    with pytest.raises(RuntimeError, match="underflow") as got:
+        tune(target, pts, seed=14)
+    assert str(got.value) == str(want.value)
