@@ -1,12 +1,14 @@
-"""Copulas with densities, log-density gradients, full conditional
-(h-)functions and their inverses, and samplers.
+"""Copulas with densities, log-density gradients, full conditionals and
+samplers.
 
 The h-function of coordinate j is the full conditional copula
 
     C_{j|-j}(u_j | u_-j) = D_-j C(u) / D_-j C(u_1, ..., 1, ..., u_d),
 
-the cdf of U_j given U_-j = u_-j.  Its inverse enables exact inversion
-sampling of full conditionals, which is what the Gibbs engine runs on.
+the cdf of U_j given U_-j = u_-j.  conditional(j, u_rest) conditions on
+u_-j once and returns this cdf with its inverse; the inverse enables exact
+inversion sampling of full conditionals, which is what the Gibbs engine
+runs on.  hfun and hfun_inv evaluate the pair at one conditioning vector.
 
 Closed forms used here:
 
@@ -55,6 +57,10 @@ def _log1p(w):
     return math.log1p(w) if isinstance(w, float) else np.log1p(w)
 
 
+def _as_float(u):
+    return np.asarray(u, dtype=float)
+
+
 def _check_interior(u):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
@@ -95,14 +101,14 @@ class Copula:
     def _grad_logdensity(self, u):
         raise NotImplementedError
 
-    def hfun(self, j, uj, u_rest):
-        """Conditional cdf of U_j at uj given the other coordinates.
+    def conditional(self, j, u_rest):
+        """(cdf, ppf) of U_j given U_-j = u_rest, conditioned once.
 
-        uj may be a scalar or an array (shared conditioning vector).
+        Each of the two takes a scalar or an array (one shared conditioning
+        vector).  Every concrete copula also has hfun(j, uj, u_rest) and
+        hfun_inv(j, p, u_rest): the cdf and the ppf of conditional(j, u_rest)
+        at one argument.
         """
-        raise NotImplementedError
-
-    def hfun_inv(self, j, p, u_rest):
         raise NotImplementedError
 
     def sample(self, n, rng):
@@ -124,13 +130,15 @@ class Independence(Copula):
     def _grad_logdensity(self, u):
         return np.zeros(u.shape)
 
-    def hfun(self, j, uj, u_rest):
+    def conditional(self, j, u_rest):
         self._check_j(j, u_rest)
-        return np.asarray(uj, dtype=float)
+        return _as_float, _as_float
+
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
 
     def hfun_inv(self, j, p, u_rest):
-        self._check_j(j, u_rest)
-        return np.asarray(p, dtype=float)
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         return rng.uniform(size=(n, self.dim))
@@ -158,21 +166,24 @@ class Clayton(Copula):
         w = (t * u).sum(axis=-1, keepdims=True) - d + 1.0
         return -(th + 1.0) / u + (1.0 + d * th) * t / w
 
+    def conditional(self, j, u_rest):
+        th, hexp = self.theta, self._hexp
+        w_rest = np.sum(clip01(self._check_j(j, u_rest)) ** -th) - self.dim + 2.0
+
+        def cdf(uj):
+            return (1.0 + (clip01(uj) ** -th - 1.0) / w_rest) ** -hexp
+
+        def ppf(p):
+            a = clip01(p) ** (-1.0 / hexp) - 1.0
+            return clip01((1.0 + w_rest * a) ** (-1.0 / th))
+
+        return cdf, ppf
+
     def hfun(self, j, uj, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        th = self.theta
-        w_rest = np.sum(clip01(u_rest) ** -th) - self.dim + 2.0
-        uj = clip01(uj)
-        ratio = 1.0 + (uj ** -th - 1.0) / w_rest
-        return ratio ** -self._hexp
+        return self.conditional(j, u_rest)[0](uj)
 
     def hfun_inv(self, j, p, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        th = self.theta
-        w_rest = np.sum(clip01(u_rest) ** -th) - self.dim + 2.0
-        p = clip01(p)
-        a = p ** (-1.0 / self._hexp) - 1.0
-        return clip01((1.0 + w_rest * a) ** (-1.0 / th))
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         # Marshall-Olkin frailty: V ~ Gamma(1/theta, 1), U_j = (1 + E_j/V)^(-1/theta)
@@ -203,13 +214,16 @@ class SurvivalClayton(Copula):
     def _grad_logdensity(self, u):
         return -self.base._grad_logdensity(1.0 - u)
 
+    def conditional(self, j, u_rest):
+        cdf, ppf = self.base.conditional(j, 1.0 - self._check_j(j, u_rest))
+        return (lambda uj: 1.0 - cdf(1.0 - np.asarray(uj, dtype=float)),
+                lambda p: 1.0 - ppf(1.0 - np.asarray(p, dtype=float)))
+
     def hfun(self, j, uj, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        return 1.0 - self.base.hfun(j, 1.0 - np.asarray(uj, dtype=float), 1.0 - u_rest)
+        return self.conditional(j, u_rest)[0](uj)
 
     def hfun_inv(self, j, p, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        return 1.0 - self.base.hfun_inv(j, 1.0 - np.asarray(p, dtype=float), 1.0 - u_rest)
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         return 1.0 - self.base.sample(n, rng)
@@ -273,19 +287,18 @@ class GaussianCopula(_EllipticalCopula):
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return dlogc_dz / phi
 
-    def hfun(self, j, uj, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        z_rest = self._scores(u_rest)
-        m = float(self._b[j] @ z_rest)
+    def conditional(self, j, u_rest):
+        # the score of U_j given the others is normal with mean m, sd s
+        m = float(self._b[j] @ self._scores(self._check_j(j, u_rest)))
         s = math.sqrt(self._schur[j])
-        return special.ndtr((self._scores(uj) - m) / s)
+        return (lambda uj: special.ndtr((self._scores(uj) - m) / s),
+                lambda p: clip01(special.ndtr(m + s * special.ndtri(clip01(p)))))
+
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
 
     def hfun_inv(self, j, p, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        z_rest = self._scores(u_rest)
-        m = float(self._b[j] @ z_rest)
-        s = math.sqrt(self._schur[j])
-        return clip01(special.ndtr(m + s * special.ndtri(clip01(p))))
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.dim)) @ self._chol.T
@@ -334,22 +347,22 @@ class StudentTCopula(_EllipticalCopula):
         pdf_z = np.exp(self._uni_logpdf(z))
         return (djoint_dz - duni_dz) / pdf_z
 
-    def _cond_moments(self, j, z_rest):
+    def conditional(self, j, u_rest):
+        # the score of U_j given the others is t with nu + d - 1 degrees of
+        # freedom, location m and scale s
+        nu, df = self.nu, self.nu + self.dim - 1.0
+        z_rest = self._scores(self._check_j(j, u_rest))
         m = float(self._b[j] @ z_rest)
         q_rest = float(z_rest @ (self._rrest_inv[j] @ z_rest))
-        s2 = (self.nu + q_rest) / (self.nu + self.dim - 1.0) * self._schur[j]
-        return m, math.sqrt(s2)
+        s = math.sqrt((nu + q_rest) / df * self._schur[j])
+        return (lambda uj: special.stdtr(df, (self._scores(uj) - m) / s),
+                lambda p: clip01(special.stdtr(nu, m + s * special.stdtrit(df, clip01(p)))))
 
     def hfun(self, j, uj, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        m, s = self._cond_moments(j, self._scores(u_rest))
-        return special.stdtr(self.nu + self.dim - 1.0, (self._scores(uj) - m) / s)
+        return self.conditional(j, u_rest)[0](uj)
 
     def hfun_inv(self, j, p, u_rest):
-        u_rest = self._check_j(j, u_rest)
-        m, s = self._cond_moments(j, self._scores(u_rest))
-        z = m + s * special.stdtrit(self.nu + self.dim - 1.0, clip01(p))
-        return clip01(special.stdtr(self.nu, z))
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.dim)) @ self._chol.T

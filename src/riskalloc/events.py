@@ -163,17 +163,6 @@ class ConcreteCrisisEvent:
             out.extend(_coordinate_constraints(self.d))
         return tuple(out)
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        for c in self.constraints:
-            if float(c.h @ x) < c.v:
-                return False
-        if self.sum_equality is not None:
-            v = self.sum_equality
-            if abs(float(x.sum()) - v) > EQUALITY_RTOL * max(1.0, abs(v)):
-                return False
-        return True
-
     def contains_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         mask = np.ones(rows.shape[0], dtype=bool)
@@ -261,7 +250,7 @@ class EventTarget:
         if event.sum_equality is not None:
             raise ValueError(
                 "the exact var event has zero volume in full dimension; "
-                "use reduce_var_event instead"
+                "use ReducedVarTarget instead"
             )
         self.model = model
         self.event = event
@@ -313,10 +302,6 @@ class ReducedVarTarget:
     def grad_logpdf(self, x_reduced) -> np.ndarray:
         g = self.model.grad_logpdf(self.lift(x_reduced))
         return g[..., :-1] - g[..., -1:]
-
-
-def reduce_var_event(model, v_star: float) -> ReducedVarTarget:
-    return ReducedVarTarget(model, v_star)
 
 
 def hit_time(x, p, eps, walls: HalfSpaces) -> np.ndarray:

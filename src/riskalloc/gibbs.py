@@ -131,18 +131,22 @@ def _in_band(event: ConcreteCrisisEvent, x) -> bool:
     return event.v1 - tol <= s <= event.v2 + tol
 
 
-def _cond_cdf_bound(model, j: int, u_rest, x) -> float:
-    m = model.marginals[j]
-    if x == np.inf:
-        return 1.0
-    if x <= m.support_min:
-        return 0.0
-    return float(model.copula.hfun(j, clip01(m.cdf(x)), u_rest))
-
-
 def _draw_in_slice(model, j: int, u_rest, lo: float, hi: float, u: float):
-    c_lo = _cond_cdf_bound(model, j, u_rest, lo)
-    c_hi = _cond_cdf_bound(model, j, u_rest, hi)
+    """Exact draw of coordinate j, given the others' levels u_rest,
+    truncated to [lo, hi]: the full conditional's quantile at
+    C_lo + u (C_hi - C_lo).  Returns the draw and its level."""
+    m = model.marginals[j]
+    cdf, quantile = model.full_conditional(j, u_rest)
+
+    def cdf_at(x):
+        if x == np.inf:
+            return 1.0
+        if x <= m.support_min:
+            return 0.0
+        return float(cdf(x))
+
+    c_lo = cdf_at(lo)
+    c_hi = cdf_at(hi)
     mass = c_hi - c_lo
     if mass < DEGENERATE_MASS:
         raise DegenerateSliceError(
@@ -150,22 +154,9 @@ def _draw_in_slice(model, j: int, u_rest, lo: float, hi: float, u: float):
             f"carries mass {mass:.3g}"
         )
     u_trunc = min(max(c_lo + u * mass, 1e-15), 1.0 - 1e-15)
-    uj = clip01(float(model.copula.hfun_inv(j, u_trunc, u_rest)))
-    x_new = float(model.marginals[j].quantile(uj))
+    x_new = float(quantile(u_trunc))
     x_new = min(max(x_new, lo), hi)
-    return x_new, clip01(float(model.marginals[j].cdf(x_new)))
-
-
-def full_conditional_sample(model, j: int, x_rest, event: ConcreteCrisisEvent, u: float) -> float:
-    """Exact draw of coordinate j given the others, truncated to the event's band.
-
-    u is the uniform innovation; the draw inverts the conditional-copula
-    cdf at C_lo + u (C_hi - C_lo), so the result lies in the slice.
-    """
-    lo, hi = _slice_interval(j, x_rest, event)
-    u_rest = model._u_rest(j, x_rest)
-    x_new, _ = _draw_in_slice(model, j, u_rest, lo, hi, u)
-    return x_new
+    return x_new, clip01(float(m.cdf(x_new)))
 
 
 def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: int, seed):

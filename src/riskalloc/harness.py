@@ -26,8 +26,8 @@ from .events import (
     PURE_LOSSES_ONLY,
     SUPPORT_CLASSES,
     EventTarget,
+    ReducedVarTarget,
     estimate_event,
-    reduce_var_event,
 )
 from .gibbs import GibbsParams, rsgs_sample, select_probs, thin_interval
 from .hmc import HmcParams, hmc_sample, standardize, tune
@@ -396,7 +396,7 @@ def _var_hyperplane(spec, band):
 
 def _prepare_hmc(model, spec, event, cond, config, seed, details):
     if spec.kind == "var":
-        target = reduce_var_event(model, event.thresholds["v_star"])
+        target = ReducedVarTarget(model, event.thresholds["v_star"])
         pts = cond[:, :-1]
         pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
         if len(pts) < 2:

@@ -14,7 +14,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Marginal:
-    """Base class. Subclasses set ``support`` and the five evaluations.
+    """Base class. Subclasses set ``support`` and the five evaluations;
+    the derivative is the unchecked _dlogpdf, which dlogpdf calls after
+    checking the support (JointLossModel has checked it already).
 
     The evaluations act elementwise on arrays: JointLossModel calls each
     once on the sub-vector of all coordinates that share one distribution
@@ -37,6 +39,11 @@ class Marginal:
         raise NotImplementedError
 
     def dlogpdf(self, x):
+        if (~self.in_support(x)).any():
+            raise ValueError(f"{type(self).__name__}: x outside support")
+        return self._dlogpdf(x)
+
+    def _dlogpdf(self, x):
         raise NotImplementedError
 
     def cdf(self, x):
@@ -50,10 +57,6 @@ class Marginal:
         if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise ValueError("quantile argument must lie in (0, 1)")
         return u
-
-    def _check_dlogpdf_arg(self, x):
-        if (~self.in_support(x)).any():
-            raise ValueError(f"{type(self).__name__}: x outside support")
 
 
 class GPD(Marginal):
@@ -80,8 +83,7 @@ class GPD(Marginal):
             out = (-1.0 / self.xi - 1.0) * np.log1p(self.xi * x / self.beta) - math.log(self.beta)
         return np.where(x >= 0.0, out, -np.inf)
 
-    def dlogpdf(self, x):
-        self._check_dlogpdf_arg(x)
+    def _dlogpdf(self, x):
         x = np.asarray(x, dtype=float)
         return -(self.xi + 1.0) / (self.beta + self.xi * x)
 
@@ -123,8 +125,7 @@ class Pareto(Marginal):
         )
         return np.where(x >= 0.0, out, -np.inf)
 
-    def dlogpdf(self, x):
-        self._check_dlogpdf_arg(x)
+    def _dlogpdf(self, x):
         x = np.asarray(x, dtype=float)
         return -(self.theta + 1.0) / (self.lam + x)
 
@@ -162,7 +163,7 @@ class StudentT(Marginal):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return self._lognorm - 0.5 * (self.nu + 1.0) * np.log1p(z * z / self.nu)
 
-    def dlogpdf(self, x):
+    def _dlogpdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return -(self.nu + 1.0) * z / (self.nu + z * z) / self.sigma
 
@@ -190,7 +191,7 @@ class Normal(Marginal):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI
 
-    def dlogpdf(self, x):
+    def _dlogpdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return -z / self.sigma
 

@@ -3,9 +3,12 @@
     f_X(x) = c(F_1(x_1), ..., F_d(x_d)) * f_1(x_1) * ... * f_d(x_d)
 
 The model exposes the joint log-density, its gradient, an i.i.d. sampler
-and the full conditional cdf/quantile used by the Gibbs engine:
+and, through full_conditional, the full conditional cdf/quantile pair the
+Gibbs engine draws from:
 
-    F_{X_j | X_-j = x_-j}(x) = C_{j|-j}(F_j(x) | F_-j(x_-j)).
+    F_{X_j | X_-j = x_-j}(x) = C_{j|-j}(F_j(x) | F_-j(x_-j)),
+
+with the copula conditioned once on F_-j(x_-j) by Copula.conditional.
 """
 
 import numpy as np
@@ -118,7 +121,7 @@ class JointLossModel:
             xg = x.T[idx]
             u.T[idx] = m.cdf(xg)
             fx.T[idx] = m.pdf(xg)
-            dm.T[idx] = m.dlogpdf(xg)
+            dm.T[idx] = m._dlogpdf(xg)
         gc = self.copula._grad_logdensity(clip01(u))
         return gc * fx + dm
 
@@ -136,23 +139,16 @@ class JointLossModel:
 
     # -- full conditionals ---------------------------------------------------
 
-    def _u_rest(self, j, x_rest):
-        x_rest = np.asarray(x_rest, dtype=float)
-        if x_rest.shape != (self.d - 1,):
-            raise ValueError(f"x_rest must have length {self.d - 1}")
-        rest_idx = [i for i in range(self.d) if i != j]
-        return clip01(np.array([self.marginals[i].cdf(x_rest[k])
-                                for k, i in enumerate(rest_idx)]))
-
-    def conditional_cdf(self, j: int, x_rest, x):
-        u_rest = self._u_rest(j, x_rest)
-        uj = clip01(self.marginals[j].cdf(x))
-        return self.copula.hfun(j, uj, u_rest)
-
-    def conditional_quantile(self, j: int, x_rest, p):
-        u_rest = self._u_rest(j, x_rest)
-        uj = self.copula.hfun_inv(j, clip01(p), u_rest)
-        return self.marginals[j].quantile(clip01(uj))
+    def full_conditional(self, j: int, u_rest):
+        """(cdf, quantile) of X_j given the other coordinates, which enter
+        through their levels u_rest = F_-j(x_-j) (a Gibbs chain carries
+        them).  p goes to the copula's ppf unclamped: the ppf clamps it, and
+        a clamp before the survival Clayton's mirror 1 - p would move the
+        last bit of draws near 1."""
+        cdf, ppf = self.copula.conditional(j, u_rest)
+        m = self.marginals[j]
+        return (lambda x: cdf(clip01(m.cdf(x))),
+                lambda p: m.quantile(clip01(ppf(p))))
 
 
 # -- presets ------------------------------------------------------------------

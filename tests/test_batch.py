@@ -17,8 +17,8 @@ from riskalloc.events import (
     EventTarget,
     HalfSpaces,
     LinearConstraint,
+    ReducedVarTarget,
     estimate_event,
-    reduce_var_event,
 )
 from riskalloc.copulas import Clayton, GaussianCopula, Independence
 from riskalloc.hmc import leapfrog_reflect, standardize
@@ -45,7 +45,7 @@ def _targets():
     std_target, _ = standardize(event_target, cond)
     return {
         "event": event_target,
-        "reduced-var": reduce_var_event(m, 10.0),
+        "reduced-var": ReducedVarTarget(m, 10.0),
         "standardized": std_target,
     }
 

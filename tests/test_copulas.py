@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from riskalloc.copulas import (
+    U_EPS,
     Clayton,
     GaussianCopula,
     Independence,
@@ -141,6 +144,34 @@ def test_hfun_roundtrip_on_grid(cop):
             uj = cop.hfun_inv(j, p, u_rest)
             back = cop.hfun(j, uj, u_rest)
             assert np.max(np.abs(back - p)) <= 1e-8
+
+
+# a level within 1e-10 of the 1e-12 clamp, on either side of it, or anywhere
+LEVEL = st.one_of(
+    st.floats(0.0, U_EPS + 1e-10, exclude_min=True),
+    st.floats(1.0 - U_EPS - 1e-10, 1.0, exclude_max=True),
+    st.floats(U_EPS, 1.0 - U_EPS),
+)
+
+
+@pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_conditional_ppf_inverts_cdf_near_the_clamp(cop, data):
+    j = data.draw(st.integers(0, cop.dim - 1))
+    u_rest = np.array(data.draw(st.lists(LEVEL, min_size=cop.dim - 1, max_size=cop.dim - 1)))
+    u = data.draw(LEVEL)
+    cdf, ppf = cop.conditional(j, u_rest)
+    q = cdf(u)
+    back = ppf(q)
+    # ppf(cdf(u)) lies on u's level set everywhere ...
+    assert abs(cdf(back) - q) <= 1e-8
+    # ... and is u itself wherever the conditional cdf is not flat to rounding
+    if 1e-6 < q < 1.0 - 1e-6:
+        assert abs(back - u) <= 1e-8
+    # hfun and hfun_inv evaluate the same pair
+    assert cop.hfun(j, u, u_rest) == q
+    assert cop.hfun_inv(j, q, u_rest) == back
 
 
 @pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)

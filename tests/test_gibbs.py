@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from riskalloc.copulas import Independence
+from riskalloc import gibbs
+from riskalloc.copulas import U_EPS, Clayton, GaussianCopula, Independence, clip01
 from riskalloc.events import ConcreteCrisisEvent, CrisisEventSpec, estimate_event
 from riskalloc.gibbs import (
+    DEGENERATE_MASS,
     DegenerateSliceError,
     GibbsParams,
-    full_conditional_sample,
     rsgs_sample,
     select_probs,
     thin_interval,
 )
 from riskalloc.harness import RunConfig, run
-from riskalloc.marginals import GPD, Marginal
+from riskalloc.marginals import GPD, Marginal, Normal, Pareto
 from riskalloc.models import JointLossModel, equicorrelation, preset
 
 
@@ -26,8 +29,7 @@ class Uniform01(Marginal):
         x = np.asarray(x, dtype=float)
         return np.where((x >= 0.0) & (x <= 1.0), 0.0, -np.inf)
 
-    def dlogpdf(self, x):
-        self._check_dlogpdf_arg(x)
+    def _dlogpdf(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def cdf(self, x):
@@ -49,8 +51,7 @@ def test_band_event_validation():
     with pytest.raises(ValueError):
         sum_band(2, 2.0, 1.0)
     b = sum_band(2, 1.0, 2.0)
-    assert b.contains([0.7, 0.5])
-    assert not b.contains([2.0, 0.5])
+    assert b.contains_rows([[0.7, 0.5], [2.0, 0.5]]).tolist() == [True, False]
 
 
 def ladder_presample(n=1000, d=2):
@@ -131,14 +132,32 @@ def test_thin_interval_ar1():
     assert not res.capped
 
 
+def rest_levels(model, j, x_rest):
+    """u_rest = F_-j(x_-j), clamped as the chain carries it."""
+    rest = [m for i, m in enumerate(model.marginals) if i != j]
+    return clip01(np.array([float(m.cdf(x)) for m, x in zip(rest, x_rest)]))
+
+
+def conditional_cdf(model, j, x_rest):
+    """The cdf of X_j given X_-j = x_rest."""
+    return model.full_conditional(j, rest_levels(model, j, x_rest))[0]
+
+
+def slice_draw(model, j, x_rest, band, u):
+    """One draw of coordinate j given the others, truncated to the band's
+    slice, as a chain update makes it from the innovation u."""
+    lo, hi = gibbs._slice_interval(j, x_rest, band)
+    return gibbs._draw_in_slice(model, j, rest_levels(model, j, x_rest), lo, hi, u)[0]
+
+
 def test_full_conditional_truncated_uniform_oracle():
     m = JointLossModel([Uniform01(), Uniform01()], Independence(2))
     band = sum_band(2, 1.0, np.inf)
-    x = full_conditional_sample(m, 0, np.array([0.3]), band, 0.5)
+    x = slice_draw(m, 0, np.array([0.3]), band, 0.5)
     assert x == pytest.approx(0.85, abs=1e-12)
     # lower-tail truncation: X1 | X1 + 0.3 <= 1 is U(0, 0.7)
     band2 = sum_band(2, -np.inf, 1.0)
-    x2 = full_conditional_sample(m, 0, np.array([0.3]), band2, 0.5)
+    x2 = slice_draw(m, 0, np.array([0.3]), band2, 0.5)
     assert x2 == pytest.approx(0.35, abs=1e-12)
 
 
@@ -148,9 +167,9 @@ def test_full_conditional_unconstrained_matches_conditional_cdf():
     x_rest = np.array([1.0, 1.0])
     rng = np.random.default_rng(4)
     draws = np.array(
-        [full_conditional_sample(m, 0, x_rest, band, rng.random()) for _ in range(4000)]
+        [slice_draw(m, 0, x_rest, band, rng.random()) for _ in range(4000)]
     )
-    ks = stats.kstest(draws, lambda t: m.conditional_cdf(0, x_rest, t))
+    ks = stats.kstest(draws, conditional_cdf(m, 0, x_rest))
     assert ks.pvalue > 0.01
 
 
@@ -159,16 +178,17 @@ def test_full_conditional_banded_matches_truncated_cdf():
     band = sum_band(3, 3.0, 6.0)
     x_rest = np.array([1.0, 1.0])
     lo, hi = 1.0, 4.0  # slice bounds for coordinate 0
-    c_lo = m.conditional_cdf(0, x_rest, lo)
-    c_hi = m.conditional_cdf(0, x_rest, hi)
+    cdf = conditional_cdf(m, 0, x_rest)
+    c_lo = cdf(lo)
+    c_hi = cdf(hi)
     rng = np.random.default_rng(5)
     draws = np.array(
-        [full_conditional_sample(m, 0, x_rest, band, rng.random()) for _ in range(10_000)]
+        [slice_draw(m, 0, x_rest, band, rng.random()) for _ in range(10_000)]
     )
     assert np.all(draws >= lo - 1e-12)
     assert np.all(draws <= hi + 1e-12)
     grid = np.linspace(lo + 1e-9, hi - 1e-9, 60)
-    truncated = (m.conditional_cdf(0, x_rest, grid) - c_lo) / (c_hi - c_lo)
+    truncated = (cdf(grid) - c_lo) / (c_hi - c_lo)
     empirical = np.searchsorted(np.sort(draws), grid, side="right") / draws.size
     assert np.max(np.abs(empirical - truncated)) < 0.02
 
@@ -177,7 +197,114 @@ def test_degenerate_slice_raises():
     m = preset("M1")
     band = sum_band(3, 1e7, 1e7 + 1e-6)
     with pytest.raises(DegenerateSliceError):
-        full_conditional_sample(m, 0, np.array([0.1, 0.1]), band, 0.5)
+        slice_draw(m, 0, np.array([0.1, 0.1]), band, 0.5)
+
+
+# -- one conditional per update, against the three-conditioning reference -------
+
+
+def reference_draw_in_slice(model, j, u_rest, lo, hi, u):
+    """The update as it was before Copula.conditional: the cdf at each slice
+    bound and the inverse each condition the copula on u_rest again, through
+    hfun and hfun_inv.  rsgs_sample must reproduce its chains bit for bit."""
+    m = model.marginals[j]
+
+    def cdf_bound(x):
+        if x == np.inf:
+            return 1.0
+        if x <= m.support_min:
+            return 0.0
+        return float(model.copula.hfun(j, clip01(m.cdf(x)), u_rest))
+
+    c_lo = cdf_bound(lo)
+    c_hi = cdf_bound(hi)
+    mass = c_hi - c_lo
+    if mass < DEGENERATE_MASS:
+        raise DegenerateSliceError(f"slice [{lo}, {hi}] carries mass {mass}")
+    u_trunc = min(max(c_lo + u * mass, 1e-15), 1.0 - 1e-15)
+    uj = clip01(float(model.copula.hfun_inv(j, u_trunc, u_rest)))
+    x_new = float(m.quantile(uj))
+    x_new = min(max(x_new, lo), hi)
+    return x_new, clip01(float(m.cdf(x_new)))
+
+
+# one model per copula family, the presets included
+REFERENCE_MODELS = {
+    "M1": preset("M1"),
+    "M2": preset("M2"),
+    "M3": preset("M3"),
+    "gaussian": JointLossModel([Normal(1.0, 2.0), Normal(), Normal(-1.0, 0.5)],
+                               GaussianCopula(equicorrelation(3, 0.4))),
+    "clayton": JointLossModel([GPD(0.3, 1.0), Pareto(2.0, 3.0)], Clayton(1.5, 2)),
+    "independence": JointLossModel([GPD(0.2, 1.0), GPD(0.2, 1.0)], Independence(2)),
+}
+BANDS = {"es": CrisisEventSpec("es", (0.9,)), "rvar": CrisisEventSpec("rvar", (0.5, 0.9))}
+
+
+def chain_setup(m, band, seed=21):
+    x = m.sample(20_000, np.random.default_rng(seed))
+    ev = estimate_event(BANDS[band], x, m.support_class)
+    cond = x[ev.contains_rows(x)]
+    return ev, GibbsParams(select_probs(np.cov(cond, rowvar=False)), 3), cond.mean(axis=0)
+
+
+@pytest.mark.parametrize("band", sorted(BANDS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_rsgs_equals_the_three_conditioning_reference(name, band, monkeypatch):
+    m = REFERENCE_MODELS[name]
+    ev, params, x0 = chain_setup(m, band)
+    path, diag = rsgs_sample(m, ev, params, x0, 300, seed=22)
+    monkeypatch.setattr(gibbs, "_draw_in_slice", reference_draw_in_slice)
+    ref_path, ref_diag = rsgs_sample(m, ev, params, x0, 300, seed=22)
+    assert (path == ref_path).all()
+    assert (diag.coordinates_updated == ref_diag.coordinates_updated).all()
+    assert diag.n_degenerate_redraws == ref_diag.n_degenerate_redraws
+
+
+@pytest.mark.parametrize("name", ["M1", "M2"])
+def test_one_update_conditions_the_copula_once(name, monkeypatch):
+    m = preset(name)
+    ev, params, x0 = chain_setup(m, "es")
+    calls = []
+    conditional = m.copula.conditional
+
+    def counting(j, u_rest):
+        calls.append(j)
+        return conditional(j, u_rest)
+
+    monkeypatch.setattr(m.copula, "conditional", counting)
+    _, diag = rsgs_sample(m, ev, params, x0, 100, seed=23)
+    assert diag.n_degenerate_redraws == 0
+    assert calls == diag.coordinates_updated.tolist()
+
+
+# levels near and at the 1e-12 clamp, and anywhere between
+LEVEL = st.one_of(
+    st.floats(U_EPS, U_EPS + 1e-10),
+    st.floats(1.0 - U_EPS - 1e-10, 1.0 - U_EPS),
+    st.floats(U_EPS, 1.0 - U_EPS),
+)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_slice_draws_stay_inside_the_slice(name, data):
+    m = REFERENCE_MODELS[name]
+    j = data.draw(st.integers(0, m.d - 1))
+    u_rest = np.array(data.draw(st.lists(LEVEL, min_size=m.d - 1, max_size=m.d - 1)))
+    a, b = sorted(data.draw(st.lists(LEVEL, min_size=2, max_size=2)))
+    marginal = m.marginals[j]
+    # bounds inside the support, below it and unbounded
+    lo = data.draw(st.sampled_from([float(marginal.quantile(a)), marginal.support_min - 1.0, -np.inf]))
+    hi = data.draw(st.sampled_from([float(marginal.quantile(b)), np.inf]))
+    u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    try:
+        x_new, u_new = gibbs._draw_in_slice(m, j, u_rest, lo, hi, u)
+    except DegenerateSliceError:
+        return
+    assert lo <= x_new <= hi
+    assert U_EPS <= u_new <= 1.0 - U_EPS
 
 
 def test_gibbs_params_validation():

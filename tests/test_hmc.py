@@ -9,8 +9,8 @@ from riskalloc.events import (
     EventTarget,
     HalfSpaces,
     LinearConstraint,
+    ReducedVarTarget,
     estimate_event,
-    reduce_var_event,
 )
 from riskalloc.hmc import (
     HmcParams,
@@ -247,7 +247,7 @@ def test_hmc_feasibility_on_constrained_target(m1_rvar_target):
     target, cond = m1_rvar_target
     x0 = cond.mean(axis=0)
     path, diag = hmc_sample(target, HmcParams(0.05, 8), x0, 400, seed=8)
-    assert all(target.event.contains(row) for row in path)
+    assert target.event.contains_rows(path).all()
     assert diag.acr > 0.5
 
 
@@ -446,7 +446,7 @@ def _tuning_problem(name, spec, n, seed):
     ev = estimate_event(spec, pre, m.support_class)
     cond = pre[ev.contains_rows(pre)]
     if spec.kind == "var":
-        target = reduce_var_event(m, ev.thresholds["v_star"])
+        target = ReducedVarTarget(m, ev.thresholds["v_star"])
         pts = cond[:, :-1]
         pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
     else:
