@@ -25,9 +25,12 @@ Closed forms used here:
 
   Gaussian(R) and Student t(nu, R): mapped to normal / t scores; the
   conditional score distribution is normal, resp. univariate t with
-  nu + d - 1 degrees of freedom and the usual location/scale.
+  nu + d - 1 degrees of freedom and the usual location/scale.  Their
+  score_conditional conditions on the other scores directly, and
+  conditional is it composed with the level <-> score maps.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -105,11 +108,17 @@ class Copula:
         """(cdf, ppf) of U_j given U_-j = u_rest, conditioned once.
 
         Each of the two takes a scalar or an array (one shared conditioning
-        vector).  Every concrete copula also has hfun(j, uj, u_rest) and
-        hfun_inv(j, p, u_rest): the cdf and the ppf of conditional(j, u_rest)
-        at one argument.
+        vector).
         """
         raise NotImplementedError
+
+    def hfun(self, j, uj, u_rest):
+        """The cdf of conditional(j, u_rest) at uj."""
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        """The ppf of conditional(j, u_rest) at p."""
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         raise NotImplementedError
@@ -133,12 +142,6 @@ class Independence(Copula):
     def conditional(self, j, u_rest):
         self._check_j(j, u_rest)
         return _as_float, _as_float
-
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         return rng.uniform(size=(n, self.dim))
@@ -179,12 +182,6 @@ class Clayton(Copula):
 
         return cdf, ppf
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
-
     def sample(self, n, rng):
         # Marshall-Olkin frailty: V ~ Gamma(1/theta, 1), U_j = (1 + E_j/V)^(-1/theta)
         v = rng.gamma(1.0 / self.theta, 1.0, size=n)
@@ -219,12 +216,6 @@ class SurvivalClayton(Copula):
         return (lambda uj: 1.0 - cdf(1.0 - np.asarray(uj, dtype=float)),
                 lambda p: 1.0 - ppf(1.0 - np.asarray(p, dtype=float)))
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
-
     def sample(self, n, rng):
         return 1.0 - self.base.sample(n, rng)
 
@@ -247,7 +238,17 @@ def _check_corr(corr, dim=None):
 
 
 class _EllipticalCopula(Copula):
-    """Shared conditioning-block machinery for the Gaussian and t copulas."""
+    """Shared machinery of the Gaussian and t copulas, which work in score
+    space: a level u maps to its score _scores(u), the generator's quantile,
+    and back by _levels, the generator's cdf.
+
+    score_conditional(j, z_rest) conditions on the other coordinates'
+    scores: the score of U_j given them is m + s T, where T has the
+    returned cdf and ppf.  conditional(j, u_rest) is that part on
+    _scores(u_rest), mapped back to levels.  sample_scores draws the scores
+    that sample maps to levels; an elliptical JointLossModel uses both
+    score-level parts directly.
+    """
 
     def __init__(self, corr, dim=None):
         r = _check_corr(corr, dim)
@@ -271,10 +272,34 @@ class _EllipticalCopula(Copula):
             self._rrest_inv.append(rr_inv)
             self._schur.append(float(1.0 - b @ r[rest, j]))
 
+    def _scores(self, u):
+        raise NotImplementedError
+
+    def _levels(self, z):
+        raise NotImplementedError
+
+    def score_conditional(self, j, z_rest):
+        """(m, s, cdf, ppf): the score of U_j given the others' scores z_rest
+        is m + s T, and T has this cdf and ppf."""
+        raise NotImplementedError
+
+    def conditional(self, j, u_rest):
+        m, s, cdf, ppf = self.score_conditional(j, self._scores(u_rest))
+        return (lambda uj: cdf((self._scores(uj) - m) / s),
+                lambda p: clip01(self._levels(m + s * ppf(clip01(p)))))
+
+    def sample_scores(self, n, rng):
+        """n rows of scores: correlated standard normals (the t copula
+        divides them by its radial factor)."""
+        return rng.standard_normal((n, self.dim)) @ self._chol.T
+
 
 class GaussianCopula(_EllipticalCopula):
     def _scores(self, u):
         return special.ndtri(clip01(u))
+
+    def _levels(self, z):
+        return special.ndtr(z)
 
     def _logdensity(self, u):
         z = self._scores(u)
@@ -287,22 +312,13 @@ class GaussianCopula(_EllipticalCopula):
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return dlogc_dz / phi
 
-    def conditional(self, j, u_rest):
-        # the score of U_j given the others is normal with mean m, sd s
-        m = float(self._b[j] @ self._scores(self._check_j(j, u_rest)))
-        s = math.sqrt(self._schur[j])
-        return (lambda uj: special.ndtr((self._scores(uj) - m) / s),
-                lambda p: clip01(special.ndtr(m + s * special.ndtri(clip01(p)))))
-
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    def score_conditional(self, j, z_rest):
+        # normal with mean m and sd s
+        z_rest = self._check_j(j, z_rest)
+        return float(self._b[j] @ z_rest), math.sqrt(self._schur[j]), special.ndtr, special.ndtri
 
     def sample(self, n, rng):
-        z = rng.standard_normal((n, self.dim)) @ self._chol.T
-        return clip01(special.ndtr(z))
+        return clip01(self._levels(self.sample_scores(n, rng)))
 
 
 class StudentTCopula(_EllipticalCopula):
@@ -323,9 +339,16 @@ class StudentTCopula(_EllipticalCopula):
             - special.gammaln(nu / 2.0)
             - 0.5 * math.log(nu * math.pi)
         )
+        # a score given the other d - 1 is t with nu + d - 1 degrees of freedom
+        self._df = nu + d - 1.0
+        self._cond_cdf = functools.partial(special.stdtr, self._df)
+        self._cond_ppf = functools.partial(special.stdtrit, self._df)
 
     def _scores(self, u):
         return special.stdtrit(self.nu, clip01(u))
+
+    def _levels(self, z):
+        return special.stdtr(self.nu, z)
 
     def _uni_logpdf(self, z):
         return self._uni_lognorm - 0.5 * (self.nu + 1.0) * np.log1p(z * z / self.nu)
@@ -347,27 +370,23 @@ class StudentTCopula(_EllipticalCopula):
         pdf_z = np.exp(self._uni_logpdf(z))
         return (djoint_dz - duni_dz) / pdf_z
 
-    def conditional(self, j, u_rest):
-        # the score of U_j given the others is t with nu + d - 1 degrees of
-        # freedom, location m and scale s
-        nu, df = self.nu, self.nu + self.dim - 1.0
-        z_rest = self._scores(self._check_j(j, u_rest))
+    def score_conditional(self, j, z_rest):
+        # location m, scale s; the scale grows with the rest's Mahalanobis
+        # norm q_rest
+        z_rest = self._check_j(j, z_rest)
         m = float(self._b[j] @ z_rest)
         q_rest = float(z_rest @ (self._rrest_inv[j] @ z_rest))
-        s = math.sqrt((nu + q_rest) / df * self._schur[j])
-        return (lambda uj: special.stdtr(df, (self._scores(uj) - m) / s),
-                lambda p: clip01(special.stdtr(nu, m + s * special.stdtrit(df, clip01(p)))))
+        s = math.sqrt((self.nu + q_rest) / self._df * self._schur[j])
+        return m, s, self._cond_cdf, self._cond_ppf
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    def sample_scores(self, n, rng):
+        z = super().sample_scores(n, rng)
+        w = rng.chisquare(self.nu, size=n) / self.nu
+        z /= np.sqrt(w)[:, None]
+        return z
 
     def sample(self, n, rng):
-        z = rng.standard_normal((n, self.dim)) @ self._chol.T
-        w = rng.chisquare(self.nu, size=n) / self.nu
-        return clip01(special.stdtr(self.nu, z / np.sqrt(w)[:, None]))
+        return clip01(self._levels(self.sample_scores(n, rng)))
 
 
 def copula_from_dict(cfg: dict, dim: int) -> Copula:

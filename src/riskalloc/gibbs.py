@@ -13,12 +13,12 @@ interval from prerun autocorrelations.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import clip01
 from .events import EQUALITY_RTOL, ConcreteCrisisEvent
 from .measures import acf
 
@@ -131,12 +131,13 @@ def _in_band(event: ConcreteCrisisEvent, x) -> bool:
     return event.v1 - tol <= s <= event.v2 + tol
 
 
-def _draw_in_slice(model, j: int, u_rest, lo: float, hi: float, u: float):
-    """Exact draw of coordinate j, given the others' levels u_rest,
-    truncated to [lo, hi]: the full conditional's quantile at
-    C_lo + u (C_hi - C_lo).  Returns the draw and its level."""
+def _draw_in_slice(model, j: int, rest, lo: float, hi: float, u: float):
+    """Exact draw of coordinate j, given the others' chain states rest
+    (model.coordinate_state), truncated to [lo, hi]: the full
+    conditional's quantile at C_lo + u (C_hi - C_lo).  Returns the draw and
+    its state."""
     m = model.marginals[j]
-    cdf, quantile = model.full_conditional(j, u_rest)
+    cdf, quantile = model.full_conditional(j, rest)
 
     def cdf_at(x):
         if x == np.inf:
@@ -156,12 +157,13 @@ def _draw_in_slice(model, j: int, u_rest, lo: float, hi: float, u: float):
     u_trunc = min(max(c_lo + u * mass, 1e-15), 1.0 - 1e-15)
     x_new = float(quantile(u_trunc))
     x_new = min(max(x_new, lo), hi)
-    return x_new, clip01(float(m.cdf(x_new)))
+    return x_new, model.coordinate_state(j, x_new)
 
 
 def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: int, seed):
     """Random-scan Gibbs chain on the event's sum band, emitting one state
-    per thin_T updates."""
+    per thin_T updates.  Next to x the chain carries each coordinate's
+    state as the model defines it, and conditions on the others' states."""
     d = model.d
     if event.d != d:
         raise ValueError("band dimension does not match the model")
@@ -176,8 +178,10 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
         raise ValueError("initial state has non-finite log-density")
 
     rng = np.random.default_rng(seed)
-    u_state = np.array([model.marginals[j].cdf(x[j]) for j in range(d)])
-    cum = np.cumsum(params.p)
+    state = np.array([model.coordinate_state(j, x[j]) for j in range(d)])
+    # the other coordinates of each j, as np.delete(x, j) selects them
+    others = [np.delete(np.arange(d), j) for j in range(d)]
+    cum = np.cumsum(params.p).tolist()
     path = np.empty((n, d))
     coords = np.empty(n * params.thin_T, dtype=np.int64)
     k = 0
@@ -186,12 +190,12 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
     for i in range(n):
         done = 0
         while done < params.thin_T:
-            j = int(np.searchsorted(cum, rng.random(), side="right"))
-            x_rest = np.delete(x, j)
-            u_rest = clip01(np.delete(u_state, j))
-            lo, hi = _slice_interval(j, x_rest, event)
+            # np.searchsorted(cum, r, side="right") on the list
+            j = bisect.bisect_right(cum, rng.random())
+            rest = others[j]
+            lo, hi = _slice_interval(j, x[rest], event)
             try:
-                x_new, u_new = _draw_in_slice(model, j, u_rest, lo, hi, rng.random())
+                x[j], state[j] = _draw_in_slice(model, j, state[rest], lo, hi, rng.random())
             except DegenerateSliceError:
                 consec_degenerate += 1
                 total_degenerate += 1
@@ -203,8 +207,6 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
                     ) from None
                 continue
             consec_degenerate = 0
-            x[j] = x_new
-            u_state[j] = u_new
             coords[k] = j
             k += 1
             done += 1

@@ -4,17 +4,44 @@
 
 The model exposes the joint log-density, its gradient, an i.i.d. sampler
 and, through full_conditional, the full conditional cdf/quantile pair the
-Gibbs engine draws from:
+Gibbs engine draws from.  The sampler and the full conditionals take one
+of two routes, and one predicate, JointLossModel.elliptical(), chooses:
 
-    F_{X_j | X_-j = x_-j}(x) = C_{j|-j}(F_j(x) | F_-j(x_-j)),
+- The copula route, for every model.  A draw maps copula levels through
+  the marginal quantiles, and the full conditional is
 
-with the copula conditioned once on F_-j(x_-j) by Copula.conditional.
+      F_{X_j | X_-j = x_-j}(x) = C_{j|-j}(F_j(x) | F_-j(x_-j)),
+
+  with the copula conditioned once on the levels F_-j(x_-j) by
+  Copula.conditional.
+- The score route, for an elliptical model: a Gaussian copula with normal
+  margins, or a t copula with t margins of the copula's nu.  Then
+  X = mu + sigma Z with scores Z that the copula draws and conditions on
+  directly (sample_scores, score_conditional), so the cdf -> quantile
+  round trip of the copula route, which returns the same numbers up to
+  rounding, is skipped.  Scores are clipped to [q_lo, q_hi], the image of
+  the copula route's level clamp [U_EPS, 1 - U_EPS].
+
+A Gibbs chain carries one state per coordinate, which coordinate_state
+defines: the level F_j(x_j) on the copula route, the score on the score
+route.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from .copulas import Copula, Independence, StudentTCopula, SurvivalClayton, clip01, copula_from_dict
-from .marginals import GPD, Marginal, Pareto, StudentT, marginal_from_dict
+from .copulas import (
+    U_EPS,
+    Copula,
+    GaussianCopula,
+    Independence,
+    StudentTCopula,
+    SurvivalClayton,
+    clip01,
+    copula_from_dict,
+)
+from .marginals import GPD, Marginal, Normal, Pareto, StudentT, marginal_from_dict
 
 
 def _same_distribution(a: Marginal, b: Marginal) -> bool:
@@ -44,6 +71,45 @@ def _group_coordinates(marginals) -> tuple:
     return tuple((m, np.array(idx)) for m, idx in groups)
 
 
+class Elliptical(NamedTuple):
+    """X = mu + sigma Z, where Z has correlation corr and the standard
+    generator's margins; q_lo and q_hi are the generator's quantiles at
+    U_EPS and 1 - U_EPS."""
+
+    generator: Marginal
+    corr: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    q_lo: float
+    q_hi: float
+
+
+def _elliptical(marginals, copula):
+    if isinstance(copula, GaussianCopula) and all(isinstance(m, Normal) for m in marginals):
+        generator = Normal()
+    elif isinstance(copula, StudentTCopula) and all(
+        isinstance(m, StudentT) and m.nu == copula.nu for m in marginals
+    ):
+        generator = StudentT(copula.nu)
+    else:
+        return None
+    return Elliptical(
+        generator,
+        copula.corr,
+        np.array([m.mu for m in marginals]),
+        np.array([m.sigma for m in marginals]),
+        float(generator.quantile(U_EPS)),
+        float(generator.quantile(1.0 - U_EPS)),
+    )
+
+
+def _clamp(z, lo, hi):
+    """min(max(z, lo), hi): Python's for a float, numpy's for an array."""
+    if isinstance(z, float):
+        return min(max(z, lo), hi)
+    return np.minimum(np.maximum(z, lo), hi)
+
+
 class JointLossModel:
     def __init__(self, marginals, copula: Copula):
         marginals = list(marginals)
@@ -55,6 +121,7 @@ class JointLossModel:
         self.copula = copula
         self.d = copula.dim
         self._groups = _group_coordinates(marginals)
+        self._elliptical = _elliptical(marginals, copula)
         self.support_class = (
             "pure-losses"
             if all(m.support == "nonnegative-half-line" for m in marginals)
@@ -125,12 +192,28 @@ class JointLossModel:
         gc = self.copula._grad_logdensity(clip01(u))
         return gc * fx + dm
 
+    def elliptical(self):
+        """The model as mu + sigma Z (an Elliptical) when it is elliptical:
+        a Gaussian copula with normal margins, or a t copula with t margins
+        of the copula's nu.  None otherwise.  The oracle, sample,
+        full_conditional and coordinate_state ask this predicate alone."""
+        return self._elliptical
+
     # -- sampling ------------------------------------------------------------
 
     def sample(self, n: int, rng) -> np.ndarray:
-        """n i.i.d. draws: copula sample, then marginal quantiles coordinatewise."""
+        """n i.i.d. draws: copula sample, then marginal quantiles
+        coordinatewise; on the score route mu + sigma * the copula's scores,
+        from the same random stream."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        ell = self.elliptical()
+        if ell is not None:
+            x = self.copula.sample_scores(n, rng)
+            np.clip(x, ell.q_lo, ell.q_hi, out=x)
+            x *= ell.sigma
+            x += ell.mu
+            return x
         u = self.copula.sample(n, rng)
         x = np.empty_like(u)
         for j, m in enumerate(self.marginals):
@@ -139,16 +222,34 @@ class JointLossModel:
 
     # -- full conditionals ---------------------------------------------------
 
-    def full_conditional(self, j: int, u_rest):
-        """(cdf, quantile) of X_j given the other coordinates, which enter
-        through their levels u_rest = F_-j(x_-j) (a Gibbs chain carries
-        them).  p goes to the copula's ppf unclamped: the ppf clamps it, and
-        a clamp before the survival Clayton's mirror 1 - p would move the
-        last bit of draws near 1."""
-        cdf, ppf = self.copula.conditional(j, u_rest)
+    def coordinate_state(self, j: int, xj):
+        """What a Gibbs chain carries for coordinate j at x_j: the level
+        F_j(x_j) on the copula route, the score (x_j - mu_j) / sigma_j on
+        the score route, each clamped."""
+        ell = self.elliptical()
+        if ell is None:
+            return clip01(float(self.marginals[j].cdf(xj)))
         m = self.marginals[j]
-        return (lambda x: cdf(clip01(m.cdf(x))),
-                lambda p: m.quantile(clip01(ppf(p))))
+        return _clamp((xj - m.mu) / m.sigma, ell.q_lo, ell.q_hi)
+
+    def full_conditional(self, j: int, rest):
+        """(cdf, quantile) of X_j given the other coordinates, which enter
+        through their coordinate_state values rest (a Gibbs chain carries
+        them).  On the copula route p goes to the copula's ppf unclamped:
+        the ppf clamps it, and a clamp before the survival Clayton's mirror
+        1 - p would move the last bit of draws near 1."""
+        ell = self.elliptical()
+        m = self.marginals[j]
+        if ell is None:
+            cdf, ppf = self.copula.conditional(j, rest)
+            return (lambda x: cdf(clip01(m.cdf(x))),
+                    lambda p: m.quantile(clip01(ppf(p))))
+        loc, scale, cdf, ppf = self.copula.score_conditional(j, rest)
+        mu, sigma, q_lo, q_hi = m.mu, m.sigma, ell.q_lo, ell.q_hi
+        return (
+            lambda x: cdf((_clamp((x - mu) / sigma, q_lo, q_hi) - loc) / scale),
+            lambda p: mu + sigma * _clamp(loc + scale * ppf(_clamp(p, U_EPS, 1.0 - U_EPS)), q_lo, q_hi),
+        )
 
 
 # -- presets ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .copulas import GaussianCopula, StudentTCopula
 from .events import CrisisEventSpec
 from .marginals import Normal, StudentT
 from .models import JointLossModel
@@ -46,24 +45,6 @@ def standard_measure(generator, kind: str, levels) -> float:
     return ((1.0 - a) * standard_es(generator, a) - upper) / (b - a)
 
 
-def _generator(model: JointLossModel):
-    cop = model.copula
-    margins = model.marginals
-    if isinstance(cop, GaussianCopula) and all(isinstance(m, Normal) for m in margins):
-        return Normal(), cop.corr
-    if (
-        isinstance(cop, StudentTCopula)
-        and all(isinstance(m, StudentT) for m in margins)
-        and all(m.nu == cop.nu for m in margins)
-    ):
-        return StudentT(cop.nu), cop.corr
-    raise ValueError(
-        "closed-form allocations need an elliptical model: a gaussian copula "
-        "with normal margins, or a t copula with t margins sharing its "
-        "degrees of freedom"
-    )
-
-
 def elliptical_oracle(model: JointLossModel, kind: str, levels) -> np.ndarray:
     """Exact allocation vector for a sum event on an elliptical model.
 
@@ -71,10 +52,14 @@ def elliptical_oracle(model: JointLossModel, kind: str, levels) -> np.ndarray:
     the standard generator's VaR/RVaR/ES at the event's levels and
     Sigma = diag(sigma) . R . diag(sigma).
     """
-    generator, corr = _generator(model)
-    mu = np.array([m.mu for m in model.marginals])
-    sig = np.array([m.sigma for m in model.marginals])
-    sigma_mat = corr * np.outer(sig, sig)
+    ell = model.elliptical()
+    if ell is None:
+        raise ValueError(
+            "closed-form allocations need an elliptical model: a gaussian copula "
+            "with normal margins, or a t copula with t margins sharing its "
+            "degrees of freedom"
+        )
+    sigma_mat = ell.corr * np.outer(ell.sigma, ell.sigma)
     row = sigma_mat.sum(axis=1)
     sigma_s = float(np.sqrt(row.sum()))
-    return mu + row / sigma_s * standard_measure(generator, kind, levels)
+    return ell.mu + row / sigma_s * standard_measure(ell.generator, kind, levels)

@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from riskalloc.copulas import Clayton, Independence, SurvivalClayton, clip01
-from riskalloc.marginals import GPD, Marginal, Pareto
+from riskalloc.copulas import (
+    U_EPS,
+    Clayton,
+    GaussianCopula,
+    Independence,
+    StudentTCopula,
+    SurvivalClayton,
+    clip01,
+)
+from riskalloc.events import CrisisEventSpec
+from riskalloc.harness import oracle_for
+from riskalloc.marginals import GPD, Marginal, Normal, Pareto, StudentT
 from riskalloc.models import (
     JointLossModel,
     equicorrelation,
@@ -316,3 +326,137 @@ def test_coordinates_grouped_by_distribution():
     assert groups(_exact_model("mixed")) == [[0, 1], [2], [3]]
     assert groups(_exact_model("custom")) == [[0], [1], [2]]
     assert groups(_exact_model("wide")) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+
+
+# -- the two routes: copula levels, or scores of an elliptical model -----------
+
+
+def test_elliptical_predicate():
+    m2 = preset("M2").elliptical()
+    assert isinstance(m2.generator, StudentT) and m2.generator.nu == 5.0
+    assert m2.generator.mu == 0.0 and m2.generator.sigma == 1.0
+    assert (m2.mu == 0.0).all() and (m2.sigma == 1.0).all()
+    assert (m2.q_lo, m2.q_hi) == (special.stdtrit(5.0, U_EPS), special.stdtrit(5.0, 1.0 - U_EPS))
+    gauss = JointLossModel([Normal(1.0, 2.0), Normal()], GaussianCopula(equicorrelation(2, 0.3)))
+    ell = gauss.elliptical()
+    assert isinstance(ell.generator, Normal)
+    assert ell.mu.tolist() == [1.0, 0.0] and ell.sigma.tolist() == [2.0, 1.0]
+    assert (ell.corr == equicorrelation(2, 0.3)).all()
+
+
+R3 = equicorrelation(3, 0.3)
+COPULA_ROUTE_MODELS = {
+    # t margins of another nu than the copula's, in one coordinate or all
+    "t-other-nu": JointLossModel([StudentT(5.0), StudentT(4.0), StudentT(5.0)], StudentTCopula(5.0, R3)),
+    "t-all-other-nu": JointLossModel([StudentT(3.0)] * 3, StudentTCopula(5.0, R3)),
+    "gaussian-t-margins": JointLossModel([StudentT(5.0)] * 3, GaussianCopula(R3)),
+    "t-normal-margins": JointLossModel([Normal()] * 3, StudentTCopula(5.0, R3)),
+    "mixed-margins": JointLossModel([Normal(), Normal(), GPD(0.3, 1.0)], GaussianCopula(R3)),
+    "M1": preset("M1"),
+    "M3": preset("M3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPULA_ROUTE_MODELS))
+def test_non_elliptical_models_stay_on_the_copula_route(name):
+    model = COPULA_ROUTE_MODELS[name]
+    assert model.elliptical() is None
+    x = model.sample(2000, np.random.default_rng(3))
+    u = model.copula.sample(2000, np.random.default_rng(3))
+    want = np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(model.marginals)])
+    assert np.array_equal(x, want)
+
+
+# oracle_for before the predicate replaced the oracle's own test, as repr
+T5 = student_t_model(6.0, equicorrelation(5, 1.0 / 12.0), loc=[0.0, 1.0, -2.0, 0.5, 3.0],
+                     scale=[1.0, 2.0, 0.5, 1.5, 3.0])
+GAUSS3 = JointLossModel([Normal(1.0, 2.0), Normal(), Normal(-1.0, 0.5)],
+                        GaussianCopula(equicorrelation(3, 0.4)))
+ORACLES = [
+    ("M2", CrisisEventSpec("es", (0.99,)),
+     [3.740788686495134, 3.1173239054126114, 3.740788686495134]),
+    ("M2", CrisisEventSpec("rvar", (0.9, 0.99)),
+     [1.733534593491821, 1.444612161243184, 1.733534593491821]),
+    (GAUSS3, CrisisEventSpec("es", (0.99,)),
+     [5.8846958285005995, 1.878729164807923, -0.20154010495663266]),
+    (GAUSS3, CrisisEventSpec("var", (0.99,)),
+     [5.263635421581288, 1.6398597775312649, -0.3030595945492124]),
+    (T5, CrisisEventSpec("es", (0.99,)),
+     [1.4116095465933904, 5.457714357663338, -1.4985071347628744, 3.230350044068795,
+      12.138314433209842]),
+    (T5, CrisisEventSpec("rvar", (0.9, 0.99)),
+     [0.69385417007541, 3.1911184318170838, -1.753499176420578, 1.842060039487964,
+      7.491792785225022]),
+]
+
+
+@pytest.mark.parametrize("k", range(len(ORACLES)))
+def test_oracle_for_gives_the_same_vectors(k):
+    model, event, want = ORACLES[k]
+    assert oracle_for(model, event).tolist() == want
+
+
+def test_oracle_for_needs_the_predicate():
+    for model in ["M1", "M3", *COPULA_ROUTE_MODELS.values()]:
+        assert oracle_for(model, CrisisEventSpec("es", (0.99,))) is None
+
+
+class ScriptedRng:
+    """Hands out given standard normals and chi-square values, so that the
+    scores can land anywhere, near and past the clamps included."""
+
+    def __init__(self, normals, chi2):
+        self.normals, self.chi2 = normals, chi2
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+    def chisquare(self, df, size):
+        assert size == self.chi2.size
+        return self.chi2.copy()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nu=st.one_of(st.none(), st.floats(0.5, 50.0)),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_score_route_sample_equals_the_copula_round_trip(nu, d, seed, data):
+    # nu None is the Gaussian copula with normal margins
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d + 1))
+    cov = a @ a.T
+    sd = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(sd, sd)
+    np.fill_diagonal(corr, 1.0)
+    loc = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=d, max_size=d))
+    scale = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d))
+    if nu is None:
+        model = JointLossModel([Normal(l, s) for l, s in zip(loc, scale)], GaussianCopula(corr))
+    else:
+        model = student_t_model(nu, corr, loc, scale)
+    ell = model.elliptical()
+    assert ell is not None
+    # rows from the body to far past the clamps, and radial factors from
+    # tiny to large
+    n = 500
+    normals = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3.0, 30.0, size=(n, 1))
+    chi2 = rng.chisquare(nu or 1.0, size=n) * 10.0 ** rng.uniform(-30.0, 3.0, size=n)
+    x = model.sample(n, ScriptedRng(normals, chi2))
+    u = model.copula.sample(n, ScriptedRng(normals, chi2))
+    ref = np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(model.marginals)])
+    # at and past the clamps the two are equal: mu + sigma q_lo or q_hi
+    clamped = (u == U_EPS) | (u == 1.0 - U_EPS)
+    assert clamped.any() and (~clamped).any()
+    assert np.array_equal(x[clamped], ref[clamped])
+    z, z_ref = (x - ell.mu) / ell.sigma, (ref - ell.mu) / ell.sigma
+    # the scores agree to 1e-9 (relative above 1) where the round trip
+    # resolves the level; above 1 - 1e-6 it is coarse (the spacing of
+    # doubles below 1 is 1.1e-16), and the levels agree instead
+    body = u <= 1.0 - 1e-6
+    assert (np.abs(z - z_ref) <= 1e-9 * np.maximum(1.0, np.abs(z_ref)))[body].all()
+    cdf = ell.generator.cdf
+    assert np.abs(cdf(z) - cdf(z_ref)).max() <= 1e-12
