@@ -65,10 +65,10 @@ DIGESTS = {
     'M1-rvar-gibbs': ('ff8299d23bc3dd59e5df267f63fbeafa6e429b50e4afc6c031b6a810b90a5c05', '0084540ed60b4c47ffddaa68416ab2b3c95bb7cbf9aa2ba68eb8471db77a3808', 'db284454e326734d868b732e837a641a7a5a64fde7f2c340af8bae0213b1f1f1'),
     'M1-rvar-hmc': ('aebd92d6e9ff9082df4622ff4d8a31098024b9f2c3db4f2f45f93aa892eecbd4', '69b073f82aaf55ccf91cc4a7992526424089f3e75ebbbb59a91e710f28f82f74', 'ce0f672fd38f9f42c3ec655c0e96281c574c3b35dd0cc45c93e86e60313bd275'),
     'M1-var-band-hmc': ('ecb8e120cc56cb5be3976a9762d21ca1900a91712f4ea5d97973fc596348ab47', '552e54a190bc1992850835b9ec42b4be878a2a7e75878690c841fd8cf831e165', '56aac0561fd95feba8b9a1704cf2585252626e4ebb30a26e98633c25a424279d'),
-    'M2-es-gibbs': ('b5857402eb13e6ce66472875b7d0c7b651dc395160479124eb3a97386d729370', 'de064d926d02edaab63efc716368fcc82c874fe777b6c88ee6656da21e0d1c63', 'cda1a2c44ea8d22e41ddf7f3911485fbb9c931a6ec7b12e5721a627d96154493'),
-    'M2-es-gibbs-overrides': ('a60b9decf5093a0a4173a661d81a819f0acf78325a37ee70a0b3bca9b622dc78', 'fd85eefeac0943e34251f81a5d195e4ecb26a936ebea8f545db0b203a853ff2b', 'd256b6996d6a035096653118c9d0e0c13c472300602fd09d9fdc77c070f54201'),
-    'M2-es-hmc': ('01491c99ff0baebcefdb6716d31fe91e680f0a0707b8d94e6b5614579cdb9781', '69769589ca660c4c292f550971eda9214ca724e954f6222fea46d42dd5dd3ab7', '434ddd2a389880c3d751d9e4ffd5f08367ff949ad505ce2e4537767286d1fb78'),
-    'M2-es-mc': ('31dd4a3014b06760b38e204a3771d05bdc8a5bb8ae16dd2026a80323569a19a6', '3aa26147c11aed9abbd0015882b86bfcbe9d0913585032d49f3a7d9a5484b9ab', None),
+    'M2-es-gibbs': ('87d7b42075d7159d858fca1472bb1c5fa76991e467ba106df12d817083cf7842', 'e3aa97819875eb491c7868e49e2280cbab9cbaf8a6c760e839a15b037b6ab2ae', 'cda1a2c44ea8d22e41ddf7f3911485fbb9c931a6ec7b12e5721a627d96154493'),
+    'M2-es-gibbs-overrides': ('bf46dc65156a7b0a9d8596f518d89073f67315502ec5452469026e61ad9dd410', 'd433aa86cc3660e2a31a91276e79be927b162fd9f5bae0020b06ccb20d8d227c', 'd256b6996d6a035096653118c9d0e0c13c472300602fd09d9fdc77c070f54201'),
+    'M2-es-hmc': ('647b04ff047ee6977aa6bb62e0effbfb9b1fdaaca1f7d848e83ea752da9c5d67', 'a3fc5431a23df3acdc21398fad640de83176e5ea820b372ade4f3e4c8e17145d', '26c1d331033f286f842ba3aa5c4cdf1b3df4d0f139c29d861ae14ef54df0365a'),
+    'M2-es-mc': ('13fd70352b4f39b1ccad7ce7a53bb047b1e158872aa60060b5a159a8b08ad2ec', 'c70ec9882b8ca4ffcd21ed6a94933f1f64660124bb0ad376ada204003852b64a', None),
     'M3-es-gibbs': ('778f01eeac207a5d9da61b36dad2a5c8b664ee6e884adb643cab54a254bf5c7f', '313a753b79679223a913b0be16f50d1bbabbe75d80ec2165bf5869bec3c947cd', '844aa17577e94ccc0e626871cdcd96206d68db47d7eda5db3944e202d4d4a3ee'),
     'M3-es-hmc': ('557f85a55644709478373d2840b6d26727b09a5ee61bf74296a5df2d73dfdfa6', 'd37960130c2496ef51d640e1d295994ae52042976d42240f3038c7ab8108c3b3', '0fb01144e86deb5c3b05ea9d613ce05d2ffb4208b177697136f24f53b7d146c7'),
     'M3-es-hmc-overrides': ('a1495ad6749886a6da34595f84bb99af5c181413d03cbbcaed04d027289d1ae1', 'fa9618156f5d755c3c042c47e5ad650c62ef814bd410b57b13aa3d3e2df47285', '48f5b2b11ac4cf0c87cd4812517584449c141c74af851952e1e207f840f3410a'),
