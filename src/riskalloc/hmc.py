@@ -61,16 +61,6 @@ class HmcDiagnostics:
     n_nonfinite: int = 0
 
 
-def leapfrog(x, p, eps: float, grad_u):
-    """One plain leapfrog step: half-kick, drift, half-kick."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    p_half = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
-    x_new = x + eps * p_half
-    p_new = p_half - 0.5 * eps * np.asarray(grad_u(x_new), dtype=float)
-    return x_new, p_new
-
-
 def leapfrog_reflect(x, p, eps: float, grad_u, constraints):
     """One leapfrog step whose drift reflects off constraint hyperplanes.
 
