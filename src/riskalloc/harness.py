@@ -6,8 +6,8 @@ the conditional rows to the engine's target and tuned parameters; run()
 adds the main chain and the per-coordinate measure + standard error, and
 `riskalloc tune` prints what prepare() tuned.  Reports are deterministic
 given (config, seed); wall-clock timings (the run's total and its
-per-phase split) and hmc's work counters live in the manifest, never in the
-report, so the report file is byte-identical across repeat runs.
+per-phase split) and the engines' work counters live in the manifest, never
+in the report, so the report file is byte-identical across repeat runs.
 """
 
 from __future__ import annotations
@@ -298,9 +298,14 @@ class PreparedRun:
     engine_details known before the chain.  The chain runs on target from
     start with chain_seed; started is the perf_counter reading before the
     presample and phase_seconds the wall time of each phase so far.  work
-    holds hmc's work counters: tune_steps (lockstep steps of the tuning
-    scans), tune_trajectory_steps (trajectory steps within them) and
-    chain_grad_evals (2 T n_mcmc); it is empty for the other engines.
+    holds the engine's work counters:
+
+    - mc: presample_rows (n_mc) and conditional_rows (the rows kept);
+    - hmc: tune_steps (lockstep steps of the tuning scans),
+      tune_trajectory_steps (trajectory steps within them) and
+      chain_grad_evals (2 T n_mcmc);
+    - gibbs: prerun_updates, chain_updates (n_mcmc thin_T) and
+      degenerate_redraws (so far the prerun's; run() adds the chain's).
     """
 
     config: RunConfig
@@ -353,9 +358,9 @@ def prepare(config: RunConfig) -> PreparedRun:
     estimated = time.perf_counter()
     details = {"k_conditional": int(len(cond))}
     target = start = params = None
-    work = {}
     if config.engine == "mc":
         details["acr"] = 1.0
+        work = {"presample_rows": int(config.n_mc), "conditional_rows": int(len(cond))}
     elif config.engine == "hmc":
         target, start, params, work = _prepare_hmc(
             model, spec, event, cond, config, seeds[1], details
@@ -363,7 +368,7 @@ def prepare(config: RunConfig) -> PreparedRun:
         if spec.kind == "var":
             spec, event = _var_hyperplane(spec, event)
     else:
-        start, params = _prepare_gibbs(model, event, cond, config, seeds[1], details)
+        start, params, work = _prepare_gibbs(model, event, cond, config, seeds[1], details)
     return PreparedRun(
         config=config,
         model=model,
@@ -432,22 +437,28 @@ def _prepare_hmc(model, spec, event, cond, config, seed, details):
 
 def _prepare_gibbs(model, event, cond, config, seed, details):
     x0 = cond.mean(axis=0)
+    work = {"prerun_updates": 0, "degenerate_redraws": 0}
     if config.overrides is not None:
         params = config.overrides
         details["tuned"] = False
     else:
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
         pre = GibbsParams(p, 1)
-        pre_path, _ = rsgs_sample(model, event, pre, x0, pre.n_pre, seed)
+        pre_path, pre_diag = rsgs_sample(model, event, pre, x0, pre.n_pre, seed)
         thin = thin_interval(pre_path, pre.rho_target)
         params = GibbsParams(p, thin.interval)
         x0 = pre_path[-1]
         details.update(tuned=True, thin_capped=thin.capped, n_pre=pre.n_pre)
+        work.update(
+            prerun_updates=int(pre_diag.coordinates_updated.size),
+            degenerate_redraws=pre_diag.n_degenerate_redraws,
+        )
     details.update(p=[float(v) for v in params.p], thin_T=params.thin_T)
-    return x0, params
+    work["chain_updates"] = config.n_mcmc * params.thin_T
+    return x0, params, work
 
 
-def _hmc_chain(prep: PreparedRun, details: dict):
+def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
     n = prep.config.n_mcmc
     path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
     path_x = prep.target.standardizer.to_x(path_y)
@@ -461,11 +472,12 @@ def _hmc_chain(prep: PreparedRun, details: dict):
     return sample, ("delta_H", rows)
 
 
-def _gibbs_chain(prep: PreparedRun, details: dict):
+def _gibbs_chain(prep: PreparedRun, details: dict, work: dict):
     path, diag = rsgs_sample(
         prep.model, prep.event, prep.params, prep.start, prep.config.n_mcmc, prep.chain_seed
     )
     details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
+    work["degenerate_redraws"] += diag.n_degenerate_redraws
     rows = [
         (i + 1, int(diag.coordinates_updated[i]) + 1, 1)
         for i in range(diag.coordinates_updated.size)
@@ -493,12 +505,13 @@ def run(config: RunConfig) -> AllocationReport:
     """
     prep = prepare(config)
     details = dict(prep.details)
+    work = dict(prep.work)
     chain_started = time.perf_counter()
     if config.engine == "mc":
         sample, diagnostics, n = prep.cond, None, config.n_mc
     else:
         chain = _hmc_chain if config.engine == "hmc" else _gibbs_chain
-        sample, diagnostics = chain(prep, details)
+        sample, diagnostics = chain(prep, details, work)
         n = config.n_mcmc
     chained = time.perf_counter()
     allocations = _allocations(sample, prep.measures)
@@ -517,7 +530,7 @@ def run(config: RunConfig) -> AllocationReport:
         runtime_seconds=finished - prep.started,
         widening_log=prep.widening_log,
         phase_seconds=phases,
-        work=prep.work,
+        work=work,
     )
     if config.output_dir is not None:
         _write_artifacts(report, sample, diagnostics, config)

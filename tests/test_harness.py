@@ -282,8 +282,11 @@ def test_manifest_work_without_tuning(engine, tmp_path):
     work = json.loads(_read(tmp_path / "manifest.json"))["work"]
     if engine == "hmc":
         assert work == {"tune_steps": 0, "tune_trajectory_steps": 0, "chain_grad_evals": 1000}
+    elif engine == "gibbs":
+        # the prerun's n_pre updates; thin_T is 25, the cap n_pre / 4
+        assert work == {"prerun_updates": 100, "chain_updates": 100 * 25, "degenerate_redraws": 0}
     else:
-        assert work == {}
+        assert work == {"presample_rows": 2000, "conditional_rows": 201}
 
 
 def test_samplers_are_charged_from_the_presample(monkeypatch):
