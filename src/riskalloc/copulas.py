@@ -272,12 +272,6 @@ class _EllipticalCopula(Copula):
             self._rrest_inv.append(rr_inv)
             self._schur.append(float(1.0 - b @ r[rest, j]))
 
-    def _scores(self, u):
-        raise NotImplementedError
-
-    def _levels(self, z):
-        raise NotImplementedError
-
     def score_conditional(self, j, z_rest):
         """(m, s, cdf, ppf): the score of U_j given the others' scores z_rest
         is m + s T, and T has this cdf and ppf."""
@@ -292,6 +286,9 @@ class _EllipticalCopula(Copula):
         """n rows of scores: correlated standard normals (the t copula
         divides them by its radial factor)."""
         return rng.standard_normal((n, self.dim)) @ self._chol.T
+
+    def sample(self, n, rng):
+        return clip01(self._levels(self.sample_scores(n, rng)))
 
 
 class GaussianCopula(_EllipticalCopula):
@@ -316,9 +313,6 @@ class GaussianCopula(_EllipticalCopula):
         # normal with mean m and sd s
         z_rest = self._check_j(j, z_rest)
         return float(self._b[j] @ z_rest), math.sqrt(self._schur[j]), special.ndtr, special.ndtri
-
-    def sample(self, n, rng):
-        return clip01(self._levels(self.sample_scores(n, rng)))
 
 
 class StudentTCopula(_EllipticalCopula):
@@ -384,9 +378,6 @@ class StudentTCopula(_EllipticalCopula):
         w = rng.chisquare(self.nu, size=n) / self.nu
         z /= np.sqrt(w)[:, None]
         return z
-
-    def sample(self, n, rng):
-        return clip01(self._levels(self.sample_scores(n, rng)))
 
 
 def copula_from_dict(cfg: dict, dim: int) -> Copula:

@@ -72,9 +72,9 @@ def _group_coordinates(marginals) -> tuple:
 
 
 class Elliptical(NamedTuple):
-    """X = mu + sigma Z, where Z has correlation corr and the standard
-    generator's margins; q_lo and q_hi are the generator's quantiles at
-    U_EPS and 1 - U_EPS."""
+    """What JointLossModel.elliptical() returns: X = mu + sigma Z, where Z
+    has correlation corr and the standard generator's margins; q_lo and
+    q_hi are the generator's quantiles at U_EPS and 1 - U_EPS."""
 
     generator: Marginal
     corr: np.ndarray
@@ -247,7 +247,7 @@ class JointLossModel:
         loc, scale, cdf, ppf = self.copula.score_conditional(j, rest)
         mu, sigma, q_lo, q_hi = m.mu, m.sigma, ell.q_lo, ell.q_hi
         return (
-            lambda x: cdf((_clamp((x - mu) / sigma, q_lo, q_hi) - loc) / scale),
+            lambda x: cdf((self.coordinate_state(j, x) - loc) / scale),
             lambda p: mu + sigma * _clamp(loc + scale * ppf(_clamp(p, U_EPS, 1.0 - U_EPS)), q_lo, q_hi),
         )
 
