@@ -7,8 +7,9 @@ and, through full_conditional, the full conditional cdf/quantile pair the
 Gibbs engine draws from.  The sampler and the full conditionals take one
 of two routes, and one predicate, JointLossModel.elliptical(), chooses:
 
-- The copula route, for every model.  A draw maps copula levels through
-  the marginal quantiles, and the full conditional is
+- The copula route, for every model that is not elliptical.  A draw
+  maps copula levels through the marginal quantiles, and the full
+  conditional is
 
       F_{X_j | X_-j = x_-j}(x) = C_{j|-j}(F_j(x) | F_-j(x_-j)),
 
