@@ -108,17 +108,11 @@ class Copula:
         """(cdf, ppf) of U_j given U_-j = u_rest, conditioned once.
 
         Each of the two takes a scalar or an array (one shared conditioning
-        vector).
+        vector).  Every concrete copula also has hfun(j, uj, u_rest) and
+        hfun_inv(j, p, u_rest): the cdf and the ppf of conditional(j, u_rest)
+        at one argument.
         """
         raise NotImplementedError
-
-    def hfun(self, j, uj, u_rest):
-        """The cdf of conditional(j, u_rest) at uj."""
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        """The ppf of conditional(j, u_rest) at p."""
-        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         raise NotImplementedError
@@ -142,6 +136,12 @@ class Independence(Copula):
     def conditional(self, j, u_rest):
         self._check_j(j, u_rest)
         return _as_float, _as_float
+
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         return rng.uniform(size=(n, self.dim))
@@ -182,6 +182,12 @@ class Clayton(Copula):
 
         return cdf, ppf
 
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        return self.conditional(j, u_rest)[1](p)
+
     def sample(self, n, rng):
         # Marshall-Olkin frailty: V ~ Gamma(1/theta, 1), U_j = (1 + E_j/V)^(-1/theta)
         v = rng.gamma(1.0 / self.theta, 1.0, size=n)
@@ -215,6 +221,12 @@ class SurvivalClayton(Copula):
         cdf, ppf = self.base.conditional(j, 1.0 - self._check_j(j, u_rest))
         return (lambda uj: 1.0 - cdf(1.0 - np.asarray(uj, dtype=float)),
                 lambda p: 1.0 - ppf(1.0 - np.asarray(p, dtype=float)))
+
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         return 1.0 - self.base.sample(n, rng)
@@ -314,6 +326,12 @@ class GaussianCopula(_EllipticalCopula):
         z_rest = self._check_j(j, z_rest)
         return float(self._b[j] @ z_rest), math.sqrt(self._schur[j]), special.ndtr, special.ndtri
 
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        return self.conditional(j, u_rest)[1](p)
+
 
 class StudentTCopula(_EllipticalCopula):
     def __init__(self, nu: float, corr, dim=None):
@@ -372,6 +390,12 @@ class StudentTCopula(_EllipticalCopula):
         q_rest = float(z_rest @ (self._rrest_inv[j] @ z_rest))
         s = math.sqrt((self.nu + q_rest) / self._df * self._schur[j])
         return m, s, self._cond_cdf, self._cond_ppf
+
+    def hfun(self, j, uj, u_rest):
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        return self.conditional(j, u_rest)[1](p)
 
     def sample_scores(self, n, rng):
         z = super().sample_scores(n, rng)
