@@ -1,23 +1,27 @@
 """Crisis events as sum bands.
 
-An event is the band {v1 <= 1.x <= v2} on the loss vector, with v1 and v2
-read off empirical quantiles of presample row sums, intersected with the
-half-spaces x_j >= 0 when the losses are pure.  The VaR event is special:
-with a positive band half-width delta it is the band between the
-alpha -/+ delta quantiles, which plain Monte Carlo can hit; with delta = 0
-it is the exact hyperplane {1.x = v*}, which the samplers handle through a
+An event is one value: the band {v1 <= 1.x <= v2} on the loss vector, with
+v1 and v2 read off empirical quantiles of presample row sums, intersected
+with the half-spaces x_j >= 0 when the losses are pure, together with the
+spec it was estimated from.  The VaR event is special: with a positive
+band half-width delta it is the band between the alpha -/+ delta
+quantiles, which plain Monte Carlo can hit; with delta = 0 it is the exact
+hyperplane {1.x = v*}, which the samplers handle through a
 (d-1)-dimensional reduced target.
 
-The module also provides the constraint geometry the reflective sampler
-needs: constraints stacked as arrays, boundary hit times, mirror
-reflections, and the affine mapping of constraints into standardized
-coordinates.  The targets and the geometry take a point of shape (d,) or
-a batch of shape (K, d).
+Every set of linear constraints h.x >= v, the event's and the samplers',
+is one HalfSpaces: the normals as the rows of an (m, d) matrix and the
+offsets as an m-vector.  The module also provides the geometry the
+reflective sampler needs on them: boundary hit times, mirror reflections,
+and the affine mapping of constraints into standardized coordinates.  The
+targets and the geometry take a point of shape (d,) or a batch of shape
+(K, d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +30,9 @@ from .measures import empirical_quantile
 EVENT_KINDS = ("var", "rvar", "es")
 SUPPORT_CLASSES = ("pure-losses", "pnl")
 
-# relative tolerance for the VaR sum equality; the identity is maintained
-# algebraically, this only absorbs float drift
+# relative tolerance on a band's sum bounds (ConcreteCrisisEvent.tolerance);
+# the sum identities are maintained algebraically, this only absorbs float
+# drift
 EQUALITY_RTOL = 1e-9
 
 PURE_LOSSES_ONLY = (
@@ -37,45 +42,35 @@ PURE_LOSSES_ONLY = (
 
 
 @dataclass(frozen=True, eq=False)
-class LinearConstraint:
-    """Half-space h.x >= v."""
+class HalfSpaces:
+    """The half-spaces h.x >= v: the normals h as the rows of an (m, d)
+    matrix and the offsets v as an m-vector, both read-only.  m may be 0."""
 
-    h: np.ndarray
-    v: float
+    normals: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        if h.ndim != 1 or not np.any(h != 0.0):
-            raise ValueError("constraint normal must be a nonzero vector")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v", float(self.v))
+        normals = np.array(self.normals, dtype=float)
+        offsets = np.array(self.offsets, dtype=float)
+        if normals.ndim != 2 or offsets.shape != normals.shape[:1]:
+            raise ValueError(
+                f"need an (m, d) matrix of normals and m offsets, got shapes "
+                f"{normals.shape} and {offsets.shape}"
+            )
+        if not (normals != 0.0).any(axis=1).all():
+            raise ValueError("constraint normals must be nonzero vectors")
+        normals.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "offsets", offsets)
 
-    def slack(self, x) -> float:
-        """h.x - v; nonnegative on the feasible side."""
-        return float(self.h @ np.asarray(x, dtype=float)) - self.v
-
-
-class HalfSpaces(tuple):
-    """A tuple of LinearConstraint that also holds them stacked: the normals
-    as the rows of an (m, d) matrix and the offsets as an m-vector, built
-    once so that a sampler step need not stack them again."""
-
-    def __new__(cls, constraints=()):
-        if isinstance(constraints, HalfSpaces):
-            return constraints
-        self = super().__new__(cls, constraints)
-        self.normals = np.stack([c.h for c in self]) if self else None
-        self.offsets = np.array([c.v for c in self])
-        return self
+    def __len__(self) -> int:
+        return self.offsets.shape[0]
 
     def dots(self, x) -> np.ndarray:
         """h.x for every constraint: shape (m,) for a point, (K, m) for a
         batch.  np.vecdot gives each the bits of the 1-D h @ x."""
-        x = np.asarray(x, dtype=float)
-        if not self:
-            return np.empty(x.shape[:-1] + (0,))
-        return np.vecdot(x[..., None, :], self.normals)
+        return np.vecdot(np.asarray(x, dtype=float)[..., None, :], self.normals)
 
     def slack(self, x) -> np.ndarray:
         """h.x - v for every constraint; nonnegative on the feasible side."""
@@ -122,13 +117,11 @@ class ConcreteCrisisEvent:
 
     Every event kind is such a band: es has v2 = inf, rvar and the delta > 0
     var event have both bounds finite, and the exact var event (delta = 0)
-    has v1 = v2 = v*, the hyperplane {1.x = v*}.  kind, levels, delta and
-    thresholds record what the band was estimated from.
+    has v1 = v2 = v*, the hyperplane {1.x = v*}.  spec and thresholds record
+    what the band was estimated from.
     """
 
-    kind: str
-    levels: tuple
-    delta: float
+    spec: CrisisEventSpec
     v1: float
     v2: float
     d: int
@@ -147,56 +140,50 @@ class ConcreteCrisisEvent:
         return self.v1 if self.v1 == self.v2 else None
 
     @property
-    def constraints(self) -> tuple:
+    def tolerance(self) -> float:
+        """How far 1.x may stray past a finite band bound, EQUALITY_RTOL
+        relative to the largest: a conditional mean, a clamped draw or the
+        exact var sum may sit a few ulps off the band."""
+        finite = [abs(v) for v in (self.v1, self.v2) if np.isfinite(v)]
+        return EQUALITY_RTOL * max([1.0] + finite)
+
+    @cached_property
+    def constraints(self) -> HalfSpaces:
         """The event as half-spaces h.x >= v: finite band bounds, then x_j >= 0.
 
         The exact var hyperplane is not a half-space; see sum_equality.
         """
-        ones = np.ones(self.d)
-        out = []
+        normals, offsets = [], []
         if self.v1 < self.v2:
             if np.isfinite(self.v1):
-                out.append(LinearConstraint(ones, self.v1))
+                normals.append(np.ones(self.d))
+                offsets.append(self.v1)
             if np.isfinite(self.v2):
-                out.append(LinearConstraint(-ones, -self.v2))
+                normals.append(-np.ones(self.d))
+                offsets.append(-self.v2)
         if self.nonnegative:
-            out.extend(_coordinate_constraints(self.d))
-        return tuple(out)
+            normals.extend(np.eye(self.d))
+            offsets.extend([0.0] * self.d)
+        return HalfSpaces(np.reshape(normals, (-1, self.d)), offsets)
 
     def contains_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
-        mask = np.ones(rows.shape[0], dtype=bool)
-        constraints = self.constraints
-        if constraints:
-            hmat = np.stack([c.h for c in constraints])
-            vvec = np.array([c.v for c in constraints])
-            mask &= (rows @ hmat.T >= vvec).all(axis=1)
+        walls = self.constraints
+        mask = (rows @ walls.normals.T >= walls.offsets).all(axis=1)
         if self.sum_equality is not None:
-            v = self.sum_equality
-            tol = EQUALITY_RTOL * max(1.0, abs(v))
-            mask &= np.abs(rows.sum(axis=1) - v) <= tol
+            mask &= np.abs(rows.sum(axis=1) - self.sum_equality) <= self.tolerance
         return mask
 
     def to_json_dict(self) -> dict:
+        walls = self.constraints
         return {
-            "kind": self.kind,
-            "levels": list(self.levels),
-            "delta": self.delta,
+            **self.spec.to_json_dict(),
             "thresholds": {k: float(v) for k, v in self.thresholds.items()},
             "sum_equality": self.sum_equality,
             "constraints": [
-                {"h": c.h.tolist(), "v": c.v} for c in self.constraints
+                {"h": h, "v": v} for h, v in zip(walls.normals.tolist(), walls.offsets.tolist())
             ],
         }
-
-
-def _coordinate_constraints(d: int) -> list:
-    out = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        out.append(LinearConstraint(e, 0.0))
-    return out
 
 
 def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> ConcreteCrisisEvent:
@@ -232,9 +219,7 @@ def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> Conc
             v2 = empirical_quantile(s, alpha + spec.delta)
             thresholds.update(v_lo=v1, v_hi=v2)
     return ConcreteCrisisEvent(
-        kind=spec.kind,
-        levels=spec.levels,
-        delta=spec.delta,
+        spec=spec,
         v1=v1,
         v2=v2,
         d=d,
@@ -255,7 +240,7 @@ class EventTarget:
         self.model = model
         self.event = event
         self.dim = model.d
-        self.constraints = HalfSpaces(event.constraints)
+        self.constraints = event.constraints
 
     def feasible(self, x):
         """Whether the point, or each row of the batch, satisfies every constraint."""
@@ -286,9 +271,10 @@ class ReducedVarTarget:
         self.model = model
         self.v_star = float(v_star)
         self.dim = model.d - 1
-        cons = _coordinate_constraints(self.dim)
-        cons.append(LinearConstraint(-np.ones(self.dim), -self.v_star))
-        self.constraints = HalfSpaces(cons)
+        self.constraints = HalfSpaces(
+            np.vstack([np.eye(self.dim), -np.ones(self.dim)]),
+            np.append(np.zeros(self.dim), -self.v_star),
+        )
 
     def lift(self, x_reduced) -> np.ndarray:
         """Append the implied last coordinate to a point or to each row."""
@@ -334,13 +320,11 @@ def reflect(x_star, p, h, v):
     return x_r, p_r
 
 
-def standardize_constraints(constraints, chol, mu):
+def standardize_constraints(walls: HalfSpaces, chol, mu) -> HalfSpaces:
     """Map constraints through x = mu + L.y: (h, v) becomes (L^T h, v - h.mu)."""
     chol = np.asarray(chol, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sign, _ = np.linalg.slogdet(chol)
     if sign == 0.0:
         raise ValueError("standardization matrix is singular")
-    return HalfSpaces(
-        LinearConstraint(chol.T @ c.h, c.v - float(c.h @ mu)) for c in constraints
-    )
+    return HalfSpaces(np.matvec(chol.T, walls.normals), walls.offsets - walls.dots(mu))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .events import EQUALITY_RTOL, ConcreteCrisisEvent
+from .events import ConcreteCrisisEvent
 from .measures import acf
 
 DEGENERATE_MASS = 1e-14
@@ -117,17 +117,17 @@ def thin_interval(prerun_path, rho_target: float = 0.15) -> ThinResult:
 # -- truncated full-conditional inversion ---------------------------------------
 
 
-def _slice_interval(j: int, x_rest, event: ConcreteCrisisEvent):
-    """Truncation interval for coordinate j given the others, in x_j space."""
-    s_rest = float(np.ones(event.d - 1) @ np.asarray(x_rest, dtype=float))
+def _slice_interval(ones, x_rest, event: ConcreteCrisisEvent):
+    """Truncation interval, in x_j space, for the coordinate whose others
+    are x_rest; ones is np.ones(d - 1), which the chain builds once."""
+    s_rest = float(ones @ np.asarray(x_rest, dtype=float))
     return event.v1 - s_rest, event.v2 - s_rest
 
 
 def _in_band(event: ConcreteCrisisEvent, x) -> bool:
-    """v1 <= 1.x <= v2 up to a relative 1e-9: a conditional mean or a
-    clamped draw may sit one ulp outside the band."""
+    """v1 <= 1.x <= v2 up to the event's tolerance."""
     s = float(np.ones(event.d) @ x)
-    tol = EQUALITY_RTOL * max([1.0] + [abs(v) for v in (event.v1, event.v2) if np.isfinite(v)])
+    tol = event.tolerance
     return event.v1 - tol <= s <= event.v2 + tol
 
 
@@ -181,6 +181,7 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
     state = np.array([model.coordinate_state(j, x[j]) for j in range(d)])
     # the other coordinates of each j, as np.delete(x, j) selects them
     others = [np.delete(np.arange(d), j) for j in range(d)]
+    ones = np.ones(d - 1)
     cum = np.cumsum(params.p).tolist()
     path = np.empty((n, d))
     coords = np.empty(n * params.thin_T, dtype=np.int64)
@@ -193,7 +194,7 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
             # np.searchsorted(cum, r, side="right") on the list
             j = bisect.bisect_right(cum, rng.random())
             rest = others[j]
-            lo, hi = _slice_interval(j, x[rest], event)
+            lo, hi = _slice_interval(ones, x[rest], event)
             try:
                 x[j], state[j] = _draw_in_slice(model, j, state[rest], lo, hi, rng.random())
             except DegenerateSliceError:

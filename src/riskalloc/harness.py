@@ -16,6 +16,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
+from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,8 @@ from .oracle import elliptical_oracle
 ENGINES = ("mc", "hmc", "gibbs")
 
 try:
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        _VERSION = version("riskalloc")
-    except PackageNotFoundError:
-        _VERSION = "0+unknown"
-except ImportError:  # pragma: no cover
+    _VERSION = version("riskalloc")
+except PackageNotFoundError:
     _VERSION = "0+unknown"
 
 
@@ -95,12 +91,7 @@ class RunConfig:
                 )
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.model, str):
-            model = self.model
-        elif isinstance(self.model, dict):
-            model = self.model
-        else:
-            model = "<in-memory model>"
+        model = self.model if isinstance(self.model, (str, dict)) else "<in-memory model>"
         return {
             "model": model,
             "event": self.event.to_json_dict(),
@@ -170,7 +161,6 @@ class AllocationReport:
     seed: int
     n: int
     requested_event: CrisisEventSpec
-    event_spec: CrisisEventSpec
     event: ConcreteCrisisEvent
     allocations: tuple
     engine_details: dict
@@ -178,6 +168,11 @@ class AllocationReport:
     widening_log: tuple = ()
     phase_seconds: dict = field(default_factory=dict)
     work: dict = field(default_factory=dict)
+
+    @property
+    def event_spec(self) -> CrisisEventSpec:
+        """The event the estimates condition on (see PreparedRun)."""
+        return self.event.spec
 
     @property
     def d(self) -> int:
@@ -277,11 +272,11 @@ def _widened(spec: CrisisEventSpec) -> CrisisEventSpec:
     return CrisisEventSpec("rvar", (lo, hi)) if lo > 0.0 else None
 
 
-def _conditional_rows(event, presample_matrix, min_conditional, spec):
+def _conditional_rows(event, presample_matrix, min_conditional):
     keep = event.contains_rows(presample_matrix)
     cond = presample_matrix[keep]
     if len(cond) < min_conditional:
-        raise ConditionalCountError(len(cond), min_conditional, spec)
+        raise ConditionalCountError(len(cond), min_conditional, event.spec)
     return cond
 
 
@@ -289,9 +284,9 @@ def _conditional_rows(event, presample_matrix, min_conditional, spec):
 class PreparedRun:
     """A run up to its main chain.
 
-    spec and event are what the run estimates: the requested event, unless
-    the mc widening rule lowered its lower level (widening_log says how),
-    or hmc runs on a var band, where the chain samples the hyperplane
+    event, with its spec, is what the run estimates: the requested event,
+    unless the mc widening rule lowered its lower level (widening_log says
+    how), or hmc runs on a var band, where the chain samples the hyperplane
     {1.x = v*} and the band only supplied the conditional rows.  cond holds
     the presample rows inside the estimated band.  params are the engine's
     tuned or overridden parameters (None for mc) and details the
@@ -311,7 +306,6 @@ class PreparedRun:
     config: RunConfig
     model: JointLossModel
     measures: tuple
-    spec: CrisisEventSpec
     event: ConcreteCrisisEvent
     cond: np.ndarray
     widening_log: tuple
@@ -343,7 +337,7 @@ def prepare(config: RunConfig) -> PreparedRun:
     while True:
         event = estimate_event(spec, presample, model.support_class)
         try:
-            cond = _conditional_rows(event, presample, config.min_conditional, spec)
+            cond = _conditional_rows(event, presample, config.min_conditional)
             break
         except ConditionalCountError as err:
             # only plain MC widens; the samplers report the shortfall
@@ -362,18 +356,15 @@ def prepare(config: RunConfig) -> PreparedRun:
         details["acr"] = 1.0
         work = {"presample_rows": int(config.n_mc), "conditional_rows": int(len(cond))}
     elif config.engine == "hmc":
-        target, start, params, work = _prepare_hmc(
-            model, spec, event, cond, config, seeds[1], details
-        )
+        target, start, params, work = _prepare_hmc(model, event, cond, config, seeds[1], details)
         if spec.kind == "var":
-            spec, event = _var_hyperplane(spec, event)
+            event = _var_hyperplane(event)
     else:
         start, params, work = _prepare_gibbs(model, event, cond, config, seeds[1], details)
     return PreparedRun(
         config=config,
         model=model,
         measures=measures,
-        spec=spec,
         event=event,
         cond=cond,
         widening_log=tuple(log),
@@ -392,20 +383,20 @@ def prepare(config: RunConfig) -> PreparedRun:
     )
 
 
-def _var_hyperplane(spec, band):
+def _var_hyperplane(band):
     """The exact var event {1.x = v*} that hmc samples on a var band.  The
     band's thresholds (v_star, v_lo, v_hi) stay on record."""
     v_star = band.thresholds["v_star"]
-    return replace(spec, delta=0.0), replace(band, delta=0.0, v1=v_star, v2=v_star)
+    return replace(band, spec=replace(band.spec, delta=0.0), v1=v_star, v2=v_star)
 
 
-def _prepare_hmc(model, spec, event, cond, config, seed, details):
-    if spec.kind == "var":
+def _prepare_hmc(model, event, cond, config, seed, details):
+    if event.spec.kind == "var":
         target = ReducedVarTarget(model, event.thresholds["v_star"])
         pts = cond[:, :-1]
         pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
         if len(pts) < 2:
-            raise ConditionalCountError(len(pts), 2, spec)
+            raise ConditionalCountError(len(pts), 2, event.spec)
     else:
         target = EventTarget(model, event)
         pts = cond
@@ -462,7 +453,7 @@ def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
     n = prep.config.n_mcmc
     path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
     path_x = prep.target.standardizer.to_x(path_y)
-    sample = prep.target.base.lift(path_x) if prep.spec.kind == "var" else path_x
+    sample = prep.target.base.lift(path_x) if prep.event.spec.kind == "var" else path_x
     details.update(
         acr=diag.acr,
         n_nonfinite=diag.n_nonfinite,
@@ -523,7 +514,6 @@ def run(config: RunConfig) -> AllocationReport:
         seed=config.seed,
         n=n,
         requested_event=config.event,
-        event_spec=prep.spec,
         event=prep.event,
         allocations=allocations,
         engine_details=details,

@@ -8,6 +8,9 @@ continues with the remaining fraction of the step.  This keeps every
 trajectory point feasible and preserves kinetic energy exactly, so the
 usual Metropolis correction applies unchanged.
 
+A target has dim, logpdf, grad_logpdf and constraints, a HalfSpaces that
+has no rows when the target is unconstrained.
+
 Also provides Cholesky standardization of the target coordinates and the
 presample-driven heuristic that picks the stepsize and integration time.
 """
@@ -61,7 +64,7 @@ class HmcDiagnostics:
     n_nonfinite: int = 0
 
 
-def leapfrog_reflect(x, p, eps: float, grad_u, constraints):
+def leapfrog_reflect(x, p, eps: float, grad_u, walls: HalfSpaces):
     """One leapfrog step whose drift reflects off constraint hyperplanes.
 
     x and p are one state (d,) or a batch of states (K, d) that step in
@@ -70,7 +73,6 @@ def leapfrog_reflect(x, p, eps: float, grad_u, constraints):
     between is piecewise linear.  Returns the new state and the number of
     reflections performed, one count per row for a batch.
     """
-    walls = HalfSpaces(constraints)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     p = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
@@ -124,10 +126,10 @@ def _nudge_onto_boundary(x, walls):
     if not (walls.dots(x) < walls.offsets).any():
         return x
     tol = FEASIBILITY_NUDGE * np.maximum(1.0, np.abs(walls.offsets))
-    for c, tol_c in zip(walls, tol):
-        gap = c.v - np.vecdot(x, c.h)
+    for h, v, tol_c in zip(walls.normals, walls.offsets, tol):
+        gap = v - np.vecdot(x, h)
         near = (gap > 0.0) & (gap <= tol_c)
-        x = np.where(near[..., None], x + (gap / np.vecdot(c.h, c.h))[..., None] * c.h, x)
+        x = np.where(near[..., None], x + (gap / np.vecdot(h, h))[..., None] * h, x)
     return x
 
 
@@ -135,7 +137,7 @@ def _check_start(target, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (target.dim,):
         raise ValueError(f"initial state must have dimension {target.dim}")
-    if (HalfSpaces(getattr(target, "constraints", ())).slack(x0) < 1e-12).any():
+    if (target.constraints.slack(x0) < 1e-12).any():
         raise ValueError("initial state must be strictly feasible")
     lp = target.logpdf(x0)
     if not np.isfinite(lp):
@@ -146,7 +148,7 @@ def _check_start(target, x0):
 def hmc_sample(target, params: HmcParams, x0, n: int, seed):
     """Run the chain for n proposals; returns (path, diagnostics)."""
     x, lp = _check_start(target, x0)
-    constraints = HalfSpaces(getattr(target, "constraints", ()))
+    walls = target.constraints
     d = target.dim
 
     def grad_u(z):
@@ -165,7 +167,7 @@ def hmc_sample(target, params: HmcParams, x0, n: int, seed):
         xt, pt = x, p
         n_ref = 0
         for _ in range(params.T):
-            xt, pt, k = leapfrog_reflect(xt, pt, params.eps, grad_u, constraints)
+            xt, pt, k = leapfrog_reflect(xt, pt, params.eps, grad_u, walls)
             n_ref += k
         pt = -pt
         u_new = -target.logpdf(xt)
@@ -367,7 +369,7 @@ def tune(target, presample_conditional, c_eps: float = 1.0,
     pts = np.asarray(presample_conditional, dtype=float)
     if pts.ndim != 2:
         raise ValueError("presample must be a k x d matrix")
-    walls = HalfSpaces(getattr(target, "constraints", ()))
+    walls = target.constraints
     feasible = np.isfinite(target.logpdf(pts)) & (walls.slack(pts) > 0.0).all(axis=-1)
     starts = pts[feasible]
     if len(starts) < 10:

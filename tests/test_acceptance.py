@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from riskalloc.copulas import Independence
-from riskalloc.events import CrisisEventSpec, EventTarget, estimate_event
+from riskalloc.events import CrisisEventSpec, EventTarget, HalfSpaces, estimate_event
 from riskalloc.gibbs import (
     GibbsParams,
     rsgs_sample,
@@ -124,7 +124,7 @@ def test_criterion_05_tuned_acceptance_rate(m1_rvar_hmc):
 
 class _StdNormal3:
     dim = 3
-    constraints = ()
+    constraints = HalfSpaces(np.empty((0, 3)), [])
 
     def feasible(self, x):
         return True
@@ -158,7 +158,7 @@ def test_criterion_07_integrator_reversibility():
     event = estimate_event(RVAR_TAIL, draws, model.support_class)
     target = EventTarget(model, event)
     pool = draws[event.contains_rows(draws)]
-    pool = pool[[all(c.slack(x) > 1e-9 for c in target.constraints) for x in pool]]
+    pool = pool[(target.constraints.slack(pool) > 1e-9).all(axis=1)]
 
     def grad_u(z):
         return -target.grad_logpdf(z)

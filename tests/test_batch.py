@@ -16,7 +16,6 @@ from riskalloc.events import (
     CrisisEventSpec,
     EventTarget,
     HalfSpaces,
-    LinearConstraint,
     ReducedVarTarget,
     estimate_event,
 )
@@ -126,17 +125,10 @@ def test_event_target_gives_minus_inf_off_the_event():
     assert np.array_equal(target.feasible(x), [True, False, False, True])
 
 
-BOX = (
-    LinearConstraint(np.array([1.0, 0.0]), 0.0),
-    LinearConstraint(np.array([-1.0, 0.0]), -1.0),
-    LinearConstraint(np.array([0.0, 1.0]), 0.0),
-    LinearConstraint(np.array([0.0, -1.0]), -1.0),
-)
-WEDGE = (
-    LinearConstraint(np.array([1.0, 0.0, 0.0]), -0.5),
-    LinearConstraint(np.array([0.0, 1.0, 0.0]), -0.5),
-    LinearConstraint(np.array([-1.0, -1.0, -1.0]), -1.5),
-)
+BOX = HalfSpaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1.0, 0.0, -1.0])
+WEDGE_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, -1.0]]
+WEDGE = HalfSpaces(WEDGE_ROWS, [-0.5, -0.5, -1.5])
+NO_WALLS = HalfSpaces(np.empty((0, 3)), [])
 
 
 def _check_leapfrog(x, p, eps, grad_u, constraints, rtol):
@@ -171,7 +163,7 @@ def test_leapfrog_batch_equals_rows_on_a_gaussian(seed, k, eps):
     p = rng.normal(size=(k, 3)) * 2.0
     _check_leapfrog(x, p, eps, lambda z: np.asarray(z), WEDGE, rtol=0.0)
     # and with no constraint at all
-    _check_leapfrog(x, p, eps, lambda z: np.asarray(z), (), rtol=0.0)
+    _check_leapfrog(x, p, eps, lambda z: np.asarray(z), NO_WALLS, rtol=0.0)
 
 
 def test_leapfrog_batch_equals_rows_on_m1_rvar():
@@ -192,12 +184,14 @@ def test_leapfrog_batch_equals_rows_on_m1_rvar():
 
 
 def test_half_spaces_stack_once_and_dot_like_the_points():
-    walls = HalfSpaces(WEDGE)
-    assert HalfSpaces(walls) is walls
-    assert walls.normals.shape == (3, 3)
-    assert list(walls) == list(WEDGE)
+    walls = WEDGE
+    assert walls.normals.shape == (3, 3) and len(walls) == 3
+    assert walls.normals.tolist() == WEDGE_ROWS
+    assert walls.offsets.tolist() == [-0.5, -0.5, -1.5]
     x = np.random.default_rng(6).normal(size=(50, 3))
-    want = np.array([[c.slack(row) for c in WEDGE] for row in x])
+    want = np.array(
+        [[float(h @ row) - v for h, v in zip(walls.normals, walls.offsets)] for row in x]
+    )
     assert np.array_equal(walls.slack(x), want)
     assert np.array_equal(walls.slack(x[0]), want[0])
-    assert HalfSpaces(()).slack(x).shape == (50, 0)
+    assert NO_WALLS.slack(x).shape == (50, 0)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskalloc.events import (
     EQUALITY_RTOL,
+    SUPPORT_CLASSES,
     ConcreteCrisisEvent,
     CrisisEventSpec,
     EventTarget,
     HalfSpaces,
-    LinearConstraint,
     ReducedVarTarget,
     estimate_event,
     hit_time,
@@ -23,11 +25,29 @@ def ladder_presample(n=1000, d=2):
     return np.tile((s / d)[:, None], (1, d))
 
 
-def test_linear_constraint_validation():
+def test_half_spaces_validation():
+    c = HalfSpaces([[1.0, 0.0]], [2.0])
+    assert c.slack([3.0, 5.0]).tolist() == [1.0]
+    assert len(c) == 1 and len(HalfSpaces(np.empty((0, 3)), [])) == 0
+    # a zero normal, in any row
+    with pytest.raises(ValueError, match="nonzero"):
+        HalfSpaces(np.zeros((1, 3)), [1.0])
+    with pytest.raises(ValueError, match="nonzero"):
+        HalfSpaces([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0])
+    # mismatched shapes: offsets per row, normals a matrix
+    with pytest.raises(ValueError, match="shapes"):
+        HalfSpaces([[1.0, 0.0]], [0.0, 1.0])
+    with pytest.raises(ValueError, match="shapes"):
+        HalfSpaces([1.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="shapes"):
+        HalfSpaces([[1.0, 0.0]], 0.0)
+    # the arrays are the value's own and read-only
+    h = np.array([[1.0, 2.0]])
+    c = HalfSpaces(h, [0.0])
+    h[0, 0] = 5.0
+    assert c.normals.tolist() == [[1.0, 2.0]]
     with pytest.raises(ValueError):
-        LinearConstraint(np.zeros(3), 1.0)
-    c = LinearConstraint([1.0, 0.0], 2.0)
-    assert c.slack([3.0, 5.0]) == 1.0
+        c.offsets[0] = 1.0
 
 
 def test_spec_validation():
@@ -96,14 +116,68 @@ def contains_point(ev, x) -> bool:
     """Membership of one point, constraint by constraint: the scalar
     reference contains_rows must reproduce."""
     x = np.asarray(x, dtype=float)
-    for c in ev.constraints:
-        if float(c.h @ x) < c.v:
+    walls = ev.constraints
+    for h, v in zip(walls.normals, walls.offsets):
+        if float(h @ x) < v:
             return False
     if ev.sum_equality is not None:
         v = ev.sum_equality
         if abs(float(x.sum()) - v) > EQUALITY_RTOL * max(1.0, abs(v)):
             return False
     return True
+
+
+def standardize_row_by_row(walls, chol, mu):
+    """Each constraint mapped on its own, (L^T h, v - h.mu): the reference
+    standardize_constraints must reproduce."""
+    normals = [chol.T @ h for h in walls.normals]
+    offsets = [v - float(h @ mu) for h, v in zip(walls.normals, walls.offsets)]
+    return normals, offsets
+
+
+GEOMETRY_SPECS = [
+    CrisisEventSpec("es", (0.9,)),
+    CrisisEventSpec("rvar", (0.5, 0.9)),
+    CrisisEventSpec("var", (0.7,), delta=0.05),
+    CrisisEventSpec("var", (0.7,)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 6),
+    spec=st.sampled_from(GEOMETRY_SPECS),
+    support=st.sampled_from(SUPPORT_CLASSES),
+)
+def test_event_geometry_equals_the_row_loop(seed, d, spec, support):
+    rng = np.random.default_rng(seed)
+    # rows on a grid of multiples of 1/16, so that every sum is exact: with
+    # one half-space the product rows @ normals.T is a matrix-vector
+    # product, which rounds other than h @ row on general floats
+    x = rng.integers(-2**10, 2**10, size=(300, d)) / 16.0
+    ev = estimate_event(spec, x, support)
+    v1 = ev.v1
+    # rows whose sum is exactly v1, and rows on a coordinate wall; the
+    # presample holds the row whose x.sum() is v1
+    edge = np.zeros((3 * d, d))
+    for j in range(d):
+        edge[j, j] = v1
+        edge[d + j, j] = edge[d + j, (j + 1) % d] = 0.5 * v1
+        edge[2 * d + j] = x[j]
+        edge[2 * d + j, j] = 0.0
+    rows = np.vstack([x, edge, np.abs(x[:50])])
+    mask = ev.contains_rows(rows)
+    assert mask.tolist() == [contains_point(ev, r) for r in rows]
+
+    chol = np.tril(rng.normal(size=(d, d)))
+    np.fill_diagonal(chol, np.abs(np.diag(chol)) + 0.1)
+    mu = rng.normal(size=d) * 5.0
+    std = standardize_constraints(ev.constraints, chol, mu)
+    normals, offsets = standardize_row_by_row(ev.constraints, chol, mu)
+    assert std.normals.shape == ev.constraints.normals.shape
+    assert std.normals.tolist() == [h.tolist() for h in normals]
+    assert std.offsets.tolist() == offsets
 
 
 def test_contains_rows_matches_scalar():
@@ -148,7 +222,7 @@ def test_event_json_roundtrip():
 
 
 def test_hit_time_examples():
-    c = HalfSpaces([LinearConstraint([1.0, 0.0], 0.0)])
+    c = HalfSpaces([[1.0, 0.0]], [0.0])
     assert hit_time(np.array([1.0, 1.0]), np.array([-2.0, 0.0]), 1.0, c)[0] == 0.5
     # moving away from the hyperplane
     assert hit_time(np.array([1.0, 1.0]), np.array([2.0, 0.0]), 1.0, c)[0] == np.inf
@@ -160,11 +234,7 @@ def test_hit_time_examples():
 
 
 def test_hit_time_rows_and_constraints_at_once():
-    box = HalfSpaces([
-        LinearConstraint([1.0, 0.0], 0.0),
-        LinearConstraint([-1.0, 0.0], -1.0),
-        LinearConstraint([0.0, 1.0], 0.0),
-    ])
+    box = HalfSpaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, -1.0, 0.0])
     x = np.array([[0.5, 0.5], [0.5, 0.5], [0.9, 0.1]])
     p = np.array([[-1.0, 0.0], [2.0, -2.0], [0.0, 0.0]])
     t = hit_time(x, p, np.array([1.0, 1.0, 1.0]), box)
@@ -178,8 +248,7 @@ def test_hit_time_rows_and_constraints_at_once():
 
 
 def test_reflect_examples():
-    c = LinearConstraint([1.0, 0.0], 0.0)
-    x_r, p_r = reflect(np.array([-0.4, 1.0]), np.array([-2.0, 3.0]), c.h, c.v)
+    x_r, p_r = reflect(np.array([-0.4, 1.0]), np.array([-2.0, 3.0]), np.array([1.0, 0.0]), 0.0)
     assert np.allclose(x_r, [0.4, 1.0])
     assert np.allclose(p_r, [2.0, 3.0])
 
@@ -187,11 +256,11 @@ def test_reflect_examples():
 def test_reflect_involution_and_energy():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        c = LinearConstraint(rng.normal(size=3), rng.normal())
+        h, v = rng.normal(size=3), rng.normal()
         x = rng.normal(size=3)
         p = rng.normal(size=3)
-        x1, p1 = reflect(x, p, c.h, c.v)
-        x2, p2 = reflect(x1, p1, c.h, c.v)
+        x1, p1 = reflect(x, p, h, v)
+        x2, p2 = reflect(x1, p1, h, v)
         assert np.allclose(x2, x, atol=1e-12)
         assert np.allclose(p2, p, atol=1e-12)
         assert np.linalg.norm(p1) == pytest.approx(np.linalg.norm(p), rel=1e-12)
@@ -199,12 +268,9 @@ def test_reflect_involution_and_energy():
 
 def test_reflected_walk_stays_feasible():
     # straight-line motion with reflections inside the unit box
-    cons = HalfSpaces([
-        LinearConstraint([1.0, 0.0], 0.0),
-        LinearConstraint([-1.0, 0.0], -1.0),
-        LinearConstraint([0.0, 1.0], 0.0),
-        LinearConstraint([0.0, -1.0], -1.0),
-    ])
+    cons = HalfSpaces(
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1.0, 0.0, -1.0]
+    )
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.uniform(0.1, 0.9, size=2)
@@ -216,11 +282,10 @@ def test_reflected_walk_stays_feasible():
             if t[j] == np.inf:
                 x = x + remaining * p
                 break
-            t_star, c_star = t[j], cons[j]
-            x, p = reflect(x + t_star * remaining * p, p, c_star.h, c_star.v)
+            t_star = t[j]
+            x, p = reflect(x + t_star * remaining * p, p, cons.normals[j], cons.offsets[j])
             remaining *= 1.0 - t_star
-        for c in cons:
-            assert c.slack(x) >= -1e-9
+        assert (cons.slack(x) >= -1e-9).all()
 
 
 def test_reduced_var_target_lift():
@@ -266,9 +331,9 @@ def test_reduced_var_rejects_pnl_model():
 def test_reduced_var_constraint_geometry():
     t = ReducedVarTarget(preset("M1"), 10.0)
     # feasible simplex point
-    assert all(c.slack([3.0, 3.0]) >= 0 for c in t.constraints)
+    assert (t.constraints.slack([3.0, 3.0]) >= 0).all()
     # violates the sum cap
-    assert any(c.slack([8.0, 8.0]) < 0 for c in t.constraints)
+    assert (t.constraints.slack([8.0, 8.0]) < 0).any()
 
 
 def test_event_target_restriction():
@@ -292,19 +357,19 @@ def test_event_target_rejects_exact_var():
 
 
 def test_standardize_identity():
-    cons = (LinearConstraint([1.0, 2.0], 3.0),)
+    cons = HalfSpaces([[1.0, 2.0]], [3.0])
     out = standardize_constraints(cons, np.eye(2), np.zeros(2))
-    assert np.allclose(out[0].h, [1.0, 2.0])
-    assert out[0].v == 3.0
+    assert np.allclose(out.normals[0], [1.0, 2.0])
+    assert out.offsets[0] == 3.0
 
 
 def test_standardize_zero_shift_rule():
     # with mu = 0 the rule is (L^T h, v)
     L = np.array([[2.0, 0.0], [1.0, 3.0]])
-    cons = (LinearConstraint([1.0, 1.0], 5.0),)
+    cons = HalfSpaces([[1.0, 1.0]], [5.0])
     out = standardize_constraints(cons, L, np.zeros(2))
-    assert np.allclose(out[0].h, L.T @ np.array([1.0, 1.0]))
-    assert out[0].v == 5.0
+    assert np.allclose(out.normals[0], L.T @ np.array([1.0, 1.0]))
+    assert out.offsets[0] == 5.0
 
 
 def test_standardize_membership_equivalence():
@@ -314,20 +379,17 @@ def test_standardize_membership_equivalence():
         L = np.tril(rng.normal(size=(d, d)))
         np.fill_diagonal(L, np.abs(np.diag(L)) + 0.5)
         mu = rng.normal(size=d)
-        cons = tuple(
-            LinearConstraint(rng.normal(size=d), rng.normal()) for _ in range(4)
-        )
+        pairs = [(rng.normal(size=d), rng.normal()) for _ in range(4)]
+        cons = HalfSpaces([h for h, _ in pairs], [v for _, v in pairs])
         std = standardize_constraints(cons, L, mu)
         for _ in range(20):
             y = rng.normal(size=d)
             x = mu + L @ y
-            orig_ok = all(c.slack(x) >= 0 for c in cons)
-            std_ok = all(c.slack(y) >= 0 for c in std)
+            orig_ok = (cons.slack(x) >= 0).all()
+            std_ok = (std.slack(y) >= 0).all()
             assert orig_ok == std_ok
 
 
 def test_standardize_singular_rejected():
     with pytest.raises(ValueError):
-        standardize_constraints(
-            (LinearConstraint([1.0, 0.0], 0.0),), np.zeros((2, 2)), np.zeros(2)
-        )
+        standardize_constraints(HalfSpaces([[1.0, 0.0]], [0.0]), np.zeros((2, 2)), np.zeros(2))

@@ -42,7 +42,7 @@ class Uniform01(Marginal):
 
 def sum_band(d, v1, v2):
     """The sum band {v1 <= 1.x <= v2} in d dimensions, without sign constraints."""
-    return ConcreteCrisisEvent("rvar", (0.5, 0.9), 0.0, v1, v2, d, False, {})
+    return ConcreteCrisisEvent(CrisisEventSpec("rvar", (0.5, 0.9)), v1, v2, d, False, {})
 
 
 def test_band_event_validation():
@@ -146,7 +146,7 @@ def conditional_cdf(model, j, x_rest):
 def slice_draw(model, j, x_rest, band, u):
     """One draw of coordinate j given the others, truncated to the band's
     slice, as a chain update makes it from the innovation u."""
-    lo, hi = gibbs._slice_interval(j, x_rest, band)
+    lo, hi = gibbs._slice_interval(np.ones(len(x_rest)), x_rest, band)
     return gibbs._draw_in_slice(model, j, rest_levels(model, j, x_rest), lo, hi, u)[0]
 
 

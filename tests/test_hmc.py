@@ -8,7 +8,6 @@ from riskalloc.events import (
     CrisisEventSpec,
     EventTarget,
     HalfSpaces,
-    LinearConstraint,
     ReducedVarTarget,
     estimate_event,
 )
@@ -30,12 +29,23 @@ from riskalloc.models import preset
 # calls them with batches.
 
 
+def no_walls(d):
+    """The constraints of an unconstrained target in d dimensions."""
+    return HalfSpaces(np.empty((0, d)), [])
+
+
+# the unit square 0 <= x_j <= 1
+UNIT_BOX = HalfSpaces(
+    [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [0.0, -1.0, 0.0, -1.0]
+)
+
+
 class GaussianTarget:
     """Unconstrained standard normal in d dimensions."""
 
     def __init__(self, d=3):
         self.dim = d
-        self.constraints = ()
+        self.constraints = no_walls(d)
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -49,7 +59,7 @@ class FlatTarget:
     """Constant density over a constraint region; zero gradient."""
 
     def __init__(self, constraints, dim):
-        self.constraints = HalfSpaces(constraints)
+        self.constraints = constraints
         self.dim = dim
 
     def logpdf(self, x):
@@ -119,12 +129,12 @@ def test_reflect_leapfrog_matches_plain_without_constraints():
     grad = lambda z: z
     x, p = rng.normal(size=4), rng.normal(size=4)
     xa, pa = leapfrog(x, p, 0.2, grad)
-    xb, pb, n_ref = leapfrog_reflect(x, p, 0.2, grad, ())
+    xb, pb, n_ref = leapfrog_reflect(x, p, 0.2, grad, no_walls(4))
     assert n_ref == 0
     assert np.array_equal(xa, xb)
     assert np.array_equal(pa, pb)
     # inactive constraints leave the path bit-identical too
-    far = (LinearConstraint(np.ones(4), -1e6),)
+    far = HalfSpaces([np.ones(4)], [-1e6])
     xc, pc, n_ref = leapfrog_reflect(x, p, 0.2, grad, far)
     assert n_ref == 0
     assert np.array_equal(xa, xc)
@@ -133,7 +143,7 @@ def test_reflect_leapfrog_matches_plain_without_constraints():
 
 def test_reflect_leapfrog_one_dimensional_trace():
     # flat potential, x >= 0: drift from 0.5 with p=-2 bounces at t=0.25
-    cons = (LinearConstraint(np.array([1.0]), 0.0),)
+    cons = HalfSpaces([[1.0]], [0.0])
     x, p, n_ref = leapfrog_reflect(
         np.array([0.5]), np.array([-2.0]), 1.0, lambda z: np.zeros(1), cons
     )
@@ -143,31 +153,19 @@ def test_reflect_leapfrog_one_dimensional_trace():
 
 
 def test_reflect_leapfrog_preserves_kinetic_energy_flat():
-    box = (
-        LinearConstraint(np.array([1.0, 0.0]), 0.0),
-        LinearConstraint(np.array([-1.0, 0.0]), -1.0),
-        LinearConstraint(np.array([0.0, 1.0]), 0.0),
-        LinearConstraint(np.array([0.0, -1.0]), -1.0),
-    )
-    tgt = FlatTarget(box, 2)
+    tgt = FlatTarget(UNIT_BOX, 2)
     rng = np.random.default_rng(3)
     grad = lambda z: np.zeros(2)
     for _ in range(30):
         x = rng.uniform(0.05, 0.95, size=2)
         p = rng.normal(size=2) * 3.0
         k0 = p @ p
-        x1, p1, _ = leapfrog_reflect(x, p, 1.0, grad, box)
+        x1, p1, _ = leapfrog_reflect(x, p, 1.0, grad, UNIT_BOX)
         assert p1 @ p1 == pytest.approx(k0, rel=1e-12)
         assert tgt.logpdf(x1) == 0.0  # stayed in the box
 
 
 def test_reflect_leapfrog_reversible_in_box():
-    box = (
-        LinearConstraint(np.array([1.0, 0.0]), 0.0),
-        LinearConstraint(np.array([-1.0, 0.0]), -1.0),
-        LinearConstraint(np.array([0.0, 1.0]), 0.0),
-        LinearConstraint(np.array([0.0, -1.0]), -1.0),
-    )
     grad = lambda z: np.zeros(2)
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -178,13 +176,13 @@ def test_reflect_leapfrog_reversible_in_box():
         x, p = x0.copy(), p0.copy()
         refl = 0
         for _ in range(steps):
-            x, p, k = leapfrog_reflect(x, p, eps, grad, box)
+            x, p, k = leapfrog_reflect(x, p, eps, grad, UNIT_BOX)
             refl += k
         if refl > 3:
             continue
         xb, pb = x, -p
         for _ in range(steps):
-            xb, pb, _ = leapfrog_reflect(xb, pb, eps, grad, box)
+            xb, pb, _ = leapfrog_reflect(xb, pb, eps, grad, UNIT_BOX)
         assert np.max(np.abs(xb - x0)) < 1e-10
         assert np.max(np.abs(-pb - p0)) < 1e-10
 
@@ -215,10 +213,7 @@ def test_reflect_leapfrog_reversible_on_m1_event(m1_rvar_target):
 
 
 def test_runaway_reflection_guard():
-    sliver = (
-        LinearConstraint(np.array([1.0]), 0.0),
-        LinearConstraint(np.array([-1.0]), -1e-7),
-    )
+    sliver = HalfSpaces([[1.0], [-1.0]], [0.0, -1e-7])
     with pytest.raises(RuntimeError, match="reflections"):
         leapfrog_reflect(
             np.array([5e-8]), np.array([1.0]), 10.0, lambda z: np.zeros(1), sliver
@@ -315,7 +310,7 @@ def test_standardized_target_chain_rule():
     # membership carries over
     for row in cond[:50]:
         yy = std.to_y(row)
-        assert all(c.slack(yy) >= -1e-9 for c in std_tgt.constraints)
+        assert (std_tgt.constraints.slack(yy) >= -1e-9).all()
 
 
 def test_standardize_jitter_and_failure():
@@ -375,10 +370,11 @@ def sequential_tune(target, presample_conditional, c_eps=1.0, t_max=1000, seed=0
     """The reference: the tuning scan one trajectory after another, on point
     calls of the target and the integrator."""
     pts = np.asarray(presample_conditional, dtype=float)
-    constraints = tuple(getattr(target, "constraints", ()))
+    walls = target.constraints
     feasible = [
         x for x in pts
-        if np.isfinite(target.logpdf(x)) and all(c.slack(x) > 0.0 for c in constraints)
+        if np.isfinite(target.logpdf(x))
+        and all(float(h @ x) - v > 0.0 for h, v in zip(walls.normals, walls.offsets))
     ]
     if len(feasible) < 10:
         raise ValueError(f"got {len(feasible)}")
@@ -415,7 +411,7 @@ def sequential_tune(target, presample_conditional, c_eps=1.0, t_max=1000, seed=0
             delta_prev = None
             t_stop = None
             for t in range(1, t_max + 1):
-                x, p, _ = leapfrog_reflect(x, p, eps, grad_u, constraints)
+                x, p, _ = leapfrog_reflect(x, p, eps, grad_u, walls)
                 h_curr = hamiltonian(x, p)
                 if np.isfinite(h_curr):
                     a = math.exp(min(0.0, h_prev - h_curr))
