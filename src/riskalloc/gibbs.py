@@ -46,7 +46,8 @@ class GibbsParams:
         p = p / p.sum()
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        if not (isinstance(self.thin_T, (int, np.integer)) and self.thin_T >= 1):
+        T = self.thin_T
+        if not (isinstance(T, (int, np.integer)) and not isinstance(T, bool) and T >= 1):
             raise ValueError("thinning interval must be a positive integer")
         object.__setattr__(self, "thin_T", int(self.thin_T))
 
@@ -55,7 +56,10 @@ class GibbsParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> GibbsParams:
-        return cls(np.asarray(d["p"], dtype=float), int(d["thin_T"]))
+        # an integral float (3.0) is read as an int; any other non-int fails
+        T = d["thin_T"]
+        T = int(T) if isinstance(T, float) and T.is_integer() else T
+        return cls(np.asarray(d["p"], dtype=float), T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -297,8 +297,10 @@ class PreparedRun:
 
     - mc: presample_rows (n_mc) and conditional_rows (the rows kept);
     - hmc: tune_steps (lockstep steps of the tuning scans),
-      tune_trajectory_steps (trajectory steps within them) and
-      chain_grad_evals (2 T n_mcmc);
+      tune_trajectory_steps (trajectory steps within them), tune_capped
+      (tuning trajectories stopped at t_max before a U-turn; 0 with
+      overrides) and chain_grad_evals (2 T n_mcmc); run() adds
+      chain_reflections, the reflections of all chain proposals;
     - gibbs: prerun_updates, chain_updates (n_mcmc thin_T) and
       degenerate_redraws (so far the prerun's; run() adds the chain's).
     """
@@ -421,6 +423,7 @@ def _prepare_hmc(model, event, cond, config, seed, details):
     work = {
         "tune_steps": tuning.n_steps if tuning is not None else 0,
         "tune_trajectory_steps": tuning.n_trajectory_steps if tuning is not None else 0,
+        "tune_capped": tuning.n_capped if tuning is not None else 0,
         "chain_grad_evals": 2 * params.T * config.n_mcmc,
     }
     return std_target, y_pts.mean(axis=0), params, work
@@ -459,6 +462,7 @@ def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
         n_nonfinite=diag.n_nonfinite,
         mean_reflections=float(diag.reflections_per_proposal.mean()),
     )
+    work["chain_reflections"] = int(diag.reflections_per_proposal.sum())
     rows = [(i + 1, float(diag.hamiltonian_errors[i]), int(diag.accepted[i])) for i in range(n)]
     return sample, ("delta_H", rows)
 

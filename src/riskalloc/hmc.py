@@ -41,9 +41,10 @@ class HmcParams:
     T: int
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("stepsize must be positive")
-        if not (isinstance(self.T, (int, np.integer)) and self.T >= 1):
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise ValueError("stepsize must be positive and finite")
+        T = self.T
+        if not (isinstance(T, (int, np.integer)) and not isinstance(T, bool) and T >= 1):
             raise ValueError("integration time must be a positive integer")
         object.__setattr__(self, "T", int(self.T))
 
@@ -52,7 +53,10 @@ class HmcParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> HmcParams:
-        return cls(float(d["eps"]), int(d["T"]))
+        # an integral float (3.0) is read as an int; any other non-int fails
+        T = d["T"]
+        T = int(T) if isinstance(T, float) and T.is_integer() else T
+        return cls(float(d["eps"]), T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +78,11 @@ def leapfrog_reflect(x, p, eps: float, grad_u, walls: HalfSpaces):
     reflections performed, one count per row for a batch.
     """
     x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    p = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
+    half = 0.5 * eps
+    p = np.asarray(p, dtype=float) - half * grad_u(x)
     n_reflections = np.zeros(x.shape[:-1], dtype=np.int64)
     x, p = _reflective_drift(x, p, eps, walls, n_reflections)
-    p = p - 0.5 * eps * np.asarray(grad_u(x), dtype=float)
+    p = p - half * grad_u(x)
     return x, p, n_reflections[()]
 
 

@@ -3,6 +3,15 @@
 Each marginal exposes pdf/logpdf/dlogpdf/cdf/quantile in closed form.
 dlogpdf is d/dx log f(x), needed for gradient-based sampling; quantile
 is the generalized inverse inf{x : F(x) >= u}.
+
+A custom marginal subclasses Marginal, sets ``support`` and implements
+logpdf, cdf, quantile and the unchecked derivative _dlogpdf, each
+elementwise on arrays.  It may also override _terms(x), which returns
+(logpdf, cdf, _dlogpdf) at points in the support in one pass: the joint
+model's density and gradient call it once per group of coordinates, and
+the built-in marginals override it to share their intermediates.  The
+override must give the same values as the three methods, bit for bit.
+The gradient takes the density as exp(logpdf), which is what pdf returns.
 """
 
 import math
@@ -18,19 +27,28 @@ class Marginal:
     the derivative is the unchecked _dlogpdf, which dlogpdf calls after
     checking the support (JointLossModel has checked it already).
 
-    The evaluations act elementwise on arrays: JointLossModel calls each
+    The evaluations act elementwise on arrays: JointLossModel calls _terms
     once on the sub-vector of all coordinates that share one distribution
     (same class, equal attributes).
     """
 
     support = "real-line"  # or "nonnegative-half-line"
+    _support_min = -np.inf
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._support_min = 0.0 if cls.support == "nonnegative-half-line" else -np.inf
 
     @property
     def support_min(self):
-        return 0.0 if self.support == "nonnegative-half-line" else -np.inf
+        return self._support_min
 
     def in_support(self, x):
-        return np.asarray(x) >= self.support_min
+        return np.asarray(x) >= self._support_min
+
+    def _terms(self, x):
+        """(logpdf, cdf, _dlogpdf) at a float array x in the support."""
+        return self.logpdf(x), self.cdf(x), self._dlogpdf(x)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -96,6 +114,17 @@ class GPD(Marginal):
             out = -np.expm1((-1.0 / self.xi) * np.log1p(self.xi * xc / self.beta))
         return out
 
+    def _terms(self, x):
+        if self.xi == 0.0:
+            return super()._terms(x)
+        xix = self.xi * x
+        log1p = np.log1p(xix / self.beta)
+        return (
+            (-1.0 / self.xi - 1.0) * log1p - math.log(self.beta),
+            -np.expm1((-1.0 / self.xi) * log1p),
+            -(self.xi + 1.0) / (self.beta + xix),
+        )
+
     def quantile(self, u):
         u = self._check_quantile_arg(u)
         if self.xi == 0.0:
@@ -134,6 +163,15 @@ class Pareto(Marginal):
         xc = np.maximum(x, 0.0)
         return -np.expm1(self.theta * (np.log(self.lam) - np.log(self.lam + xc)))
 
+    def _terms(self, x):
+        lx = self.lam + x
+        log_lx = np.log(lx)
+        return (
+            math.log(self.theta) + self.theta * math.log(self.lam) - (self.theta + 1.0) * log_lx,
+            -np.expm1(self.theta * (np.log(self.lam) - log_lx)),
+            -(self.theta + 1.0) / lx,
+        )
+
     def quantile(self, u):
         u = self._check_quantile_arg(u)
         return self.lam * np.expm1((-1.0 / self.theta) * np.log1p(-u))
@@ -171,6 +209,15 @@ class StudentT(Marginal):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.stdtr(self.nu, z)
 
+    def _terms(self, x):
+        z = (x - self.mu) / self.sigma
+        zz = z * z
+        return (
+            self._lognorm - 0.5 * (self.nu + 1.0) * np.log1p(zz / self.nu),
+            special.stdtr(self.nu, z),
+            -(self.nu + 1.0) * z / (self.nu + zz) / self.sigma,
+        )
+
     def quantile(self, u):
         u = self._check_quantile_arg(u)
         return self.mu + self.sigma * special.stdtrit(self.nu, u)
@@ -198,6 +245,14 @@ class Normal(Marginal):
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.ndtr(z)
+
+    def _terms(self, x):
+        z = (x - self.mu) / self.sigma
+        return (
+            -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI,
+            special.ndtr(z),
+            -z / self.sigma,
+        )
 
     def quantile(self, u):
         u = self._check_quantile_arg(u)

@@ -131,9 +131,9 @@ class JointLossModel:
 
     # -- density -------------------------------------------------------------
     # Each takes a point of shape (d,) or a batch of shape (K, d); a batch
-    # gives one value (or gradient row) per row.  Coordinates are selected
-    # on the first axis of the transpose: x.T[idx] costs a fifth of
-    # x[..., idx] on a point.
+    # gives one value (or gradient row) per row.  A model of one group
+    # evaluates on x itself; otherwise coordinates are selected on the first
+    # axis of the transpose: x.T[idx] costs a fifth of x[..., idx] on a point.
 
     def _points(self, x):
         x = np.asarray(x, dtype=float)
@@ -144,11 +144,23 @@ class JointLossModel:
     def in_support(self, x):
         """Whether the point, or each row of the batch, lies in the support."""
         x = np.asarray(x, dtype=float)
+        if len(self._groups) == 1:
+            return self._groups[0][0].in_support(x).all(axis=-1)
         ok = None
         for m, idx in self._groups:
             inside = m.in_support(x.T[idx]).all(axis=0)
             ok = inside if ok is None else ok & inside
         return ok
+
+    def _terms(self, x):
+        """(logpdf, cdf, dlogpdf) of every coordinate of x, which lies in the
+        support: one Marginal._terms call per group."""
+        if len(self._groups) == 1:
+            return self._groups[0][0]._terms(x)
+        lp, u, dm = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+        for m, idx in self._groups:
+            lp.T[idx], u.T[idx], dm.T[idx] = m._terms(x.T[idx])
+        return lp, u, dm
 
     def logpdf(self, x):
         """Joint log-density: a float for a point, an array for a batch;
@@ -162,12 +174,7 @@ class JointLossModel:
         return out
 
     def _logpdf_on_support(self, x):
-        lp = np.empty(x.shape)
-        u = np.empty(x.shape)
-        for m, idx in self._groups:
-            xg = x.T[idx]
-            lp.T[idx] = m.logpdf(xg)
-            u.T[idx] = m.cdf(xg)
+        lp, u, _ = self._terms(x)
         # added left to right, coordinate by coordinate: from d = 8 on,
         # np.sum adds in another order and changes the last bits
         total = 0.0
@@ -180,18 +187,14 @@ class JointLossModel:
     def grad_logpdf(self, x):
         """Chain rule: grad_j = (d_j log c)(F(x)) f_j(x_j) + dlogpdf_j(x_j)."""
         x = self._points(x)
-        if not self.in_support(x).all():
+        ok = self.in_support(x)
+        # a point's answer is a numpy bool, whose .all() costs a reduction
+        if not (ok if x.ndim == 1 else ok.all()):
             raise ValueError("gradient requested outside the support")
-        u = np.empty(x.shape)
-        fx = np.empty(x.shape)
-        dm = np.empty(x.shape)
-        for m, idx in self._groups:
-            xg = x.T[idx]
-            u.T[idx] = m.cdf(xg)
-            fx.T[idx] = m.pdf(xg)
-            dm.T[idx] = m._dlogpdf(xg)
+        lp, u, dm = self._terms(x)
+        # f_j = exp(logpdf_j), which is what Marginal.pdf computes
         gc = self.copula._grad_logdensity(clip01(u))
-        return gc * fx + dm
+        return gc * np.exp(lp) + dm
 
     def elliptical(self):
         """The model as mu + sigma Z (an Elliptical) when it is elliptical:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,6 +341,18 @@ def test_gibbs_params_validation():
         GibbsParams(np.array([0.7, -0.1, 0.4]), 4)
     with pytest.raises(ValueError):
         GibbsParams(np.full(3, 1.0 / 3.0), 0)
+    for thin_T in (True, np.bool_(True), 2.0):
+        with pytest.raises(ValueError, match="thinning interval"):
+            GibbsParams(np.full(3, 1.0 / 3.0), thin_T)
+
+
+def test_gibbs_params_from_json_reject_non_integral_values():
+    p = [0.2, 0.3, 0.5]
+    assert GibbsParams.from_json_dict({"p": p, "thin_T": 4}).thin_T == 4
+    assert GibbsParams.from_json_dict({"p": p, "thin_T": 4.0}).thin_T == 4
+    for thin_T in (2.7, True, "4", math.inf):
+        with pytest.raises(ValueError, match="thinning interval"):
+            GibbsParams.from_json_dict({"p": p, "thin_T": thin_T})
 
 
 def test_rsgs_emits_feasible_states_and_is_deterministic():

@@ -267,12 +267,17 @@ def test_manifest_records_hmc_work_counters(tmp_path):
     rep = run(RunConfig("M1", ES90, "hmc", n_mc=2000, n_mcmc=100, seed=1, output_dir=tmp_path))
     manifest = json.loads(_read(tmp_path / "manifest.json"))
     work = manifest["work"]
-    assert set(work) == {"tune_steps", "tune_trajectory_steps", "chain_grad_evals"}
+    assert set(work) == {
+        "tune_steps", "tune_trajectory_steps", "tune_capped", "chain_grad_evals", "chain_reflections",
+    }
     assert work["chain_grad_evals"] == 2 * rep.engine_details["T"] * 100
     assert 0 < work["tune_steps"] <= work["tune_trajectory_steps"]
+    assert work["tune_capped"] == rep.engine_details["tuning"]["n_capped"]
+    assert work["chain_reflections"] == round(rep.engine_details["mean_reflections"] * 100)
     assert work == rep.work
     # the report stays free of work counters
-    assert "tune_steps" not in _read(tmp_path / "report.json").decode()
+    report = _read(tmp_path / "report.json").decode()
+    assert "tune_steps" not in report and "chain_reflections" not in report
 
 
 @pytest.mark.parametrize("engine", ["mc", "gibbs", "hmc"])
@@ -281,7 +286,10 @@ def test_manifest_work_without_tuning(engine, tmp_path):
     run(RunConfig("M1", ES90, engine, n_mc=2000, n_mcmc=100, seed=1, output_dir=tmp_path, **extra))
     work = json.loads(_read(tmp_path / "manifest.json"))["work"]
     if engine == "hmc":
-        assert work == {"tune_steps": 0, "tune_trajectory_steps": 0, "chain_grad_evals": 1000}
+        assert work == {
+            "tune_steps": 0, "tune_trajectory_steps": 0, "tune_capped": 0,
+            "chain_grad_evals": 1000, "chain_reflections": 19,
+        }
     elif engine == "gibbs":
         # the prerun's n_pre updates; thin_T is 25, the cap n_pre / 4
         assert work == {"prerun_updates": 100, "chain_updates": 100 * 25, "degenerate_redraws": 0}

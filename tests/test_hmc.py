@@ -270,6 +270,23 @@ def test_params_validation():
         HmcParams(0.0, 5)
     with pytest.raises(ValueError):
         HmcParams(0.1, 0)
+    for eps in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="stepsize"):
+            HmcParams(eps, 3)
+    for T in (True, False, np.bool_(True), 3.0):
+        with pytest.raises(ValueError, match="integration time"):
+            HmcParams(0.1, T)
+    assert HmcParams(0.1, np.int64(3)).T == 3
+
+
+def test_params_from_json_reject_non_integral_values():
+    assert HmcParams.from_json_dict({"eps": 0.1, "T": 3}) == HmcParams(0.1, 3)
+    assert HmcParams.from_json_dict({"eps": 0.1, "T": 3.0}) == HmcParams(0.1, 3)
+    for T in (2.7, True, "3", math.inf, math.nan):
+        with pytest.raises(ValueError, match="integration time"):
+            HmcParams.from_json_dict({"eps": 0.1, "T": T})
+    with pytest.raises(ValueError, match="stepsize"):
+        HmcParams.from_json_dict({"eps": "inf", "T": 3})
 
 
 def test_standardizer_whitens_and_roundtrips():

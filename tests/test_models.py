@@ -26,6 +26,7 @@ from riskalloc.models import (
     preset,
     student_t_model,
 )
+from test_gibbs import Uniform01
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +315,76 @@ def test_grouped_evaluation_equals_per_coordinate_loop(name, data):
     assert got.shape == want.shape
     # exact equality, with NaN only where the reference has NaN
     np.testing.assert_array_equal(got, want)
+
+
+# -- the fused marginal pass: Marginal._terms ------------------------------------
+
+TERMS_MARGINALS = {
+    "gpd": lambda: GPD(0.3, 1.7),
+    "gpd-xi0": lambda: GPD(0.0, 2.0),
+    "pareto": lambda: Pareto(14036.0, 1.122),
+    "studentt": lambda: StudentT(5.0, 0.5, 2.0),
+    "normal": lambda: Normal(1.0, 3.0),
+    "uniform": lambda: Uniform(2.0),
+    "uniform01": lambda: Uniform01(),
+}
+# magnitudes in the support: 0, 1e-300, subnormals, the body and 1e12; a
+# real-line marginal also gets their negatives
+MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.just(1e-300),
+    st.floats(5e-324, 2.2e-308),
+    st.floats(0.0, 50.0),
+    st.just(1e12),
+)
+
+
+@pytest.mark.parametrize("name", sorted(TERMS_MARGINALS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_terms_equal_the_three_methods(name, data):
+    m = TERMS_MARGINALS[name]()
+    k, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+
+    def draw(elements):
+        return np.array(data.draw(st.lists(elements, min_size=k * d, max_size=k * d))).reshape(k, d)
+
+    x = draw(MAGNITUDES)
+    if m.support == "real-line":
+        x *= draw(st.sampled_from([-1.0, 1.0]))
+    # a point, a (K, d) batch and the transposed (strided) view of the batch
+    for xs in (x[0, 0].reshape(()), x, x.T):
+        got = m._terms(xs)
+        want = (m.logpdf(xs), m.cdf(xs), m._dlogpdf(xs))
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize(
+    "name, n_groups", [("M1", 1), ("M2", 1), ("M3", 2), ("mixed", 3), ("custom", 3)]
+)
+def test_one_terms_call_per_group(name, n_groups, monkeypatch):
+    model = _exact_model(name)
+    calls = []
+    for cls in {type(m) for m in model.marginals}:
+        terms = cls._terms
+
+        def counted(self, x, terms=terms):
+            calls.append(x)
+            return terms(self, x)
+
+        monkeypatch.setattr(cls, "_terms", counted)
+    x = np.full(model.d, 0.5)
+    batch = np.full((4, model.d), 0.5)
+    for method in ("logpdf", "grad_logpdf"):
+        for arg in (x, batch):
+            calls.clear()
+            getattr(model, method)(arg)
+            assert len(calls) == n_groups
+            # a model of one group evaluates on the argument itself
+            if n_groups == 1 and method == "grad_logpdf":
+                assert calls[0] is arg
 
 
 def test_coordinates_grouped_by_distribution():
