@@ -215,13 +215,7 @@ class SurvivalClayton(Copula):
         return self.base._logdensity(1.0 - u)
 
     def _grad_logdensity(self, u):
-        # Clayton's gradient at v = 1 - u with both terms negated: IEEE
-        # negation is exact, so this is -base._grad_logdensity(v) bit for bit
-        th, d = self.theta, self.dim
-        v = 1.0 - u
-        t = v ** (-th - 1.0)
-        w = (t * v).sum(axis=-1, keepdims=True) - d + 1.0
-        return (th + 1.0) / v - (1.0 + d * th) * t / w
+        return -self.base._grad_logdensity(1.0 - u)
 
     def conditional(self, j, u_rest):
         cdf, ppf = self.base.conditional(j, 1.0 - self._check_j(j, u_rest))

@@ -6,12 +6,13 @@ is the generalized inverse inf{x : F(x) >= u}.
 
 A custom marginal subclasses Marginal, sets ``support`` and implements
 logpdf, cdf, quantile and the unchecked derivative _dlogpdf, each
-elementwise on arrays.  It may also override _terms(x), which returns
-(logpdf, cdf, _dlogpdf) at points in the support in one pass: the joint
-model's density and gradient call it once per group of coordinates, and
-the built-in marginals override it to share their intermediates.  The
-override must give the same values as the three methods, bit for bit.
-The gradient takes the density as exp(logpdf), which is what pdf returns.
+elementwise on arrays.  It may also override _terms(x, grad), which
+returns (logpdf, cdf, _dlogpdf) at points in the support in one pass, with
+None for the derivative unless grad: the joint model's density and
+gradient call it once per group of coordinates.  GPD overrides it to
+share its log1p; an override must give the same values as the three
+methods, bit for bit.  The gradient takes the density as exp(logpdf),
+which is what pdf returns.
 """
 
 import math
@@ -33,22 +34,18 @@ class Marginal:
     """
 
     support = "real-line"  # or "nonnegative-half-line"
-    _support_min = -np.inf
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._support_min = 0.0 if cls.support == "nonnegative-half-line" else -np.inf
 
     @property
     def support_min(self):
-        return self._support_min
+        return 0.0 if self.support == "nonnegative-half-line" else -np.inf
 
     def in_support(self, x):
-        return np.asarray(x) >= self._support_min
+        return np.asarray(x) >= self.support_min
 
-    def _terms(self, x):
-        """(logpdf, cdf, _dlogpdf) at a float array x in the support."""
-        return self.logpdf(x), self.cdf(x), self._dlogpdf(x)
+    def _terms(self, x, grad):
+        """(logpdf, cdf, _dlogpdf) at a float array x in the support; the
+        derivative is None unless grad."""
+        return self.logpdf(x), self.cdf(x), self._dlogpdf(x) if grad else None
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -114,15 +111,15 @@ class GPD(Marginal):
             out = -np.expm1((-1.0 / self.xi) * np.log1p(self.xi * xc / self.beta))
         return out
 
-    def _terms(self, x):
+    def _terms(self, x, grad):
         if self.xi == 0.0:
-            return super()._terms(x)
+            return super()._terms(x, grad)
         xix = self.xi * x
         log1p = np.log1p(xix / self.beta)
         return (
             (-1.0 / self.xi - 1.0) * log1p - math.log(self.beta),
             -np.expm1((-1.0 / self.xi) * log1p),
-            -(self.xi + 1.0) / (self.beta + xix),
+            -(self.xi + 1.0) / (self.beta + xix) if grad else None,
         )
 
     def quantile(self, u):
@@ -163,15 +160,6 @@ class Pareto(Marginal):
         xc = np.maximum(x, 0.0)
         return -np.expm1(self.theta * (np.log(self.lam) - np.log(self.lam + xc)))
 
-    def _terms(self, x):
-        lx = self.lam + x
-        log_lx = np.log(lx)
-        return (
-            math.log(self.theta) + self.theta * math.log(self.lam) - (self.theta + 1.0) * log_lx,
-            -np.expm1(self.theta * (np.log(self.lam) - log_lx)),
-            -(self.theta + 1.0) / lx,
-        )
-
     def quantile(self, u):
         u = self._check_quantile_arg(u)
         return self.lam * np.expm1((-1.0 / self.theta) * np.log1p(-u))
@@ -209,15 +197,6 @@ class StudentT(Marginal):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.stdtr(self.nu, z)
 
-    def _terms(self, x):
-        z = (x - self.mu) / self.sigma
-        zz = z * z
-        return (
-            self._lognorm - 0.5 * (self.nu + 1.0) * np.log1p(zz / self.nu),
-            special.stdtr(self.nu, z),
-            -(self.nu + 1.0) * z / (self.nu + zz) / self.sigma,
-        )
-
     def quantile(self, u):
         u = self._check_quantile_arg(u)
         return self.mu + self.sigma * special.stdtrit(self.nu, u)
@@ -245,14 +224,6 @@ class Normal(Marginal):
     def cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.ndtr(z)
-
-    def _terms(self, x):
-        z = (x - self.mu) / self.sigma
-        return (
-            -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI,
-            special.ndtr(z),
-            -z / self.sigma,
-        )
 
     def quantile(self, u):
         u = self._check_quantile_arg(u)

@@ -152,14 +152,18 @@ class JointLossModel:
             ok = inside if ok is None else ok & inside
         return ok
 
-    def _terms(self, x):
+    def _terms(self, x, grad):
         """(logpdf, cdf, dlogpdf) of every coordinate of x, which lies in the
-        support: one Marginal._terms call per group."""
+        support, with None for dlogpdf unless grad: one Marginal._terms call
+        per group."""
         if len(self._groups) == 1:
-            return self._groups[0][0]._terms(x)
-        lp, u, dm = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape)
+            return self._groups[0][0]._terms(x, grad)
+        lp, u = np.empty(x.shape), np.empty(x.shape)
+        dm = np.empty(x.shape) if grad else None
         for m, idx in self._groups:
-            lp.T[idx], u.T[idx], dm.T[idx] = m._terms(x.T[idx])
+            lp.T[idx], u.T[idx], dm_g = m._terms(x.T[idx], grad)
+            if grad:
+                dm.T[idx] = dm_g
         return lp, u, dm
 
     def logpdf(self, x):
@@ -174,7 +178,7 @@ class JointLossModel:
         return out
 
     def _logpdf_on_support(self, x):
-        lp, u, _ = self._terms(x)
+        lp, u, _ = self._terms(x, grad=False)
         # added left to right, coordinate by coordinate: from d = 8 on,
         # np.sum adds in another order and changes the last bits
         total = 0.0
@@ -191,7 +195,7 @@ class JointLossModel:
         # a point's answer is a numpy bool, whose .all() costs a reduction
         if not (ok if x.ndim == 1 else ok.all()):
             raise ValueError("gradient requested outside the support")
-        lp, u, dm = self._terms(x)
+        lp, u, dm = self._terms(x, grad=True)
         # f_j = exp(logpdf_j), which is what Marginal.pdf computes
         gc = self.copula._grad_logdensity(clip01(u))
         return gc * np.exp(lp) + dm

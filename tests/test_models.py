@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,14 +329,15 @@ TERMS_MARGINALS = {
     "uniform": lambda: Uniform(2.0),
     "uniform01": lambda: Uniform01(),
 }
-# magnitudes in the support: 0, 1e-300, subnormals, the body and 1e12; a
-# real-line marginal also gets their negatives
+# magnitudes in the support: 0, 1e-300, subnormals, the body, 1e12 and inf;
+# a real-line marginal also gets their negatives
 MAGNITUDES = st.one_of(
     st.just(0.0),
     st.just(1e-300),
     st.floats(5e-324, 2.2e-308),
     st.floats(0.0, 50.0),
     st.just(1e12),
+    st.just(math.inf),
 )
 
 
@@ -354,11 +356,22 @@ def test_terms_equal_the_three_methods(name, data):
         x *= draw(st.sampled_from([-1.0, 1.0]))
     # a point, a (K, d) batch and the transposed (strided) view of the batch
     for xs in (x[0, 0].reshape(()), x, x.T):
-        got = m._terms(xs)
-        want = (m.logpdf(xs), m.cdf(xs), m._dlogpdf(xs))
+        # the density pass computes no derivative, so it warns nowhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m._terms(xs, grad=False)
+            want = (m.logpdf(xs), m.cdf(xs))
+        assert got[2] is None
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.array_equal(g, w)
+        # the t derivative at +-inf is inf/inf = nan in both
+        with np.errstate(invalid="ignore"):
+            got = m._terms(xs, grad=True)
+            want = (m.logpdf(xs), m.cdf(xs), m._dlogpdf(xs))
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -370,9 +383,9 @@ def test_one_terms_call_per_group(name, n_groups, monkeypatch):
     for cls in {type(m) for m in model.marginals}:
         terms = cls._terms
 
-        def counted(self, x, terms=terms):
+        def counted(self, x, grad, terms=terms):
             calls.append(x)
-            return terms(self, x)
+            return terms(self, x, grad)
 
         monkeypatch.setattr(cls, "_terms", counted)
     x = np.full(model.d, 0.5)
@@ -385,6 +398,20 @@ def test_one_terms_call_per_group(name, n_groups, monkeypatch):
             # a model of one group evaluates on the argument itself
             if n_groups == 1 and method == "grad_logpdf":
                 assert calls[0] is arg
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_MODELS))
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_logpdf_at_an_infinite_coordinate_raises_no_warning(name, value):
+    model = _exact_model(name)
+    x = np.full((2, model.d), 0.5)
+    x[0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.logpdf(x)
+        point = model.logpdf(x[0])
+    assert got[0] == point == -np.inf
+    assert np.isfinite(got[1])
 
 
 def test_coordinates_grouped_by_distribution():
