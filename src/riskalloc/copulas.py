@@ -90,7 +90,7 @@ class Copula:
         return self._logdensity(_check_interior(u))
 
     def density(self, u):
-        return math.exp(self.logdensity(u))
+        return np.exp(self.logdensity(u))
 
     def grad_logdensity(self, u):
         """The gradient of log c at u in the open unit cube."""

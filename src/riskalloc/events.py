@@ -12,10 +12,9 @@ hyperplane {1.x = v*}, which the samplers handle through a
 Every set of linear constraints h.x >= v, the event's and the samplers',
 is one HalfSpaces: the normals as the rows of an (m, d) matrix and the
 offsets as an m-vector.  The module also provides the geometry the
-reflective sampler needs on them: boundary hit times, mirror reflections,
-and the affine mapping of constraints into standardized coordinates.  The
-targets and the geometry take a point of shape (d,) or a batch of shape
-(K, d).
+reflective sampler needs on them: boundary hit times and mirror
+reflections.  The targets and the geometry take a point of shape (d,) or a
+batch of shape (K, d).
 """
 
 from __future__ import annotations
@@ -167,11 +166,17 @@ class ConcreteCrisisEvent:
         return HalfSpaces(np.reshape(normals, (-1, self.d)), offsets)
 
     def contains_rows(self, rows) -> np.ndarray:
+        """Which rows lie in the event: their sums, added as estimate_event
+        adds them, are compared with the band, so the row whose sum is a
+        threshold lies on the threshold."""
         rows = np.asarray(rows, dtype=float)
-        walls = self.constraints
-        mask = (rows @ walls.normals.T >= walls.offsets).all(axis=1)
+        s = _row_sums(rows)
         if self.sum_equality is not None:
-            mask &= np.abs(rows.sum(axis=1) - self.sum_equality) <= self.tolerance
+            mask = np.abs(s - self.sum_equality) <= self.tolerance
+        else:
+            mask = (s >= self.v1) & (s <= self.v2)
+        if self.nonnegative:
+            mask &= (rows >= 0.0).all(axis=1)
         return mask
 
     def to_json_dict(self) -> dict:
@@ -186,6 +191,15 @@ class ConcreteCrisisEvent:
         }
 
 
+def _row_sums(x) -> np.ndarray:
+    """1.x for every row of an (n, d) matrix, the columns added left to
+    right.  For d < 8 these are the bits of x.sum(axis=1)."""
+    s = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        s += x[:, j]
+    return s
+
+
 def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> ConcreteCrisisEvent:
     """Build a concrete event from empirical quantiles of presample row sums."""
     if support_class not in SUPPORT_CLASSES:
@@ -196,7 +210,7 @@ def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> Conc
     n, d = x.shape
     if n < 100:
         raise ValueError(f"presample too small to estimate thresholds: n={n} < 100")
-    s = x.sum(axis=1)
+    s = _row_sums(x)
 
     if spec.kind == "es":
         v1 = empirical_quantile(s, spec.levels[0])
@@ -319,12 +333,3 @@ def reflect(x_star, p, h, v):
     p_r = p - 2.0 * (np.vecdot(h, p)[..., None] / hh) * h
     return x_r, p_r
 
-
-def standardize_constraints(walls: HalfSpaces, chol, mu) -> HalfSpaces:
-    """Map constraints through x = mu + L.y: (h, v) becomes (L^T h, v - h.mu)."""
-    chol = np.asarray(chol, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    sign, _ = np.linalg.slogdet(chol)
-    if sign == 0.0:
-        raise ValueError("standardization matrix is singular")
-    return HalfSpaces(np.matvec(chol.T, walls.normals), walls.offsets - walls.dots(mu))

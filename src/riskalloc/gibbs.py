@@ -24,6 +24,10 @@ from .measures import acf
 
 DEGENERATE_MASS = 1e-14
 MAX_DEGENERATE_REDRAWS = 100
+# the thinning prerun: its length in updates, and the autocorrelation every
+# coordinate must fall to at the thinning interval
+N_PRERUN = 100
+RHO_TARGET = 0.15
 
 
 class DegenerateSliceError(RuntimeError):
@@ -34,8 +38,6 @@ class DegenerateSliceError(RuntimeError):
 class GibbsParams:
     p: np.ndarray
     thin_T: int
-    n_pre: int = 100
-    rho_target: float = 0.15
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -101,7 +103,7 @@ class ThinResult(NamedTuple):
     capped: bool
 
 
-def thin_interval(prerun_path, rho_target: float = 0.15) -> ThinResult:
+def thin_interval(prerun_path, rho_target: float = RHO_TARGET) -> ThinResult:
     """Smallest lag at which every marginal autocorrelation is <= rho_target.
 
     Capped at n_pre/4; the cap being hit is flagged rather than fatal.

@@ -30,8 +30,8 @@ from .events import (
     ReducedVarTarget,
     estimate_event,
 )
-from .gibbs import GibbsParams, rsgs_sample, select_probs, thin_interval
-from .hmc import HmcParams, hmc_sample, standardize, tune
+from .gibbs import N_PRERUN, GibbsParams, rsgs_sample, select_probs, thin_interval
+from .hmc import HmcParams, StandardizedTarget, hmc_sample, tune
 from .mc import ConditionalCountError, mc_presample
 from .measures import MarginalRiskMeasure, batch_means_se
 from .models import JointLossModel, load_model
@@ -402,8 +402,8 @@ def _prepare_hmc(model, event, cond, config, seed, details):
     else:
         target = EventTarget(model, event)
         pts = cond
-    std_target, std = standardize(target, pts)
-    y_pts = std.to_y(pts)
+    std_target = StandardizedTarget(target, pts)
+    y_pts = std_target.to_y(pts)
     if config.overrides is not None:
         params, tuning = config.overrides, None
     else:
@@ -411,7 +411,7 @@ def _prepare_hmc(model, event, cond, config, seed, details):
         params = tuning.params
     details.update(
         eps=params.eps, T=params.T, tuned=tuning is not None,
-        standardization_jittered=std.jittered,
+        standardization_jittered=std_target.jittered,
     )
     if tuning is not None:
         details["tuning"] = {
@@ -437,12 +437,11 @@ def _prepare_gibbs(model, event, cond, config, seed, details):
         details["tuned"] = False
     else:
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
-        pre = GibbsParams(p, 1)
-        pre_path, pre_diag = rsgs_sample(model, event, pre, x0, pre.n_pre, seed)
-        thin = thin_interval(pre_path, pre.rho_target)
+        pre_path, pre_diag = rsgs_sample(model, event, GibbsParams(p, 1), x0, N_PRERUN, seed)
+        thin = thin_interval(pre_path)
         params = GibbsParams(p, thin.interval)
         x0 = pre_path[-1]
-        details.update(tuned=True, thin_capped=thin.capped, n_pre=pre.n_pre)
+        details.update(tuned=True, thin_capped=thin.capped, n_pre=N_PRERUN)
         work.update(
             prerun_updates=int(pre_diag.coordinates_updated.size),
             degenerate_redraws=pre_diag.n_degenerate_redraws,
@@ -455,7 +454,7 @@ def _prepare_gibbs(model, event, cond, config, seed, details):
 def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
     n = prep.config.n_mcmc
     path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
-    path_x = prep.target.standardizer.to_x(path_y)
+    path_x = prep.target.to_x(path_y)
     sample = prep.target.base.lift(path_x) if prep.event.spec.kind == "var" else path_x
     details.update(
         acr=diag.acr,

@@ -11,8 +11,9 @@ usual Metropolis correction applies unchanged.
 A target has dim, logpdf, grad_logpdf and constraints, a HalfSpaces that
 has no rows when the target is unconstrained.
 
-Also provides Cholesky standardization of the target coordinates and the
-presample-driven heuristic that picks the stepsize and integration time.
+Also provides StandardizedTarget(base, rows), a target in the coordinates
+whitened by the mean and Cholesky factor of conditional presample rows, and
+the presample-driven heuristic that picks the stepsize and integration time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .events import HalfSpaces, hit_time, reflect, standardize_constraints
+from .events import HalfSpaces, hit_time, reflect
 
 MAX_REFLECTIONS = 10_000
 EPS_FLOOR = 1e-12
@@ -199,13 +200,48 @@ def hmc_sample(target, params: HmcParams, x0, n: int, seed):
 # -- standardization -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Standardizer:
-    """Affine reparametrization x = mu + L y from presample moments."""
+class StandardizedTarget:
+    """A target in the coordinates y whitened by presample rows: x = mu + L y,
+    with mu their mean and L the Cholesky factor of their covariance.  The
+    constraints are mapped accordingly, (h, v) to (L^T h, v - h.mu).
 
-    mu: np.ndarray
-    chol: np.ndarray
-    jittered: bool = False
+    A covariance that is not positive definite gets a diagonal jitter of
+    1e-8 * trace/d, flagged as jittered; if that still fails the covariance
+    is rank-deficient.  The affine Jacobian is constant, so it cancels in
+    acceptance ratios and is omitted from the log-density.
+    """
+
+    def __init__(self, base, rows):
+        pts = np.asarray(rows, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] < 2:
+            raise ValueError("standardization needs a k x d matrix with k >= 2")
+        d = pts.shape[1]
+        if d != base.dim:
+            raise ValueError(f"presample dimension {d} != target dimension {base.dim}")
+        mu = pts.mean(axis=0)
+        cov = np.atleast_2d(np.cov(pts, rowvar=False))
+        jittered = False
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            jittered = True
+            cov = cov + (1e-8 * np.trace(cov) / d) * np.eye(d)
+            try:
+                chol = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    "conditional presample covariance is rank-deficient even "
+                    "after jitter; cannot standardize"
+                ) from None
+        walls = base.constraints
+        self.base = base
+        self.dim = d
+        self.mu = mu
+        self.chol = chol
+        self.jittered = jittered
+        self.constraints = HalfSpaces(
+            np.matvec(chol.T, walls.normals), walls.offsets - walls.dots(mu)
+        )
 
     # both maps take a point (d,) or a batch of rows (K, d)
     def to_x(self, y) -> np.ndarray:
@@ -215,60 +251,12 @@ class Standardizer:
         diff = np.asarray(x, dtype=float) - self.mu
         return solve_triangular(self.chol, diff.T, lower=True).T
 
-
-class StandardizedTarget:
-    """A target composed with x = mu + L y; constraints mapped accordingly.
-
-    The affine Jacobian is constant, so it cancels in acceptance ratios and
-    is omitted from the log-density.
-    """
-
-    def __init__(self, base, standardizer: Standardizer):
-        self.base = base
-        self.standardizer = standardizer
-        self.dim = base.dim
-        self.constraints = standardize_constraints(
-            base.constraints, standardizer.chol, standardizer.mu
-        )
-
     def logpdf(self, y):
-        return self.base.logpdf(self.standardizer.to_x(y))
+        return self.base.logpdf(self.to_x(y))
 
     def grad_logpdf(self, y) -> np.ndarray:
-        x = self.standardizer.to_x(y)
-        return np.matvec(self.standardizer.chol.T, self.base.grad_logpdf(x))
-
-
-def standardize(target, presample_conditional):
-    """Build the whitening map from conditional presample moments.
-
-    Returns (transformed target, Standardizer).  A non-positive-definite
-    covariance gets a diagonal jitter of 1e-8 * trace/d, flagged on the
-    Standardizer; if that still fails the covariance is rank-deficient.
-    """
-    pts = np.asarray(presample_conditional, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("standardization needs a k x d matrix with k >= 2")
-    d = pts.shape[1]
-    if d != target.dim:
-        raise ValueError(f"presample dimension {d} != target dimension {target.dim}")
-    mu = pts.mean(axis=0)
-    cov = np.atleast_2d(np.cov(pts, rowvar=False))
-    jittered = False
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jittered = True
-        cov = cov + (1e-8 * np.trace(cov) / d) * np.eye(d)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "conditional presample covariance is rank-deficient even "
-                "after jitter; cannot standardize"
-            ) from None
-    std = Standardizer(mu=mu, chol=chol, jittered=jittered)
-    return StandardizedTarget(target, std), std
+        x = self.to_x(y)
+        return np.matvec(self.chol.T, self.base.grad_logpdf(x))
 
 
 # -- stepsize / integration-time heuristic --------------------------------------
@@ -287,10 +275,6 @@ class TuneResult:
     n_halvings: int
     n_steps: int = field(default=0, compare=False)
     n_trajectory_steps: int = field(default=0, compare=False)
-
-    @property
-    def capped(self) -> bool:
-        return self.n_capped > 0
 
 
 def _scan(target, walls, starts, momenta, eps, t_max, alpha_bar):
@@ -351,11 +335,10 @@ def _scan(target, walls, starts, momenta, eps, t_max, alpha_bar):
     return stops, failure, n_steps, n_trajectory_steps
 
 
-def tune(target, presample_conditional, c_eps: float = 1.0,
-         t_max: int = 1000, seed=0) -> TuneResult:
+def tune(target, presample_conditional, t_max: int = 1000, seed=0) -> TuneResult:
     """Pick (eps, T) from presample trajectories.
 
-    Starting from eps = c_eps * d^(-1/4), the stepsize is halved until the
+    Starting from eps = d^(-1/4), the stepsize is halved until the
     minimum stepwise acceptance ratio along all trajectories exceeds the
     target (1 + (d-1)*0.65)/d.  Each trajectory starts at a presample point
     with fresh standard-normal momentum and stops at its first U-turn
@@ -385,7 +368,7 @@ def tune(target, presample_conditional, c_eps: float = 1.0,
     alpha_bar = (1.0 + (d - 1) * 0.65) / d
 
     rng = np.random.default_rng(seed)
-    eps = c_eps * d ** (-0.25)
+    eps = d ** (-0.25)
     n_halvings = 0
     worst = 0.0
     n_steps = n_trajectory_steps = 0

@@ -48,11 +48,6 @@ class MarginalRiskMeasure:
         if kind == "rvar" and not levels[0] < levels[1]:
             raise ValueError(f"rvar needs increasing levels, got {levels}")
 
-    def label(self) -> str:
-        if self.kind == "mean":
-            return "mean"
-        return f"{self.kind}({', '.join(f'{b:g}' for b in self.levels)})"
-
 
 @dataclass(frozen=True)
 class EstimateWithSE:
@@ -142,9 +137,3 @@ def acf(path, max_lag: int) -> np.ndarray:
         out[h] = float(xc[:-h] @ xc[h:]) / (n * c0)
     return out
 
-
-def acceptance_rate(decisions) -> float:
-    d = np.asarray(decisions, dtype=bool).ravel()
-    if d.size == 0:
-        raise ValueError("empty decision vector")
-    return float(d.mean())

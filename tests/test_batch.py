@@ -20,7 +20,7 @@ from riskalloc.events import (
     estimate_event,
 )
 from riskalloc.copulas import Clayton, GaussianCopula, Independence
-from riskalloc.hmc import leapfrog_reflect, standardize
+from riskalloc.hmc import StandardizedTarget, leapfrog_reflect
 from riskalloc.marginals import GPD, Normal, Pareto
 from riskalloc.models import JointLossModel, equicorrelation, preset
 
@@ -41,11 +41,10 @@ def _targets():
     ev = estimate_event(CrisisEventSpec("es", (0.9,)), pre, m.support_class)
     cond = pre[ev.contains_rows(pre)]
     event_target = EventTarget(m, ev)
-    std_target, _ = standardize(event_target, cond)
     return {
         "event": event_target,
         "reduced-var": ReducedVarTarget(m, 10.0),
-        "standardized": std_target,
+        "standardized": StandardizedTarget(event_target, cond),
     }
 
 

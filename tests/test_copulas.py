@@ -134,6 +134,16 @@ def test_grad_logdensity_matches_finite_differences(cop):
 
 
 @pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)
+def test_density_of_a_batch_equals_its_point_calls(cop):
+    # a point keeps libm's log where a batch takes numpy's, hence rel=1e-12
+    u = rand_u(np.random.default_rng(12), cop.dim, 6)
+    batch = cop.density(u)
+    assert batch.shape == (6,)
+    for row, c in zip(u, batch):
+        assert c == pytest.approx(cop.density(row), rel=1e-12)
+
+
+@pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)
 def test_hfun_roundtrip_on_grid(cop):
     # |h(h_inv(p | u), u) - p| <= 1e-8 on a 10x10 random grid per coordinate
     rng = np.random.default_rng(17)

@@ -1,3 +1,6 @@
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +17,8 @@ from riskalloc.events import (
     estimate_event,
     hit_time,
     reflect,
-    standardize_constraints,
 )
+from riskalloc.hmc import StandardizedTarget
 from riskalloc.models import preset
 
 
@@ -129,10 +132,35 @@ def contains_point(ev, x) -> bool:
 
 def standardize_row_by_row(walls, chol, mu):
     """Each constraint mapped on its own, (L^T h, v - h.mu): the reference
-    standardize_constraints must reproduce."""
+    StandardizedTarget's constraints must reproduce."""
     normals = [chol.T @ h for h in walls.normals]
     offsets = [v - float(h @ mu) for h, v in zip(walls.normals, walls.offsets)]
     return normals, offsets
+
+
+def walled(walls):
+    """A stand-in target that carries only constraints, to be whitened."""
+    return SimpleNamespace(dim=walls.normals.shape[1], constraints=walls)
+
+
+def whitening_rows(whitening, d, rng):
+    """Rows for StandardizedTarget.  The design +-4 e_j padded with zero
+    rows to 33 rows has mean exactly 0 and covariance exactly I (the sums
+    are integers and n - 1 = 32), so "identity" whitens with L = I and
+    mu = 0, and "zero-shift", the design times an integer L^T, with that L
+    and mu = 0."""
+    if whitening == "random":
+        return rng.normal(size=(50, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d) * 5.0
+    design = np.zeros((33, d))
+    for j in range(d):
+        design[2 * j, j], design[2 * j + 1, j] = 4.0, -4.0
+    if whitening == "identity":
+        return design
+    return design @ zero_shift_chol(d).T
+
+
+def zero_shift_chol(d):
+    return np.tril(np.ones((d, d))) + np.eye(d)
 
 
 GEOMETRY_SPECS = [
@@ -149,12 +177,13 @@ GEOMETRY_SPECS = [
     d=st.integers(2, 6),
     spec=st.sampled_from(GEOMETRY_SPECS),
     support=st.sampled_from(SUPPORT_CLASSES),
+    whitening=st.sampled_from(["random", "identity", "zero-shift"]),
 )
-def test_event_geometry_equals_the_row_loop(seed, d, spec, support):
+def test_event_geometry_equals_the_row_loop(seed, d, spec, support, whitening):
     rng = np.random.default_rng(seed)
-    # rows on a grid of multiples of 1/16, so that every sum is exact: with
-    # one half-space the product rows @ normals.T is a matrix-vector
-    # product, which rounds other than h @ row on general floats
+    # rows on a grid of multiples of 1/16, so that every sum is exact:
+    # contains_rows adds the columns left to right, the reference takes
+    # h @ row
     x = rng.integers(-2**10, 2**10, size=(300, d)) / 16.0
     ev = estimate_event(spec, x, support)
     v1 = ev.v1
@@ -170,14 +199,40 @@ def test_event_geometry_equals_the_row_loop(seed, d, spec, support):
     mask = ev.contains_rows(rows)
     assert mask.tolist() == [contains_point(ev, r) for r in rows]
 
-    chol = np.tril(rng.normal(size=(d, d)))
-    np.fill_diagonal(chol, np.abs(np.diag(chol)) + 0.1)
-    mu = rng.normal(size=d) * 5.0
-    std = standardize_constraints(ev.constraints, chol, mu)
-    normals, offsets = standardize_row_by_row(ev.constraints, chol, mu)
-    assert std.normals.shape == ev.constraints.normals.shape
+    walls = ev.constraints
+    target = StandardizedTarget(walled(walls), whitening_rows(whitening, d, rng))
+    normals, offsets = standardize_row_by_row(walls, target.chol, target.mu)
+    std = target.constraints
+    assert std.normals.shape == walls.normals.shape
     assert std.normals.tolist() == [h.tolist() for h in normals]
     assert std.offsets.tolist() == offsets
+    if whitening != "random":
+        assert target.mu.tolist() == [0.0] * d
+        assert std.offsets.tolist() == walls.offsets.tolist()
+    if whitening == "identity":
+        assert target.chol.tolist() == np.eye(d).tolist()
+        assert std.normals.tolist() == walls.normals.tolist()
+    elif whitening == "zero-shift":
+        assert target.chol.tolist() == zero_shift_chol(d).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 10),
+    level=st.sampled_from([0.5, 0.9, 0.99]),
+    support=st.sampled_from(SUPPORT_CLASSES),
+)
+def test_the_presample_row_on_the_es_threshold_is_in_the_event(seed, d, level, support):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((300, d)) * rng.uniform(0.1, 10.0, size=d)
+    if support == "pure-losses":
+        x = np.abs(x)
+    ev = estimate_event(CrisisEventSpec("es", (level,)), x, support)
+    # the row sums added left to right: v is one of them
+    on = functools.reduce(np.add, x.T) == ev.v1
+    assert on.any()
+    assert ev.contains_rows(x[on]).all()
 
 
 def test_contains_rows_matches_scalar():
@@ -356,40 +411,18 @@ def test_event_target_rejects_exact_var():
         EventTarget(preset("M1"), ev)
 
 
-def test_standardize_identity():
-    cons = HalfSpaces([[1.0, 2.0]], [3.0])
-    out = standardize_constraints(cons, np.eye(2), np.zeros(2))
-    assert np.allclose(out.normals[0], [1.0, 2.0])
-    assert out.offsets[0] == 3.0
-
-
-def test_standardize_zero_shift_rule():
-    # with mu = 0 the rule is (L^T h, v)
-    L = np.array([[2.0, 0.0], [1.0, 3.0]])
-    cons = HalfSpaces([[1.0, 1.0]], [5.0])
-    out = standardize_constraints(cons, L, np.zeros(2))
-    assert np.allclose(out.normals[0], L.T @ np.array([1.0, 1.0]))
-    assert out.offsets[0] == 5.0
-
-
 def test_standardize_membership_equivalence():
     rng = np.random.default_rng(7)
     for _ in range(20):
         d = 3
-        L = np.tril(rng.normal(size=(d, d)))
-        np.fill_diagonal(L, np.abs(np.diag(L)) + 0.5)
-        mu = rng.normal(size=d)
+        rows = rng.normal(size=(50, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
         pairs = [(rng.normal(size=d), rng.normal()) for _ in range(4)]
         cons = HalfSpaces([h for h, _ in pairs], [v for _, v in pairs])
-        std = standardize_constraints(cons, L, mu)
+        target = StandardizedTarget(walled(cons), rows)
         for _ in range(20):
             y = rng.normal(size=d)
-            x = mu + L @ y
+            x = target.to_x(y)
             orig_ok = (cons.slack(x) >= 0).all()
-            std_ok = (std.slack(y) >= 0).all()
+            std_ok = (target.constraints.slack(y) >= 0).all()
             assert orig_ok == std_ok
 
-
-def test_standardize_singular_rejected():
-    with pytest.raises(ValueError):
-        standardize_constraints(HalfSpaces([[1.0, 0.0]], [0.0]), np.zeros((2, 2)), np.zeros(2))

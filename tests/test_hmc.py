@@ -13,12 +13,10 @@ from riskalloc.events import (
 )
 from riskalloc.hmc import (
     HmcParams,
-    Standardizer,
     StandardizedTarget,
     TuneResult,
     hmc_sample,
     leapfrog_reflect,
-    standardize,
     tune,
 )
 from riskalloc.measures import MarginalRiskMeasure, batch_means_se
@@ -293,8 +291,7 @@ def test_standardizer_whitens_and_roundtrips():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(3, 3))
     pts = rng.normal(size=(4000, 3)) @ a.T + np.array([1.0, -2.0, 0.5])
-    tgt = GaussianTarget(3)
-    std_tgt, std = standardize(tgt, pts)
+    std = StandardizedTarget(GaussianTarget(3), pts)
     assert not std.jittered
     cov = np.atleast_2d(np.cov(pts, rowvar=False))
     assert np.allclose(std.chol @ std.chol.T, cov, atol=1e-10)
@@ -313,8 +310,8 @@ def test_standardized_target_chain_rule():
     ev = estimate_event(CrisisEventSpec("es", (0.9,)), pre, m.support_class)
     cond = pre[ev.contains_rows(pre)]
     base = EventTarget(m, ev)
-    std_tgt, std = standardize(base, cond)
-    y = std.to_y(cond[0])
+    std_tgt = StandardizedTarget(base, cond)
+    y = std_tgt.to_y(cond[0])
     assert std_tgt.logpdf(y) == pytest.approx(base.logpdf(cond[0]), rel=1e-12)
     g = std_tgt.grad_logpdf(y)
     for j in range(3):
@@ -326,7 +323,7 @@ def test_standardized_target_chain_rule():
         assert g[j] == pytest.approx(fd, rel=5e-5, abs=1e-8)
     # membership carries over
     for row in cond[:50]:
-        yy = std.to_y(row)
+        yy = std_tgt.to_y(row)
         assert (std_tgt.constraints.slack(yy) >= -1e-9).all()
 
 
@@ -335,10 +332,9 @@ def test_standardize_jitter_and_failure():
     col = rng.normal(size=2000)
     dup = np.column_stack([col, col, rng.normal(size=2000)])
     tgt = GaussianTarget(3)
-    _, std = standardize(tgt, dup)
-    assert std.jittered
+    assert StandardizedTarget(tgt, dup).jittered
     with pytest.raises(ValueError, match="rank-deficient"):
-        standardize(tgt, np.ones((500, 3)))
+        StandardizedTarget(tgt, np.ones((500, 3)))
 
 
 def test_tune_on_standard_normal():
@@ -373,8 +369,8 @@ def test_tune_underflow_reports_worst_ratio():
 
 def test_tune_on_m1_event_gives_plausible_scales(m1_rvar_target):
     target, cond = m1_rvar_target
-    std_tgt, std = standardize(target, cond)
-    y = std.to_y(cond)[:150]
+    std_tgt = StandardizedTarget(target, cond)
+    y = std_tgt.to_y(cond)[:150]
     res = tune(std_tgt, y, seed=15)
     assert 0.02 <= res.params.eps <= 0.8
     assert 2 <= res.params.T <= 60
@@ -474,8 +470,8 @@ def _tuning_problem(name, spec, n, seed):
         pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
     else:
         target, pts = EventTarget(m, ev), cond
-    std_target, std = standardize(target, pts)
-    return std_target, std.to_y(pts)
+    std_target = StandardizedTarget(target, pts)
+    return std_target, std_target.to_y(pts)
 
 
 TUNE_CASES = [

@@ -4,7 +4,6 @@ import pytest
 from riskalloc.measures import (
     EstimateWithSE,
     MarginalRiskMeasure,
-    acceptance_rate,
     acf,
     batch_means_se,
     empirical_measure,
@@ -174,14 +173,6 @@ def test_acf_ar1_positive():
 def test_acf_lag_bounds():
     with pytest.raises(ValueError):
         acf(np.ones(5), 5)
-
-
-def test_acceptance_rate():
-    assert acceptance_rate([True] * 4) == 1.0
-    assert acceptance_rate([True, False, True, False]) == 0.5
-    assert acceptance_rate([False] * 3) == 0.0
-    with pytest.raises(ValueError):
-        acceptance_rate([])
 
 
 def test_estimate_se_nonnegative():
