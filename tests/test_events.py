@@ -411,6 +411,28 @@ def test_event_target_rejects_exact_var():
         EventTarget(preset("M1"), ev)
 
 
+def test_standardize_identity():
+    cons = HalfSpaces([[1.0, 2.0]], [3.0])
+    target = StandardizedTarget(walled(cons), whitening_rows("identity", 2, None))
+    assert target.chol.tolist() == np.eye(2).tolist()
+    assert target.mu.tolist() == [0.0, 0.0]
+    out = target.constraints
+    assert out.normals[0].tolist() == [1.0, 2.0]
+    assert out.offsets[0] == 3.0
+
+
+def test_standardize_zero_shift_rule():
+    # with mu = 0 the rule is (L^T h, v)
+    L = zero_shift_chol(2)
+    cons = HalfSpaces([[1.0, 1.0]], [5.0])
+    target = StandardizedTarget(walled(cons), whitening_rows("zero-shift", 2, None))
+    assert target.chol.tolist() == L.tolist()
+    assert target.mu.tolist() == [0.0, 0.0]
+    out = target.constraints
+    assert np.allclose(out.normals[0], L.T @ np.array([1.0, 1.0]))
+    assert out.offsets[0] == 5.0
+
+
 def test_standardize_membership_equivalence():
     rng = np.random.default_rng(7)
     for _ in range(20):
