@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 # probability-scale clamp applied before copula evaluations; samplers can
 # land arbitrarily close to 0/1 where the formulas overflow
@@ -58,6 +59,40 @@ def _log(w):
 
 def _log1p(w):
     return math.log1p(w) if isinstance(w, float) else np.log1p(w)
+
+
+# The conditionals' special functions: cython_special's double version for
+# a point's float, which skips the ufunc machinery and returns a float, the
+# ufunc for an array.  Both evaluate the same C function, to the same bits.
+_C_STDTR = cython_special.stdtr["double"]
+_C_STDTRIT = cython_special.stdtrit["double"]
+_C_NDTR = cython_special.ndtr["double"]
+_C_NDTRI = cython_special.ndtri
+
+
+def _stdtr(df, t):
+    return _C_STDTR(df, t) if isinstance(t, float) else special.stdtr(df, t)
+
+
+def _stdtrit(df, p):
+    return _C_STDTRIT(df, p) if isinstance(p, float) else special.stdtrit(df, p)
+
+
+def _ndtr(z):
+    return _C_NDTR(z) if isinstance(z, float) else special.ndtr(z)
+
+
+def _ndtri(p):
+    return _C_NDTRI(p) if isinstance(p, float) else special.ndtri(p)
+
+
+def _dot(a, z):
+    """sum_i a_i z_i, added left to right.  Builtin sum is not used: from
+    Python 3.12 on it compensates, which changes the last bits."""
+    t = 0.0
+    for a_i, z_i in zip(a, z):
+        t += a_i * z_i
+    return t
 
 
 def _as_float(u):
@@ -270,24 +305,38 @@ class _EllipticalCopula(Copula):
         self._rinv = np.linalg.inv(r)
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
         # per-coordinate conditioning blocks: b_j = R_{j,-j} R_{-j,-j}^{-1},
-        # schur_j = 1 - b_j . R_{-j,j}
+        # schur_j = 1 - b_j . R_{-j,j}, kept as float tuples for the
+        # per-update loops of score_conditional
         self._b = []
         self._rrest_inv = []
         self._schur = []
         d = self.dim
         for j in range(d):
             rest = [i for i in range(d) if i != j]
-            rr = r[np.ix_(rest, rest)]
-            rr_inv = np.linalg.inv(rr)
+            rr_inv = np.linalg.inv(r[np.ix_(rest, rest)])
             b = r[j, rest] @ rr_inv
-            self._b.append(b)
-            self._rrest_inv.append(rr_inv)
+            self._b.append(tuple(b.tolist()))
+            self._rrest_inv.append(tuple(map(tuple, rr_inv.tolist())))
             self._schur.append(float(1.0 - b @ r[rest, j]))
 
     def score_conditional(self, j, z_rest):
-        """(m, s, cdf, ppf): the score of U_j given the others' scores z_rest
-        is m + s T, and T has this cdf and ppf."""
+        """(m, s, cdf, ppf): the score of U_j given the others' scores z_rest,
+        a sequence of d - 1 floats, is m + s T, and T has this cdf and ppf."""
         raise NotImplementedError
+
+    def _location(self, j, z_rest):
+        """m = b_j . z_rest.  j and the length of z_rest are checked as
+        _check_j checks them, with its messages, but z_rest is read as it is,
+        with no array made of it."""
+        if not 0 <= j < self.dim:
+            raise ValueError(f"coordinate index {j} out of range for d={self.dim}")
+        try:
+            n = len(z_rest)
+        except TypeError:
+            n = None
+        if n != self.dim - 1:
+            raise ValueError(f"u_rest must have length {self.dim - 1}")
+        return _dot(self._b[j], z_rest)
 
     def conditional(self, j, u_rest):
         m, s, cdf, ppf = self.score_conditional(j, self._scores(u_rest))
@@ -305,10 +354,10 @@ class _EllipticalCopula(Copula):
 
 class GaussianCopula(_EllipticalCopula):
     def _scores(self, u):
-        return special.ndtri(clip01(u))
+        return _ndtri(clip01(u))
 
     def _levels(self, z):
-        return special.ndtr(z)
+        return _ndtr(z)
 
     def _logdensity(self, u):
         z = self._scores(u)
@@ -323,8 +372,7 @@ class GaussianCopula(_EllipticalCopula):
 
     def score_conditional(self, j, z_rest):
         # normal with mean m and sd s
-        z_rest = self._check_j(j, z_rest)
-        return float(self._b[j] @ z_rest), math.sqrt(self._schur[j]), special.ndtr, special.ndtri
+        return self._location(j, z_rest), math.sqrt(self._schur[j]), _ndtr, _ndtri
 
     def hfun(self, j, uj, u_rest):
         return self.conditional(j, u_rest)[0](uj)
@@ -353,14 +401,14 @@ class StudentTCopula(_EllipticalCopula):
         )
         # a score given the other d - 1 is t with nu + d - 1 degrees of freedom
         self._df = nu + d - 1.0
-        self._cond_cdf = functools.partial(special.stdtr, self._df)
-        self._cond_ppf = functools.partial(special.stdtrit, self._df)
+        self._cond_cdf = functools.partial(_stdtr, self._df)
+        self._cond_ppf = functools.partial(_stdtrit, self._df)
 
     def _scores(self, u):
-        return special.stdtrit(self.nu, clip01(u))
+        return _stdtrit(self.nu, clip01(u))
 
     def _levels(self, z):
-        return special.stdtr(self.nu, z)
+        return _stdtr(self.nu, z)
 
     def _uni_logpdf(self, z):
         return self._uni_lognorm - 0.5 * (self.nu + 1.0) * np.log1p(z * z / self.nu)
@@ -385,9 +433,11 @@ class StudentTCopula(_EllipticalCopula):
     def score_conditional(self, j, z_rest):
         # location m, scale s; the scale grows with the rest's Mahalanobis
         # norm q_rest
-        z_rest = self._check_j(j, z_rest)
-        m = float(self._b[j] @ z_rest)
-        q_rest = float(z_rest @ (self._rrest_inv[j] @ z_rest))
+        m = self._location(j, z_rest)
+        # q_rest = z_rest . (R_{-j,-j}^{-1} z_rest), each dot left to right
+        q_rest = 0.0
+        for row, z_i in zip(self._rrest_inv[j], z_rest):
+            q_rest += z_i * _dot(row, z_rest)
         s = math.sqrt((self.nu + q_rest) / self._df * self._schur[j])
         return m, s, self._cond_cdf, self._cond_ppf
 

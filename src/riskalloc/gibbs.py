@@ -14,6 +14,7 @@ interval from prerun autocorrelations.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +25,8 @@ from .measures import acf
 
 DEGENERATE_MASS = 1e-14
 MAX_DEGENERATE_REDRAWS = 100
+# the most uniforms the chain draws in one call
+UNIFORM_BLOCK = 1024
 # the thinning prerun: its length in updates, and the autocorrelation every
 # coordinate must fall to at the thinning interval
 N_PRERUN = 100
@@ -123,16 +126,25 @@ def thin_interval(prerun_path, rho_target: float = RHO_TARGET) -> ThinResult:
 # -- truncated full-conditional inversion ---------------------------------------
 
 
-def _slice_interval(ones, x_rest, event: ConcreteCrisisEvent):
+def _sum(values) -> float:
+    """The values added left to right, as events._row_sums adds a row's
+    columns, so the chain agrees with the event's membership bit for bit."""
+    s = values[0]
+    for i in range(1, len(values)):
+        s += values[i]
+    return s
+
+
+def _slice_interval(x_rest, event: ConcreteCrisisEvent):
     """Truncation interval, in x_j space, for the coordinate whose others
-    are x_rest; ones is np.ones(d - 1), which the chain builds once."""
-    s_rest = float(ones @ np.asarray(x_rest, dtype=float))
+    are x_rest."""
+    s_rest = _sum(x_rest)
     return event.v1 - s_rest, event.v2 - s_rest
 
 
 def _in_band(event: ConcreteCrisisEvent, x) -> bool:
     """v1 <= 1.x <= v2 up to the event's tolerance."""
-    s = float(np.ones(event.d) @ x)
+    s = _sum(x)
     tol = event.tolerance
     return event.v1 - tol <= s <= event.v2 + tol
 
@@ -142,18 +154,11 @@ def _draw_in_slice(model, j: int, rest, lo: float, hi: float, u: float):
     (model.coordinate_state), truncated to [lo, hi]: the full
     conditional's quantile at C_lo + u (C_hi - C_lo).  Returns the draw and
     its state."""
-    m = model.marginals[j]
+    support_min = model.marginals[j].support_min
     cdf, quantile = model.full_conditional(j, rest)
-
-    def cdf_at(x):
-        if x == np.inf:
-            return 1.0
-        if x <= m.support_min:
-            return 0.0
-        return float(cdf(x))
-
-    c_lo = cdf_at(lo)
-    c_hi = cdf_at(hi)
+    # the cdf at a bound: 1 at +inf, 0 at or below the support
+    c_lo = 1.0 if lo == math.inf else 0.0 if lo <= support_min else float(cdf(lo))
+    c_hi = 1.0 if hi == math.inf else 0.0 if hi <= support_min else float(cdf(hi))
     mass = c_hi - c_lo
     if mass < DEGENERATE_MASS:
         raise DegenerateSliceError(
@@ -161,48 +166,54 @@ def _draw_in_slice(model, j: int, rest, lo: float, hi: float, u: float):
             f"carries mass {mass:.3g}"
         )
     u_trunc = min(max(c_lo + u * mass, 1e-15), 1.0 - 1e-15)
-    x_new = float(quantile(u_trunc))
-    x_new = min(max(x_new, lo), hi)
+    x_new = min(max(float(quantile(u_trunc)), lo), hi)
     return x_new, model.coordinate_state(j, x_new)
+
+
+def _uniforms(rng, block: int):
+    """rng.random() values one at a time, drawn block values per call: the
+    same stream as one rng.random() call per value."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: int, seed):
     """Random-scan Gibbs chain on the event's sum band, emitting one state
     per thin_T updates.  Next to x the chain carries each coordinate's
-    state as the model defines it, and conditions on the others' states."""
+    state as the model defines it, and conditions on the others' states;
+    both are lists of floats."""
     d = model.d
     if event.d != d:
         raise ValueError("band dimension does not match the model")
     if params.p.size != d:
         raise ValueError("selection probabilities must have one entry per coordinate")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (d,):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (d,):
         raise ValueError(f"initial state must have dimension {d}")
+    x = x0.tolist()
     if not _in_band(event, x):
         raise ValueError("initial state violates the band")
-    if not np.isfinite(model.logpdf(x)):
+    if not np.isfinite(model.logpdf(x0)):
         raise ValueError("initial state has non-finite log-density")
 
-    rng = np.random.default_rng(seed)
-    state = np.array([model.coordinate_state(j, x[j]) for j in range(d)])
-    # the other coordinates of each j, as np.delete(x, j) selects them
-    others = [np.delete(np.arange(d), j) for j in range(d)]
-    ones = np.ones(d - 1)
+    # each update draws its coordinate and then its innovation; one block
+    # covers a chain that meets no degenerate slice, up to UNIFORM_BLOCK
+    block = min(2 * n * params.thin_T, UNIFORM_BLOCK)
+    draw = _uniforms(np.random.default_rng(seed), block).__next__
+    state = [model.coordinate_state(j, x[j]) for j in range(d)]
     cum = np.cumsum(params.p).tolist()
     path = np.empty((n, d))
-    coords = np.empty(n * params.thin_T, dtype=np.int64)
-    k = 0
+    coords = []
     consec_degenerate = 0
     total_degenerate = 0
     for i in range(n):
         done = 0
         while done < params.thin_T:
             # np.searchsorted(cum, r, side="right") on the list
-            j = bisect.bisect_right(cum, rng.random())
-            rest = others[j]
-            lo, hi = _slice_interval(ones, x[rest], event)
+            j = bisect.bisect_right(cum, draw())
+            lo, hi = _slice_interval(x[:j] + x[j + 1:], event)
             try:
-                x[j], state[j] = _draw_in_slice(model, j, state[rest], lo, hi, rng.random())
+                x[j], state[j] = _draw_in_slice(model, j, state[:j] + state[j + 1:], lo, hi, draw())
             except DegenerateSliceError:
                 consec_degenerate += 1
                 total_degenerate += 1
@@ -214,10 +225,9 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
                     ) from None
                 continue
             consec_degenerate = 0
-            coords[k] = j
-            k += 1
+            coords.append(j)
             done += 1
         path[i] = x
     return path, GibbsDiagnostics(
-        coordinates_updated=coords, n_degenerate_redraws=total_degenerate
+        coordinates_updated=np.array(coords, dtype=np.int64), n_degenerate_redraws=total_degenerate
     )

@@ -462,7 +462,9 @@ def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
         mean_reflections=float(diag.reflections_per_proposal.mean()),
     )
     work["chain_reflections"] = int(diag.reflections_per_proposal.sum())
-    rows = [(i + 1, float(diag.hamiltonian_errors[i]), int(diag.accepted[i])) for i in range(n)]
+    rows = list(zip(
+        range(1, n + 1), diag.hamiltonian_errors.tolist(), diag.accepted.astype(int).tolist()
+    ))
     return sample, ("delta_H", rows)
 
 
@@ -472,10 +474,8 @@ def _gibbs_chain(prep: PreparedRun, details: dict, work: dict):
     )
     details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
     work["degenerate_redraws"] += diag.n_degenerate_redraws
-    rows = [
-        (i + 1, int(diag.coordinates_updated[i]) + 1, 1)
-        for i in range(diag.coordinates_updated.size)
-    ]
+    coords = diag.coordinates_updated
+    rows = list(zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size))
     return path, ("coordinate_updated", rows)
 
 
@@ -539,17 +539,11 @@ def _write_artifacts(report, sample, diagnostics, config):
     with open(out / "report.json", "w", encoding="utf-8") as f:
         json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
-    d = sample.shape[1]
-    with open(out / "samples.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"X{j + 1}" for j in range(d)])
-        w.writerows([repr(float(v)) for v in row] for row in sample)
+    header = [f"X{j + 1}" for j in range(sample.shape[1])]
+    _write_csv(out / "samples.csv", header, map(np.ndarray.tolist, sample))
     if diagnostics is not None:
         middle, rows = diagnostics
-        with open(out / "diagnostics.csv", "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["iteration", middle, "accepted"])
-            w.writerows(rows)
+        _write_csv(out / "diagnostics.csv", ["iteration", middle, "accepted"], rows)
     manifest = {
         "version": _VERSION,
         "config": config.to_json_dict(),
@@ -565,6 +559,16 @@ def _write_artifacts(report, sample, diagnostics, config):
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """The bytes of csv.writer (excel dialect) for a header of plain names
+    and rows of Python ints and floats: each value's repr, comma separated,
+    each line ended by CRLF; no such value needs quoting.  Streamed row by
+    row, with no joined file."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 # -- comparison ------------------------------------------------------------------

@@ -62,14 +62,15 @@ class EstimateWithSE:
 
 
 def empirical_quantile(sample, alpha: float) -> float:
-    """Order statistic x_(k) with k = ceil(n*alpha)."""
+    """Order statistic x_(k) with k = ceil(n*alpha), read from a partition
+    at k rather than a full sort: the same value."""
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("empty sample")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"quantile level must lie in (0, 1], got {alpha}")
     k = math.ceil(x.size * alpha)
-    return float(np.sort(x)[k - 1])
+    return float(np.partition(x, k - 1)[k - 1])
 
 
 def empirical_measure(sample, m: MarginalRiskMeasure) -> float:
@@ -88,6 +89,7 @@ def empirical_measure(sample, m: MarginalRiskMeasure) -> float:
         raise ValueError(
             f"no order statistics between levels {b1} and {b2} with n={n}"
         )
+    # sorted, not partitioned: a partition would reorder the mean's sum
     return float(np.sort(x)[lo:hi].mean())
 
 

@@ -104,13 +104,6 @@ def _elliptical(marginals, copula):
     )
 
 
-def _clamp(z, lo, hi):
-    """min(max(z, lo), hi): Python's for a float, numpy's for an array."""
-    if isinstance(z, float):
-        return min(max(z, lo), hi)
-    return np.minimum(np.maximum(z, lo), hi)
-
-
 class JointLossModel:
     def __init__(self, marginals, copula: Copula):
         marginals = list(marginals)
@@ -230,22 +223,23 @@ class JointLossModel:
 
     # -- full conditionals ---------------------------------------------------
 
-    def coordinate_state(self, j: int, xj):
-        """What a Gibbs chain carries for coordinate j at x_j: the level
-        F_j(x_j) on the copula route, the score (x_j - mu_j) / sigma_j on
-        the score route, each clamped."""
+    def coordinate_state(self, j: int, xj: float) -> float:
+        """What a Gibbs chain carries for coordinate j at the float x_j: the
+        level F_j(x_j) on the copula route, the score (x_j - mu_j) / sigma_j
+        on the score route, each clamped."""
         ell = self.elliptical()
         if ell is None:
             return clip01(float(self.marginals[j].cdf(xj)))
         m = self.marginals[j]
-        return _clamp((xj - m.mu) / m.sigma, ell.q_lo, ell.q_hi)
+        return min(max((xj - m.mu) / m.sigma, ell.q_lo), ell.q_hi)
 
     def full_conditional(self, j: int, rest):
         """(cdf, quantile) of X_j given the other coordinates, which enter
         through their coordinate_state values rest (a Gibbs chain carries
         them).  On the copula route p goes to the copula's ppf unclamped:
         the ppf clamps it, and a clamp before the survival Clayton's mirror
-        1 - p would move the last bit of draws near 1."""
+        1 - p would move the last bit of draws near 1.  On the score route
+        the two take a float and return one."""
         ell = self.elliptical()
         m = self.marginals[j]
         if ell is None:
@@ -255,8 +249,8 @@ class JointLossModel:
         loc, scale, cdf, ppf = self.copula.score_conditional(j, rest)
         mu, sigma, q_lo, q_hi = m.mu, m.sigma, ell.q_lo, ell.q_hi
         return (
-            lambda x: cdf((self.coordinate_state(j, x) - loc) / scale),
-            lambda p: mu + sigma * _clamp(loc + scale * ppf(_clamp(p, U_EPS, 1.0 - U_EPS)), q_lo, q_hi),
+            lambda x: cdf((min(max((x - mu) / sigma, q_lo), q_hi) - loc) / scale),
+            lambda p: mu + sigma * min(max(loc + scale * ppf(min(max(p, U_EPS), 1.0 - U_EPS)), q_lo), q_hi),
         )
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from riskalloc import copulas
 from riskalloc.copulas import (
     U_EPS,
     Clayton,
@@ -182,6 +183,27 @@ def test_conditional_ppf_inverts_cdf_near_the_clamp(cop, data):
     # hfun and hfun_inv evaluate the same pair
     assert cop.hfun(j, u, u_rest) == q
     assert cop.hfun_inv(j, q, u_rest) == back
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    df=st.one_of(st.sampled_from([5.0, 7.0]), st.floats(0.5, 50.0)),
+    t=st.floats(allow_nan=False),
+    p=st.one_of(st.sampled_from([U_EPS, 1.0 - U_EPS]), LEVEL),
+)
+def test_scalar_special_functions_equal_their_ufuncs(df, t, p):
+    # a float goes through cython_special, an array through the ufunc, and
+    # the two agree bit for bit: at +-inf, near the clamp and anywhere else
+    for fn, args in [
+        (copulas._stdtr, (df, t)),
+        (copulas._stdtrit, (df, p)),
+        (copulas._ndtr, (t,)),
+        (copulas._ndtri, (p,)),
+    ]:
+        got = fn(*args)
+        want = fn(*args[:-1], np.array([args[-1]]))[0]
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)

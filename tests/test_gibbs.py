@@ -8,7 +8,7 @@ from scipy import stats
 
 from riskalloc import gibbs
 from riskalloc.copulas import U_EPS, Clayton, GaussianCopula, Independence, StudentTCopula, clip01
-from riskalloc.events import ConcreteCrisisEvent, CrisisEventSpec, estimate_event
+from riskalloc.events import ConcreteCrisisEvent, CrisisEventSpec, _row_sums, estimate_event
 from riskalloc.gibbs import (
     DEGENERATE_MASS,
     DegenerateSliceError,
@@ -148,7 +148,7 @@ def conditional_cdf(model, j, x_rest):
 def slice_draw(model, j, x_rest, band, u):
     """One draw of coordinate j given the others, truncated to the band's
     slice, as a chain update makes it from the innovation u."""
-    lo, hi = gibbs._slice_interval(np.ones(len(x_rest)), x_rest, band)
+    lo, hi = gibbs._slice_interval(x_rest.tolist(), band)
     return gibbs._draw_in_slice(model, j, rest_levels(model, j, x_rest), lo, hi, u)[0]
 
 
@@ -331,6 +331,76 @@ def test_slice_draws_stay_inside_the_slice(name, data):
         return
     assert lo <= x_new <= hi
     assert state_lo <= state <= state_hi
+
+
+# -- the chain on floats: left-to-right sums, block-drawn uniforms ----------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 10), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e6]))
+def test_chain_sums_equal_the_event_row_sums(d, seed, scale):
+    # _in_band sums a state and _slice_interval the others of a coordinate,
+    # each bit for bit as the event's thresholds and membership do
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((200, d)) * scale * rng.uniform(0.1, 10.0, d)
+    sums = _row_sums(rows)
+    for row, want in zip(rows[:20].tolist(), sums[:20].tolist()):
+        assert gibbs._sum(row).hex() == want.hex()
+        for j in range(d):
+            rest = row[:j] + row[j + 1:]
+            want_rest = float(_row_sums(np.array([rest]))[0])
+            lo, hi = gibbs._slice_interval(rest, sum_band(d, 0.0, np.inf))
+            assert lo.hex() == (0.0 - want_rest).hex() and hi == np.inf
+    # the row whose sum is the es threshold passes rsgs_sample's start check
+    ev = estimate_event(CrisisEventSpec("es", (0.9,)), rows, "pnl")
+    threshold_row = rows[np.flatnonzero(sums == ev.v1)[0]]
+    assert gibbs._in_band(ev, threshold_row.tolist())
+    m = JointLossModel([Normal(0.0, scale)] * d, Independence(d))
+    path, _ = rsgs_sample(m, ev, GibbsParams(np.full(d, 1.0 / d), 1), threshold_row, 1, seed=0)
+    assert path.shape == (1, d)
+
+
+def scalar_draw_chain(model, event, params, x0, n, seed):
+    """rsgs_sample's chain with one rng.random() call per uniform, the
+    coordinate picked by np.searchsorted."""
+    rng = np.random.default_rng(seed)
+    x = [float(v) for v in x0]
+    state = [model.coordinate_state(j, x[j]) for j in range(model.d)]
+    cum = np.cumsum(params.p)
+    path, coords, redraws = [], [], 0
+    for _ in range(n):
+        done = 0
+        while done < params.thin_T:
+            j = int(np.searchsorted(cum, rng.random(), side="right"))
+            lo, hi = gibbs._slice_interval(x[:j] + x[j + 1:], event)
+            u = rng.random()
+            try:
+                x[j], state[j] = gibbs._draw_in_slice(model, j, state[:j] + state[j + 1:], lo, hi, u)
+            except DegenerateSliceError:
+                redraws += 1
+                continue
+            coords.append(j)
+            done += 1
+        path.append(list(x))
+    return np.array(path), coords, redraws
+
+
+@pytest.mark.parametrize("block", [7, gibbs.UNIFORM_BLOCK])
+@pytest.mark.parametrize("name", ["M1", "M2"])
+def test_block_drawn_uniforms_equal_the_scalar_stream(name, block, monkeypatch):
+    # a band 3e-14 wide: many slices carry no mass and are drawn again; a
+    # block of 7 refills mid-update, between a pick and its innovation
+    m = preset(name)
+    x0 = np.array([1.0, 1.5, 2.0])
+    v = float(_row_sums(x0[None])[0])
+    band = sum_band(3, v, v + 3e-14)
+    params = GibbsParams(np.array([0.5, 0.3, 0.2]), 2)
+    monkeypatch.setattr(gibbs, "UNIFORM_BLOCK", block)
+    path, diag = rsgs_sample(m, band, params, x0, 300, seed=11)
+    ref_path, ref_coords, ref_redraws = scalar_draw_chain(m, band, params, x0, 300, seed=11)
+    assert diag.n_degenerate_redraws == ref_redraws > 0
+    assert diag.coordinates_updated.tolist() == ref_coords
+    assert (path == ref_path).all()
 
 
 def test_gibbs_params_validation():

@@ -7,7 +7,8 @@ must leave every digest unchanged; a deliberate change of output updates
 them.  The digests depend on the RNG streams and on the float arithmetic
 of the installed numpy/scipy build.
 
-Run this file as a script to print the current digests:
+Run this file as a script to print the cases whose digests moved, each
+as its old and its new triple (a re-record commit shows both):
     PYTHONPATH=src python tests/test_golden.py
 """
 
@@ -93,6 +94,11 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            print(f"    {name!r}: {digests(CASES[name], Path(tmp) / name)!r},")
+            new = digests(CASES[name], Path(tmp) / name)
+            if new != DIGESTS[name]:
+                moved += 1
+                print(f"{name}\n  old {DIGESTS[name]!r}\n  new {new!r}")
+    print(f"{moved} of {len(CASES)} digests moved")

@@ -1,5 +1,6 @@
 """Orchestration-level tests: config handling, artifacts, comparison math."""
 
+import csv
 import dataclasses
 import json
 import time
@@ -204,6 +205,41 @@ def test_hmc_artifact_csv_shapes(tmp_path):
     assert len(diag) == 1 + 150
     accepted = sum(int(line.split(",")[2]) for line in diag[1:])
     assert accepted == round(rep.engine_details["acr"] * 150)
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def test_streamed_csv_equals_the_csv_module(tmp_path):
+    rng = np.random.default_rng(0)
+    # the rows the chains and the sample give: hmc (iteration, delta_H,
+    # accepted) with non-finite and extreme delta_H, gibbs (iteration,
+    # coordinate, 1) and sample rows of floats
+    delta_h = np.concatenate([
+        rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+        [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1.7976931348623157e308],
+    ])
+    accepted = rng.random(delta_h.size) < 0.7
+    hmc_rows = list(zip(
+        range(1, delta_h.size + 1), delta_h.tolist(), accepted.astype(int).tolist()
+    ))
+    coords = rng.integers(0, 3, 300)
+    gibbs_rows = list(zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size))
+    sample = rng.standard_normal((50, 3)) * 1e3
+    cases = {
+        "hmc": (["iteration", "delta_H", "accepted"], hmc_rows, hmc_rows),
+        "gibbs": (["iteration", "coordinate_updated", "accepted"], gibbs_rows, gibbs_rows),
+        "sample": (["X1", "X2", "X3"], map(np.ndarray.tolist, sample), sample.tolist()),
+    }
+    for name, (header, rows, want_rows) in cases.items():
+        harness._write_csv(tmp_path / f"{name}.csv", header, rows)
+        want = _csv_writer_bytes(tmp_path / f"{name}-csv-module.csv", header, want_rows)
+        assert (tmp_path / f"{name}.csv").read_bytes() == want, name
 
 
 def test_mc_run_writes_no_diagnostics(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskalloc.measures import (
     EstimateWithSE,
@@ -20,6 +24,23 @@ def test_quantile_ladder():
     assert empirical_quantile(LADDER, 1.0) == 100.0
     assert empirical_quantile(LADDER, 0.001) == 1.0
     assert empirical_quantile(np.full(7, 3.5), 0.9) == 3.5
+
+
+# finite values, drawn from a pool of three often enough to tie
+VALUES = st.lists(
+    st.one_of(st.sampled_from([-1.5, 0.0, 2.0]), st.floats(-1e6, 1e6)), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=VALUES, data=st.data())
+def test_quantile_equals_the_sorted_order_statistic(x, data):
+    # k = 1, k = n and any k between, each through a level that selects it
+    n = len(x)
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    alpha = 1.0 if k == n and data.draw(st.booleans()) else (k - 0.5) / n
+    assert math.ceil(n * alpha) == k
+    assert empirical_quantile(x, alpha) == np.sort(np.array(x))[k - 1]
 
 
 def test_quantile_errors():
