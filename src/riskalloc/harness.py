@@ -566,9 +566,10 @@ def _write_csv(path, header, rows):
     and rows of Python ints and floats: each value's repr, comma separated,
     each line ended by CRLF; no such value needs quoting.  Streamed row by
     row, with no joined file."""
+    line = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        f.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        f.writelines(line % tuple(row) for row in rows)
 
 
 # -- comparison ------------------------------------------------------------------

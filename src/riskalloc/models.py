@@ -248,6 +248,7 @@ class JointLossModel:
                     lambda p: m.quantile(clip01(ppf(p))))
         loc, scale, cdf, ppf = self.copula.score_conditional(j, rest)
         mu, sigma, q_lo, q_hi = m.mu, m.sigma, ell.q_lo, ell.q_hi
+        # the cdf reads x's state as coordinate_state computes it, inline
         return (
             lambda x: cdf((min(max((x - mu) / sigma, q_lo), q_hi) - loc) / scale),
             lambda p: mu + sigma * min(max(loc + scale * ppf(min(max(p, U_EPS), 1.0 - U_EPS)), q_lo), q_hi),
