@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,17 @@ def _parse_levels(text: str) -> tuple:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"levels must be comma-separated numbers, got {text!r}")
+
+
+def _whole_number(text: str) -> int:
+    """A count written as an int (100000) or as an integral float (1e7)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected a whole number such as 1e7, got {text!r}")
+    return int(value)
 
 
 def _event_from_args(args) -> CrisisEventSpec:
@@ -53,7 +65,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--event", choices=("var", "rvar", "es"), help="crisis event kind")
     p.add_argument("--levels", type=_parse_levels, help="event levels, comma separated")
     p.add_argument("--delta", type=float, default=0.0, help="half-width of the var band")
-    p.add_argument("--n-mc", type=int, default=100_000, help="presample / MC size")
+    p.add_argument(
+        "--n-mc", type=_whole_number, default=100_000, help="presample / MC size (1e7 allowed)"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory for artifacts")
 

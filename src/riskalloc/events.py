@@ -1,7 +1,7 @@
 """Crisis events as sum bands.
 
 An event is one value: the band {v1 <= 1.x <= v2} on the loss vector, with
-v1 and v2 read off empirical quantiles of presample row sums, intersected
+v1 and v2 read off order statistics of presample row sums, intersected
 with the half-spaces x_j >= 0 when the losses are pure, together with the
 spec it was estimated from.  The VaR event is special: with a positive
 band half-width delta it is the band between the alpha -/+ delta
@@ -19,12 +19,11 @@ batch of shape (K, d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .measures import empirical_quantile
 
 EVENT_KINDS = ("var", "rvar", "es")
 SUPPORT_CLASSES = ("pure-losses", "pnl")
@@ -200,43 +199,91 @@ def _row_sums(x) -> np.ndarray:
     return s
 
 
-def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> ConcreteCrisisEvent:
-    """Build a concrete event from empirical quantiles of presample row sums."""
-    if support_class not in SUPPORT_CLASSES:
-        raise ValueError(f"unknown support class {support_class!r}")
-    x = np.asarray(presample, dtype=float)
+@dataclass(frozen=True, eq=False)
+class Presample:
+    """The rows of an n-row presample that a run can read, in draw order,
+    with their sums (_row_sums).
+
+    The kept sums are the largest len(sums) of all n, so the k-th smallest
+    of all n is the kept sums' entry at index k - 1 - (n - len(sums)).  An
+    (n, d) matrix is the presample that keeps every row.
+    """
+
+    n: int
+    rows: np.ndarray
+    sums: np.ndarray
+
+    def order_statistic(self, level: float) -> float:
+        """The k-th smallest of all n sums, k = ceil(n * level): the order
+        statistic empirical_quantile reads, read from a partition of the
+        kept sums."""
+        if not 0.0 < level <= 1.0:
+            raise ValueError(f"quantile level must lie in (0, 1], got {level}")
+        i = math.ceil(self.n * level) - 1 - (self.n - len(self.sums))
+        if i < 0:
+            raise ValueError(
+                f"the presample kept the largest {len(self.sums)} of {self.n} sums, "
+                f"too few to read the sum quantile at level {level}"
+            )
+        return float(np.partition(self.sums, i)[i])
+
+
+def _as_presample(x) -> Presample:
+    x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("presample must be an n x d matrix")
-    n, d = x.shape
-    if n < 100:
-        raise ValueError(f"presample too small to estimate thresholds: n={n} < 100")
-    s = _row_sums(x)
+    return Presample(len(x), x, _row_sums(x))
+
+
+def band_levels(spec: CrisisEventSpec) -> tuple:
+    """The levels of the order statistics that bound spec's band, (lower,
+    upper).  es is open above; its upper level 1 is the largest sum."""
+    if spec.kind == "es":
+        return spec.levels[0], 1.0
+    if spec.kind == "rvar":
+        return spec.levels
+    alpha = spec.levels[0]
+    return alpha - spec.delta, alpha + spec.delta
+
+
+def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> ConcreteCrisisEvent:
+    """Build a concrete event from order statistics of presample row sums.
+
+    presample is a Presample, or an (n, d) matrix of every row.
+    """
+    if support_class not in SUPPORT_CLASSES:
+        raise ValueError(f"unknown support class {support_class!r}")
+    pre = presample if isinstance(presample, Presample) else _as_presample(presample)
+    if pre.n < 100:
+        raise ValueError(f"presample too small to estimate thresholds: n={pre.n} < 100")
+    quantile = pre.order_statistic
+    lo, hi = band_levels(spec)
 
     if spec.kind == "es":
-        v1 = empirical_quantile(s, spec.levels[0])
+        v1 = quantile(lo)
         v2 = np.inf
         thresholds = {"v": v1}
     elif spec.kind == "rvar":
-        v1 = empirical_quantile(s, spec.levels[0])
-        v2 = empirical_quantile(s, spec.levels[1])
+        v1 = quantile(lo)
+        v2 = quantile(hi)
         thresholds = {"v1": v1, "v2": v2}
     else:
         alpha = spec.levels[0]
-        v1 = v2 = empirical_quantile(s, alpha)
+        v1 = v2 = quantile(alpha)
         thresholds = {"v_star": v1}
         if spec.delta > 0.0:
-            if not (0.0 < alpha - spec.delta and alpha + spec.delta < 1.0):
+            if not (0.0 < lo and hi < 1.0):
                 raise ValueError(
                     f"band levels {alpha} +/- {spec.delta} fall outside (0, 1)"
                 )
-            v1 = empirical_quantile(s, alpha - spec.delta)
-            v2 = empirical_quantile(s, alpha + spec.delta)
+            v1 = quantile(lo)
+            v2 = quantile(hi)
             thresholds.update(v_lo=v1, v_hi=v2)
     return ConcreteCrisisEvent(
         spec=spec,
         v1=v1,
         v2=v2,
-        d=d,
+        d=pre.rows.shape[1],
         nonnegative=support_class == "pure-losses",
         thresholds=thresholds,
     )

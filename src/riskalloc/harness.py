@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from importlib.metadata import PackageNotFoundError, version
@@ -28,6 +29,7 @@ from .events import (
     SUPPORT_CLASSES,
     EventTarget,
     ReducedVarTarget,
+    band_levels,
     estimate_event,
 )
 from .gibbs import N_PRERUN, GibbsParams, rsgs_sample, select_probs, thin_interval
@@ -272,9 +274,25 @@ def _widened(spec: CrisisEventSpec) -> CrisisEventSpec:
     return CrisisEventSpec("rvar", (lo, hi)) if lo > 0.0 else None
 
 
-def _conditional_rows(event, presample_matrix, min_conditional):
-    keep = event.contains_rows(presample_matrix)
-    cond = presample_matrix[keep]
+def _lowest_rank(config: RunConfig) -> int:
+    """The lowest rank, among the n_mc presample sums, of an order statistic
+    the run can read: its band's lower level, and on mc the lower levels the
+    widening rule walks to.  A band holds at least the rows of its ranks
+    (ties only add rows), so the rule never widens past the first band with
+    min_conditional ranks."""
+    n, spec = config.n_mc, config.event
+    while True:
+        lo, hi = band_levels(spec)
+        k1 = math.ceil(n * lo)
+        short = math.ceil(n * hi) - k1 + 1 < config.min_conditional
+        wider = _widened(spec) if config.engine == "mc" and short else None
+        if wider is None:
+            return max(k1, 1)
+        spec = wider
+
+
+def _conditional_rows(event, rows, min_conditional):
+    cond = rows[event.contains_rows(rows)]
     if len(cond) < min_conditional:
         raise ConditionalCountError(len(cond), min_conditional, event.spec)
     return cond
@@ -293,9 +311,11 @@ class PreparedRun:
     engine_details known before the chain.  The chain runs on target from
     start with chain_seed; started is the perf_counter reading before the
     presample and phase_seconds the wall time of each phase so far.  work
-    holds the engine's work counters:
+    holds the engine's work counters, and on every engine
+    presample_kept_rows, the presample rows kept past the cut at the lowest
+    rank the run can read (mc_presample):
 
-    - mc: presample_rows (n_mc) and conditional_rows (the rows kept);
+    - mc: presample_rows (n_mc) and conditional_rows (the rows in the event);
     - hmc: tune_steps (lockstep steps of the tuning scans),
       tune_trajectory_steps (trajectory steps within them), tune_capped
       (tuning trajectories stopped at t_max before a U-turn; 0 with
@@ -333,13 +353,13 @@ def prepare(config: RunConfig) -> PreparedRun:
     _check_supported(config.engine, config.event, model.support_class)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     started = time.perf_counter()
-    presample = mc_presample(model, config.n_mc, seeds[0])
+    presample = mc_presample(model, config.n_mc, seeds[0], rank=_lowest_rank(config))
     presampled = time.perf_counter()
     spec, log = config.event, []
     while True:
         event = estimate_event(spec, presample, model.support_class)
         try:
-            cond = _conditional_rows(event, presample, config.min_conditional)
+            cond = _conditional_rows(event, presample.rows, config.min_conditional)
             break
         except ConditionalCountError as err:
             # only plain MC widens; the samplers report the shortfall
@@ -363,6 +383,7 @@ def prepare(config: RunConfig) -> PreparedRun:
             event = _var_hyperplane(event)
     else:
         start, params, work = _prepare_gibbs(model, event, cond, config, seeds[1], details)
+    work["presample_kept_rows"] = len(presample.rows)
     return PreparedRun(
         config=config,
         model=model,

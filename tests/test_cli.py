@@ -140,6 +140,17 @@ def test_compare_prints_table_and_csv(tmp_path, capsys):
     assert csv_lines[1].split(",")[3] != ""
 
 
+def test_n_mc_takes_an_integral_float_and_rejects_a_fraction(tmp_path, capsys):
+    flags = ["--model", "M2", "--event", "es", "--levels", "0.9", "--seed", "3"]
+    assert main(["allocate", *flags, "--n-mc", "4e3", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["n_mc"] == 4000
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["allocate", *flags, "--n-mc", "1.5"])
+    assert exc.value.code == 2
+    assert "expected a whole number such as 1e7, got '1.5'" in capsys.readouterr().err
+
+
 def _tuned_and_used(flags, tmp_path, capsys):
     """What `tune` prints and the engine_details `allocate` reports, same flags."""
     assert main(["tune", *flags]) == 0

@@ -321,6 +321,31 @@ def test_reflect_involution_and_energy():
         assert np.linalg.norm(p1) == pytest.approx(np.linalg.norm(p), rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    k=st.sampled_from([None, 1, 5]),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_reflect_is_an_involution_that_keeps_the_speed(seed, d, k, scale):
+    # one hyperplane for a point (k None), or one per row of a batch
+    rng = np.random.default_rng(seed)
+    shape = (d,) if k is None else (k, d)
+    h = rng.normal(size=shape)
+    v = rng.normal(size=shape[:-1]) * scale
+    x = rng.normal(size=shape) * scale
+    p = rng.normal(size=shape) * rng.uniform(0.1, 10.0)
+    x1, p1 = reflect(x, p, h, v)
+    x2, p2 = reflect(x1, p1, h, v)
+    # each mirror moves x by at most |x| + |v| / |h|
+    reach = np.abs(x).max() + np.abs(v).max() / np.linalg.norm(h, axis=-1).min()
+    np.testing.assert_allclose(x2, x, rtol=0.0, atol=1e-12 * reach)
+    speed = np.linalg.norm(p, axis=-1)
+    np.testing.assert_allclose(np.linalg.norm(p1, axis=-1), speed, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(p2, p, rtol=0.0, atol=1e-12 * speed.max())
+
+
 def test_reflected_walk_stays_feasible():
     # straight-line motion with reflections inside the unit box
     cons = HalfSpaces(

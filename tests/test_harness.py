@@ -305,6 +305,7 @@ def test_manifest_records_hmc_work_counters(tmp_path):
     work = manifest["work"]
     assert set(work) == {
         "tune_steps", "tune_trajectory_steps", "tune_capped", "chain_grad_evals", "chain_reflections",
+        "presample_kept_rows",
     }
     assert work["chain_grad_evals"] == 2 * rep.engine_details["T"] * 100
     assert 0 < work["tune_steps"] <= work["tune_trajectory_steps"]
@@ -324,22 +325,25 @@ def test_manifest_work_without_tuning(engine, tmp_path):
     if engine == "hmc":
         assert work == {
             "tune_steps": 0, "tune_trajectory_steps": 0, "tune_capped": 0,
-            "chain_grad_evals": 1000, "chain_reflections": 19,
+            "chain_grad_evals": 1000, "chain_reflections": 19, "presample_kept_rows": 201,
         }
     elif engine == "gibbs":
         # the prerun's n_pre updates; thin_T is 25, the cap n_pre / 4
-        assert work == {"prerun_updates": 100, "chain_updates": 100 * 25, "degenerate_redraws": 0}
+        assert work == {
+            "prerun_updates": 100, "chain_updates": 100 * 25, "degenerate_redraws": 0,
+            "presample_kept_rows": 201,
+        }
     else:
-        assert work == {"presample_rows": 2000, "conditional_rows": 201}
+        assert work == {"presample_rows": 2000, "presample_kept_rows": 201, "conditional_rows": 201}
 
 
 def test_samplers_are_charged_from_the_presample(monkeypatch):
     # a slow presample shows in every engine's runtime, not only in mc's
     presample = harness.mc_presample
 
-    def slow(model, n, seed):
+    def slow(model, n, seed, rank=1):
         time.sleep(0.2)
-        return presample(model, n, seed)
+        return presample(model, n, seed, rank)
 
     monkeypatch.setattr(harness, "mc_presample", slow)
     for engine in ("mc", "gibbs", "hmc"):
@@ -365,9 +369,9 @@ def test_mc_widening_draws_the_presample_once(monkeypatch):
     calls = []
     presample = harness.mc_presample
 
-    def counted(model, n, seed):
+    def counted(model, n, seed, rank=1):
         calls.append(n)
-        return presample(model, n, seed)
+        return presample(model, n, seed, rank)
 
     monkeypatch.setattr(harness, "mc_presample", counted)
     rep = run(RunConfig("M1", CrisisEventSpec("es", (0.9999,)), "mc", seed=0))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskalloc.events import (
     CrisisEventSpec,
@@ -12,12 +14,14 @@ from riskalloc.events import (
     estimate_event,
 )
 from riskalloc.hmc import (
+    FEASIBILITY_NUDGE,
     HmcParams,
     StandardizedTarget,
     TuneResult,
     hmc_sample,
     leapfrog_reflect,
     tune,
+    _reflective_drift,
 )
 from riskalloc.measures import MarginalRiskMeasure, batch_means_se
 from riskalloc.models import preset
@@ -183,6 +187,35 @@ def test_reflect_leapfrog_reversible_in_box():
             xb, pb, _ = leapfrog_reflect(xb, pb, eps, grad, UNIT_BOX)
         assert np.max(np.abs(xb - x0)) < 1e-10
         assert np.max(np.abs(-pb - p0)) < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    m=st.integers(1, 8),
+    k=st.integers(1, 6),
+    eps=st.floats(1e-3, 3.0),
+)
+def test_reflective_drift_keeps_rows_feasible_and_their_speed(seed, d, m, k, eps):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, d)) * rng.uniform(0.1, 10.0)
+    p = rng.normal(size=(k, d)) * rng.uniform(0.1, 3.0)
+    normals = rng.normal(size=(m, d))
+    # every wall at a random gap below the lowest row: all rows feasible
+    offsets = (x @ normals.T).min(axis=0) - rng.uniform(0.05, 2.0, size=m)
+    walls = HalfSpaces(normals, offsets)
+    assert (walls.slack(x) >= 0.0).all()
+    n_reflections = np.zeros(k, dtype=np.int64)
+    x1, p1 = _reflective_drift(x, p, eps, walls, n_reflections)
+    tol = FEASIBILITY_NUDGE * np.maximum(1.0, np.abs(walls.offsets))
+    assert (walls.slack(x1) >= -tol).all()
+    np.testing.assert_allclose(
+        np.linalg.norm(p1, axis=-1), np.linalg.norm(p, axis=-1), rtol=1e-12, atol=0.0
+    )
+    # a row that reflects nowhere drifts in a straight line
+    straight = n_reflections == 0
+    np.testing.assert_array_equal(p1[straight], p[straight])
 
 
 def test_reflect_leapfrog_reversible_on_m1_event(m1_rvar_target):

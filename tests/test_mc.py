@@ -1,29 +1,142 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import special
 
+from riskalloc import harness
 from riskalloc.copulas import Independence
-from riskalloc.events import CrisisEventSpec
-from riskalloc.harness import RunConfig, prepare, run
+from riskalloc.events import (
+    EQUALITY_RTOL,
+    CrisisEventSpec,
+    _as_presample,
+    _row_sums,
+    band_levels,
+    estimate_event,
+)
+from riskalloc.harness import RunConfig, oracle_for, prepare, run
 from riskalloc.marginals import GPD, Normal
-from riskalloc.mc import ConditionalCountError, mc_presample
+from riskalloc.mc import PRESAMPLE_CHUNK, ConditionalCountError, mc_presample
 from riskalloc.measures import MarginalRiskMeasure
 from riskalloc.models import JointLossModel, preset
 
 MEAN2 = (MarginalRiskMeasure("mean"),) * 2
+# three chunks, the last one short
+MULTI_CHUNK = 2 * PRESAMPLE_CHUNK + 17
 
 
 def test_presample_determinism():
     m = preset("M2")
-    a = mc_presample(m, 5000, 7)
-    b = mc_presample(m, 5000, 7)
-    assert np.array_equal(a, b)
-    assert a.shape == (5000, 3)
-    # t margins have mean zero; LLN bound
-    sd = a.std(axis=0)
-    assert np.all(np.abs(a.mean(axis=0)) < 3.0 * sd / math.sqrt(a.shape[0]))
+    for n in (5000, MULTI_CHUNK):
+        a = mc_presample(m, n, 7)
+        b = mc_presample(m, n, 7)
+        assert a.n == n and np.array_equal(a.rows, b.rows) and np.array_equal(a.sums, b.sums)
+        assert a.rows.shape == (n, 3)
+        # t margins have mean zero; LLN bound
+        sd = a.rows.std(axis=0)
+        assert np.all(np.abs(a.rows.mean(axis=0)) < 3.0 * sd / math.sqrt(n))
+
+
+def chunked_matrix(model, n, seed):
+    """Every presample row: the chunks mc_presample draws, concatenated."""
+    rng = np.random.default_rng(seed)
+    sizes = [min(PRESAMPLE_CHUNK, n - s) for s in range(0, n, PRESAMPLE_CHUNK)]
+    return np.concatenate([model.sample(c, rng) for c in sizes])
+
+
+EVENT_KINDS = [
+    CrisisEventSpec("es", (0.99,)),
+    CrisisEventSpec("rvar", (0.975, 0.99)),
+    CrisisEventSpec("var", (0.99,), delta=0.001),
+    CrisisEventSpec("var", (0.99,)),
+]
+
+
+@pytest.mark.parametrize("n", [5000, PRESAMPLE_CHUNK, MULTI_CHUNK])
+@pytest.mark.parametrize("name", ["M1", "M2"])
+def test_cut_presample_builds_the_events_of_every_row(name, n):
+    m = preset(name)
+    full = chunked_matrix(m, n, 4)
+    full_sums = _row_sums(full)
+    if n <= PRESAMPLE_CHUNK:
+        # one chunk is one model.sample call
+        assert np.array_equal(full, m.sample(n, np.random.default_rng(4)))
+    for spec in EVENT_KINDS:
+        rank = math.ceil(n * band_levels(spec)[0])
+        pre = mc_presample(m, n, 4, rank)
+        assert np.array_equal(pre.sums, _row_sums(pre.rows))
+        ev = estimate_event(spec, pre, m.support_class)
+        ref = estimate_event(spec, full, m.support_class)
+        assert ev.thresholds == ref.thresholds
+        assert (ev.v1, ev.v2) == (ref.v1, ref.v2)
+        # the same rows in the same draw order
+        cond = pre.rows[ev.contains_rows(pre.rows)]
+        assert np.array_equal(cond, full[ref.contains_rows(full)])
+        assert len(cond) >= 1
+        # the kept rows: ranks rank..n, plus the ties within the tolerance
+        cut = np.sort(full_sums)[rank - 1]
+        kept = full_sums - cut >= -EQUALITY_RTOL * max(1.0, abs(cut))
+        assert np.array_equal(pre.rows, full[kept])
+        assert n - rank + 1 <= len(pre.rows) == kept.sum()
+
+
+def test_cut_keeps_the_rows_within_the_tolerance_below_an_exact_var():
+    # rows (s, 0) with sums 1..1000; v* at level 0.99 is 990, and the row
+    # drawn first sits within the event's tolerance below it
+    sums = np.arange(1.0, 1001.0)
+    sums[988] = 990.0 * (1.0 - 0.5 * EQUALITY_RTOL)
+    sums = np.roll(sums, -988)
+    model = SimpleNamespace(sample=lambda n, rng: np.column_stack([sums[:n], np.zeros(n)]))
+    spec = CrisisEventSpec("var", (0.99,))
+    pre = mc_presample(model, 1000, 0, rank=990)
+    assert len(pre.rows) == 12
+    ev = estimate_event(spec, pre, "pure-losses")
+    assert ev.sum_equality == 990.0
+    cond = pre.rows[ev.contains_rows(pre.rows)]
+    assert cond[:, 0].tolist() == [sums[0], 990.0]
+
+
+def test_cut_presample_cannot_read_below_its_rank():
+    pre = mc_presample(preset("M2"), 5000, 1, rank=4950)
+    assert len(pre.rows) == 51
+    assert pre.order_statistic(0.99) == pre.sums.min()
+    with pytest.raises(ValueError, match="kept the largest 51 of 5000"):
+        estimate_event(CrisisEventSpec("es", (0.98,)), pre, "pnl")
+    with pytest.raises(ValueError, match="rank"):
+        mc_presample(preset("M2"), 5000, 1, rank=5001)
+
+
+def test_widened_mc_run_on_a_cut_presample_equals_every_row(monkeypatch):
+    # the widening walks 0.999 -> 0.989, whose band first holds 1000 ranks
+    cfg = RunConfig(
+        "M1", CrisisEventSpec("es", (0.999,)), "mc", n_mc=MULTI_CHUNK, seed=2, min_conditional=1000
+    )
+    assert harness._lowest_rank(cfg) == math.ceil(MULTI_CHUNK * (0.999 - 0.01))
+    prep = prepare(cfg)
+    assert len(prep.widening_log) == 1
+    assert prep.work["presample_kept_rows"] == MULTI_CHUNK - harness._lowest_rank(cfg) + 1
+
+    def every_row(model, n, seed, rank=1):
+        return _as_presample(chunked_matrix(model, n, seed))
+
+    monkeypatch.setattr(harness, "mc_presample", every_row)
+    ref = prepare(cfg)
+    assert ref.work["presample_kept_rows"] == MULTI_CHUNK
+    assert prep.widening_log == ref.widening_log
+    assert prep.event.to_json_dict() == ref.event.to_json_dict()
+    assert np.array_equal(prep.cond, ref.cond)
+
+
+def test_far_tail_mc_run_needs_no_widening():
+    # M2 es 0.9999 on 2e6 draws (16 chunks): about 200 conditional rows
+    spec = CrisisEventSpec("es", (0.9999,))
+    rep = run(RunConfig("M2", spec, "mc", n_mc=2_000_000, seed=0))
+    assert not rep.widening_log
+    assert rep.event_spec == rep.requested_event == spec
+    assert rep.work["presample_kept_rows"] == rep.engine_details["k_conditional"] == 201
+    z = (rep.estimates - oracle_for("M2", spec)) / rep.ses
+    assert np.all(np.abs(z) <= 3.0)
 
 
 def test_presample_size_floor():
