@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="run one allocation and report estimates")
     _add_common(p)
     p.add_argument("--engine", choices=("mc", "hmc", "gibbs"), default="mc")
-    p.add_argument("--n", type=int, default=10_000, help="MCMC sample size")
+    p.add_argument("--n", type=_whole_number, default=10_000, help="MCMC sample size (1e4 allowed)")
     p.add_argument(
         "--measure",
         help="per-coordinate measure: kind or comma list, levels after ':' "
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several engines and tabulate bias/SE/MSE")
     _add_common(p)
     p.add_argument("--engines", default="mc,hmc", help="comma list of engines")
-    p.add_argument("--n", type=int, default=10_000, help="MCMC sample size")
+    p.add_argument("--n", type=_whole_number, default=10_000, help="MCMC sample size (1e4 allowed)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("presets", help="list built-in models")

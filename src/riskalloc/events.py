@@ -28,7 +28,7 @@ import numpy as np
 EVENT_KINDS = ("var", "rvar", "es")
 SUPPORT_CLASSES = ("pure-losses", "pnl")
 
-# relative tolerance on a band's sum bounds (ConcreteCrisisEvent.tolerance);
+# relative tolerance on a band's sum bounds (band_tolerance);
 # the sum identities are maintained algebraically, this only absorbs float
 # drift
 EQUALITY_RTOL = 1e-9
@@ -37,6 +37,21 @@ PURE_LOSSES_ONLY = (
     "var dimension reduction requires a model with nonnegative "
     "losses; profit-and-loss models are not supported"
 )
+
+
+def count(field: str, value, least: int) -> int:
+    """value as an int: an int (np.integer too, bool not) of at least least.
+    A ValueError naming field otherwise.  Every count a run is configured
+    with, in RunConfig, HmcParams and GibbsParams, follows this rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{field} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def json_count(value):
+    """A count as a JSON reader takes it: an integral float (1e5) as an int,
+    any other value as it is, for count() to check."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +154,10 @@ class ConcreteCrisisEvent:
 
     @property
     def tolerance(self) -> float:
-        """How far 1.x may stray past a finite band bound, EQUALITY_RTOL
-        relative to the largest: a conditional mean, a clamped draw or the
-        exact var sum may sit a few ulps off the band."""
-        finite = [abs(v) for v in (self.v1, self.v2) if np.isfinite(v)]
-        return EQUALITY_RTOL * max([1.0] + finite)
+        """How far 1.x may stray past a finite band bound: a conditional
+        mean, a clamped draw or the exact var sum may sit a few ulps off the
+        band."""
+        return band_tolerance(self.v1, self.v2)
 
     @cached_property
     def constraints(self) -> HalfSpaces:
@@ -169,7 +183,7 @@ class ConcreteCrisisEvent:
         adds them, are compared with the band, so the row whose sum is a
         threshold lies on the threshold."""
         rows = np.asarray(rows, dtype=float)
-        s = _row_sums(rows)
+        s = _left_to_right_sum(rows.T)
         if self.sum_equality is not None:
             mask = np.abs(s - self.sum_equality) <= self.tolerance
         else:
@@ -190,19 +204,29 @@ class ConcreteCrisisEvent:
         }
 
 
-def _row_sums(x) -> np.ndarray:
-    """1.x for every row of an (n, d) matrix, the columns added left to
-    right.  For d < 8 these are the bits of x.sum(axis=1)."""
-    s = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
-        s += x[:, j]
+def band_tolerance(*bounds) -> float:
+    """EQUALITY_RTOL relative to the largest finite bound, and to at least 1."""
+    return EQUALITY_RTOL * max([1.0] + [abs(v) for v in bounds if math.isfinite(v)])
+
+
+# private: perfbench's tracer wraps public functions, and a span on every
+# Gibbs update would outweigh the sum
+def _left_to_right_sum(terms):
+    """terms[0] + terms[1] + ..., added left to right: floats, or columns
+    added in place into a copy of the first.  The event's thresholds and
+    membership, the Gibbs slices and the model's log-density all add this
+    way.  The row sums of x are _left_to_right_sum(x.T), for d < 8 the bits
+    of x.sum(axis=1)."""
+    s = +terms[0]
+    for t in terms[1:]:
+        s += t
     return s
 
 
 @dataclass(frozen=True, eq=False)
 class Presample:
     """The rows of an n-row presample that a run can read, in draw order,
-    with their sums (_row_sums).
+    with their sums (_left_to_right_sum).
 
     The kept sums are the largest len(sums) of all n, so the k-th smallest
     of all n is the kept sums' entry at index k - 1 - (n - len(sums)).  An
@@ -232,7 +256,7 @@ def _as_presample(x) -> Presample:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("presample must be an n x d matrix")
-    return Presample(len(x), x, _row_sums(x))
+    return Presample(len(x), x, _left_to_right_sum(x.T))
 
 
 def band_levels(spec: CrisisEventSpec) -> tuple:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .events import ConcreteCrisisEvent
+from .events import ConcreteCrisisEvent, _left_to_right_sum, count, json_count
 from .measures import acf
 
 DEGENERATE_MASS = 1e-14
@@ -51,20 +51,14 @@ class GibbsParams:
         p = p / p.sum()
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        T = self.thin_T
-        if not (isinstance(T, (int, np.integer)) and not isinstance(T, bool) and T >= 1):
-            raise ValueError("thinning interval must be a positive integer")
-        object.__setattr__(self, "thin_T", int(self.thin_T))
+        object.__setattr__(self, "thin_T", count("thinning interval thin_T", self.thin_T, 1))
 
     def to_json_dict(self) -> dict:
         return {"p": [float(v) for v in self.p], "thin_T": self.thin_T}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> GibbsParams:
-        # an integral float (3.0) is read as an int; any other non-int fails
-        T = d["thin_T"]
-        T = int(T) if isinstance(T, float) and T.is_integer() else T
-        return cls(np.asarray(d["p"], dtype=float), T)
+        return cls(np.asarray(d["p"], dtype=float), json_count(d["thin_T"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,25 +120,16 @@ def thin_interval(prerun_path, rho_target: float = RHO_TARGET) -> ThinResult:
 # -- truncated full-conditional inversion ---------------------------------------
 
 
-def _sum(values) -> float:
-    """The values added left to right, as events._row_sums adds a row's
-    columns, so the chain agrees with the event's membership bit for bit."""
-    s = values[0]
-    for i in range(1, len(values)):
-        s += values[i]
-    return s
-
-
 def _slice_interval(x_rest, event: ConcreteCrisisEvent):
     """Truncation interval, in x_j space, for the coordinate whose others
     are x_rest."""
-    s_rest = _sum(x_rest)
+    s_rest = _left_to_right_sum(x_rest)
     return event.v1 - s_rest, event.v2 - s_rest
 
 
 def _in_band(event: ConcreteCrisisEvent, x) -> bool:
     """v1 <= 1.x <= v2 up to the event's tolerance."""
-    s = _sum(x)
+    s = _left_to_right_sum(x)
     tol = event.tolerance
     return event.v1 - tol <= s <= event.v2 + tol
 

@@ -30,7 +30,9 @@ from .events import (
     EventTarget,
     ReducedVarTarget,
     band_levels,
+    count,
     estimate_event,
+    json_count,
 )
 from .gibbs import N_PRERUN, GibbsParams, rsgs_sample, select_probs, thin_interval
 from .hmc import HmcParams, StandardizedTarget, hmc_sample, tune
@@ -71,12 +73,8 @@ class RunConfig:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not isinstance(self.event, CrisisEventSpec):
             raise TypeError("event must be a CrisisEventSpec")
-        if self.n_mc < 100:
-            raise ValueError("n_mc must be at least 100")
-        if self.n_mcmc < 100:
-            raise ValueError("n_mcmc must be at least 100")
-        if self.min_conditional < 2:
-            raise ValueError("min_conditional must be at least 2")
+        for name, least in (("n_mc", 100), ("n_mcmc", 100), ("min_conditional", 2)):
+            object.__setattr__(self, name, count(name, getattr(self, name), least))
         if self.measures is not None:
             object.__setattr__(self, "measures", tuple(self.measures))
             for m in self.measures:
@@ -130,6 +128,9 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
     extra = set(cfg) - known
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
+    for name in ("n_mc", "n_mcmc", "seed", "min_conditional"):
+        if name in cfg:
+            cfg[name] = json_count(cfg[name])
     return RunConfig(event=spec, measures=measures, overrides=overrides, **cfg)
 
 
@@ -261,41 +262,35 @@ def _model_name(spec) -> str:
 
 
 def _widened(spec: CrisisEventSpec) -> CrisisEventSpec:
-    """Lower the event's lower level by 0.01; None when that is impossible."""
-    if spec.kind == "es":
-        lo = spec.levels[0] - 0.01
-        return CrisisEventSpec("es", (lo,)) if lo > 0.0 else None
-    if spec.kind == "rvar":
-        lo = spec.levels[0] - 0.01
-        return CrisisEventSpec("rvar", (lo, spec.levels[1])) if lo > 0.0 else None
-    # var band (a - delta, a + delta): widen the lower edge only
-    lo = spec.levels[0] - spec.delta - 0.01
-    hi = spec.levels[0] + spec.delta
-    return CrisisEventSpec("rvar", (lo, hi)) if lo > 0.0 else None
+    """Lower the event's band lower level by 0.01; None when that is
+    impossible.  A var band widens into the rvar band of its edges."""
+    lo, hi = band_levels(spec)
+    lo -= 0.01
+    if lo <= 0.0:
+        return None
+    return CrisisEventSpec("es", (lo,)) if spec.kind == "es" else CrisisEventSpec("rvar", (lo, hi))
+
+
+def _bands(config: RunConfig) -> list:
+    """The bands the run may estimate, in the order prepare() tries them:
+    the requested band, then on mc each _widened band while the band
+    before it has fewer than min_conditional ranks among the n_mc sums.  A
+    band holds at least the rows of its ranks (ties only add rows), so the
+    walk never needs a band past the last."""
+    n, bands = config.n_mc, [config.event]
+    while config.engine == "mc":
+        lo, hi = band_levels(bands[-1])
+        wider = _widened(bands[-1])
+        if math.ceil(n * hi) - math.ceil(n * lo) + 1 >= config.min_conditional or wider is None:
+            break
+        bands.append(wider)
+    return bands
 
 
 def _lowest_rank(config: RunConfig) -> int:
     """The lowest rank, among the n_mc presample sums, of an order statistic
-    the run can read: its band's lower level, and on mc the lower levels the
-    widening rule walks to.  A band holds at least the rows of its ranks
-    (ties only add rows), so the rule never widens past the first band with
-    min_conditional ranks."""
-    n, spec = config.n_mc, config.event
-    while True:
-        lo, hi = band_levels(spec)
-        k1 = math.ceil(n * lo)
-        short = math.ceil(n * hi) - k1 + 1 < config.min_conditional
-        wider = _widened(spec) if config.engine == "mc" and short else None
-        if wider is None:
-            return max(k1, 1)
-        spec = wider
-
-
-def _conditional_rows(event, rows, min_conditional):
-    cond = rows[event.contains_rows(rows)]
-    if len(cond) < min_conditional:
-        raise ConditionalCountError(len(cond), min_conditional, event.spec)
-    return cond
+    the run can read: the lower level of its last band."""
+    return max(math.ceil(config.n_mc * band_levels(_bands(config)[-1])[0]), 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,22 +350,18 @@ def prepare(config: RunConfig) -> PreparedRun:
     started = time.perf_counter()
     presample = mc_presample(model, config.n_mc, seeds[0], rank=_lowest_rank(config))
     presampled = time.perf_counter()
-    spec, log = config.event, []
-    while True:
+    bands, log = _bands(config), []
+    for spec, wider in zip(bands, bands[1:] + [None]):
         event = estimate_event(spec, presample, model.support_class)
-        try:
-            cond = _conditional_rows(event, presample.rows, config.min_conditional)
+        cond = presample.rows[event.contains_rows(presample.rows)]
+        if len(cond) >= config.min_conditional:
             break
-        except ConditionalCountError as err:
-            # only plain MC widens; the samplers report the shortfall
-            wider = _widened(spec) if config.engine == "mc" else None
-            if wider is None:
-                raise
-            log.append(
-                f"only {err.k} conditional rows (need {err.needed}); lowered the "
-                f"lower level: {spec.kind}{spec.levels} -> {wider.kind}{wider.levels}"
-            )
-            spec = wider
+        if wider is None:
+            raise ConditionalCountError(len(cond), config.min_conditional, spec)
+        log.append(
+            f"only {len(cond)} conditional rows (need {config.min_conditional}); lowered "
+            f"the lower level: {spec.kind}{spec.levels} -> {wider.kind}{wider.levels}"
+        )
     estimated = time.perf_counter()
     details = {"k_conditional": int(len(cond))}
     target = start = params = None

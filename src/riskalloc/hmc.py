@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .events import HalfSpaces, hit_time, reflect
+from .events import HalfSpaces, count, hit_time, json_count, reflect
 
 MAX_REFLECTIONS = 10_000
 EPS_FLOOR = 1e-12
@@ -44,20 +44,14 @@ class HmcParams:
     def __post_init__(self):
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError("stepsize must be positive and finite")
-        T = self.T
-        if not (isinstance(T, (int, np.integer)) and not isinstance(T, bool) and T >= 1):
-            raise ValueError("integration time must be a positive integer")
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "T", count("integration time T", self.T, 1))
 
     def to_json_dict(self) -> dict:
         return {"eps": self.eps, "T": self.T}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> HmcParams:
-        # an integral float (3.0) is read as an int; any other non-int fails
-        T = d["T"]
-        T = int(T) if isinstance(T, float) and T.is_integer() else T
-        return cls(float(d["eps"]), T)
+        return cls(float(d["eps"]), json_count(d["T"]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .events import EQUALITY_RTOL, CrisisEventSpec, Presample, _row_sums
+from .events import CrisisEventSpec, Presample, _left_to_right_sum, band_tolerance
 
 PRESAMPLE_CHUNK = 2**17
 
 
 def mc_presample(model, n: int, seed, rank: int = 1) -> Presample:
     """n i.i.d. draws of the loss vector, of which the rows whose sum is at
-    least the rank-th smallest of all n sums, less EQUALITY_RTOL relative
-    to it, are kept; rank 1 keeps every row."""
+    least the rank-th smallest of all n sums, less the band tolerance at
+    it, are kept; rank 1 keeps every row."""
     if n < 100:
         raise ValueError(f"presample size must be at least 100, got {n}")
     n = int(n)
@@ -38,30 +38,36 @@ def mc_presample(model, n: int, seed, rank: int = 1) -> Presample:
     pieces, held, cut = [], 0, None
     for start in range(0, n, PRESAMPLE_CHUNK):
         x = model.sample(min(PRESAMPLE_CHUNK, n - start), rng)
-        s = _row_sums(x)
+        s = _left_to_right_sum(x.T)
         if cut is not None:
             # the top-th largest sum so far only rises as chunks come in,
             # so a row below it now is below the final one too
             x, s = _at_least(x, s, cut)
         pieces.append((x, s))
         held += len(s)
+        # the pieces hold the only references, so a cut frees each piece
+        # as it copies its kept rows
+        del x, s
         # cut once the rows held pass twice the rows kept, and at the end:
         # each row is then copied a bounded number of times
         if held > 2 * top or start + PRESAMPLE_CHUNK >= n:
-            s = np.concatenate([s for _, s in pieces])
-            if len(s) > top:
-                cut = float(np.partition(s, len(s) - top)[len(s) - top])
-                pieces = [_at_least(x, s, cut) for x, s in pieces]
-            x, s = (np.concatenate(blocks) for blocks in zip(*pieces))
-            pieces, held = [(x, s)], len(s)
-    return Presample(n, x, s)
+            if held > top:
+                sums = np.concatenate([s for _, s in pieces])
+                sums.partition(held - top)
+                cut = float(sums[held - top])
+                del sums
+                for i in range(len(pieces)):
+                    pieces[i] = _at_least(*pieces[i], cut)
+            pieces = [tuple(np.concatenate(blocks) for blocks in zip(*pieces))]
+            held = len(pieces[0][1])
+    return Presample(n, *pieces[0])
 
 
 def _at_least(rows, sums, cut):
     """The rows, with their sums, whose sum is at least cut less the event
     tolerance at cut: those an exact var hyperplane at cut or above may
     hold."""
-    i = np.flatnonzero(sums - cut >= -EQUALITY_RTOL * max(1.0, abs(cut)))
+    i = np.flatnonzero(sums - cut >= -band_tolerance(cut))
     return rows[i], sums[i]
 
 

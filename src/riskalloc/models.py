@@ -42,6 +42,7 @@ from .copulas import (
     clip01,
     copula_from_dict,
 )
+from .events import _left_to_right_sum
 from .marginals import GPD, Marginal, Normal, Pareto, StudentT, marginal_from_dict
 
 
@@ -172,11 +173,8 @@ class JointLossModel:
 
     def _logpdf_on_support(self, x):
         lp, u, _ = self._terms(x, grad=False)
-        # added left to right, coordinate by coordinate: from d = 8 on,
-        # np.sum adds in another order and changes the last bits
-        total = 0.0
-        for lp_j in lp.T:
-            total = total + lp_j
+        # from d = 8 on, np.sum adds in another order and changes the last bits
+        total = _left_to_right_sum(lp.T)
         # clip01 keeps u interior, so the copula's argument check is skipped
         lc = self.copula._logdensity(clip01(u))
         return np.where(np.isfinite(total), total + lc, -np.inf)[()]

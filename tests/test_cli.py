@@ -58,6 +58,28 @@ def test_allocate_from_config_file(tmp_path, capsys):
     assert doc["engine"] == "mc" and doc["seed"] == 1
 
 
+def _allocate_from_config(tmp_path, name, **fields):
+    cfg = {"model": "M2", "event": {"kind": "es", "levels": [0.9]}, "n_mc": 4000, "seed": 1}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, **fields}))
+    return main(["allocate", "--config", str(path), "--out", str(tmp_path / name)])
+
+
+def test_config_file_counts_read_integral_floats_and_name_a_bad_field(tmp_path, capsys):
+    # json writes the floats 1e5 and 1.0 as 100000.0 and 1.0
+    assert _allocate_from_config(tmp_path, "ints", n_mc=100_000) == 0
+    assert _allocate_from_config(tmp_path, "floats", n_mc=1e5, seed=1.0) == 0
+    report = "report.json"
+    assert (tmp_path / "floats" / report).read_bytes() == (tmp_path / "ints" / report).read_bytes()
+    assert _allocate_from_config(tmp_path, "gibbs", engine="gibbs", n_mcmc=200.0) == 0
+    assert json.loads((tmp_path / "gibbs" / report).read_text())["n"] == 200
+    capsys.readouterr()
+    for field in ("n_mc", "n_mcmc", "min_conditional"):
+        for bad in (2.5, True, "100"):
+            assert _allocate_from_config(tmp_path, "bad", **{field: bad}) == 2
+            assert f"error: {field} must be an integer of at least" in capsys.readouterr().err
+
+
 def test_allocate_model_file(tmp_path):
     spec = {
         "marginals": [
@@ -149,6 +171,19 @@ def test_n_mc_takes_an_integral_float_and_rejects_a_fraction(tmp_path, capsys):
         main(["allocate", *flags, "--n-mc", "1.5"])
     assert exc.value.code == 2
     assert "expected a whole number such as 1e7, got '1.5'" in capsys.readouterr().err
+
+
+def test_n_takes_an_integral_float_and_rejects_a_fraction(tmp_path, capsys):
+    flags = ["--model", "M2", "--event", "es", "--levels", "0.9", "--n-mc", "4000", "--seed", "3"]
+    assert main(["allocate", *flags, "--engine", "gibbs", "--n", "2e2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["n"] == 200
+    assert main(["compare", *flags, "--engines", "gibbs", "--n", "2e2"]) == 0
+    capsys.readouterr()
+    for command in ("allocate", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--n", "1.5"])
+        assert exc.value.code == 2
+        assert "expected a whole number such as 1e7, got '1.5'" in capsys.readouterr().err
 
 
 def _tuned_and_used(flags, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy import stats
 
 from riskalloc import gibbs
 from riskalloc.copulas import U_EPS, Clayton, GaussianCopula, Independence, StudentTCopula, clip01
-from riskalloc.events import ConcreteCrisisEvent, CrisisEventSpec, _row_sums, estimate_event
+from riskalloc.events import ConcreteCrisisEvent, CrisisEventSpec, _left_to_right_sum, estimate_event
 from riskalloc.gibbs import (
     DEGENERATE_MASS,
     DegenerateSliceError,
@@ -343,12 +345,14 @@ def test_chain_sums_equal_the_event_row_sums(d, seed, scale):
     # each bit for bit as the event's thresholds and membership do
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((200, d)) * scale * rng.uniform(0.1, 10.0, d)
-    sums = _row_sums(rows)
+    sums = _left_to_right_sum(rows.T)
     for row, want in zip(rows[:20].tolist(), sums[:20].tolist()):
-        assert gibbs._sum(row).hex() == want.hex()
+        # floats and columns alike: a + b + ... in Python
+        want_py = functools.reduce(operator.add, row)
+        assert _left_to_right_sum(row).hex() == want.hex() == want_py.hex()
         for j in range(d):
             rest = row[:j] + row[j + 1:]
-            want_rest = float(_row_sums(np.array([rest]))[0])
+            want_rest = float(_left_to_right_sum(np.array([rest]).T)[0])
             lo, hi = gibbs._slice_interval(rest, sum_band(d, 0.0, np.inf))
             assert lo.hex() == (0.0 - want_rest).hex() and hi == np.inf
     # the row whose sum is the es threshold passes rsgs_sample's start check
@@ -392,7 +396,7 @@ def test_block_drawn_uniforms_equal_the_scalar_stream(name, block, monkeypatch):
     # block of 7 refills mid-update, between a pick and its innovation
     m = preset(name)
     x0 = np.array([1.0, 1.5, 2.0])
-    v = float(_row_sums(x0[None])[0])
+    v = float(_left_to_right_sum(x0[None].T)[0])
     band = sum_band(3, v, v + 3e-14)
     params = GibbsParams(np.array([0.5, 0.3, 0.2]), 2)
     monkeypatch.setattr(gibbs, "UNIFORM_BLOCK", block)

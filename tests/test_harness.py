@@ -44,6 +44,12 @@ def test_config_rejects_bad_fields():
         RunConfig("M1", ES90, "gibbs", n_mcmc=50)
     with pytest.raises(ValueError, match="min_conditional"):
         RunConfig("M1", ES90, "mc", min_conditional=1)
+    # a count is an int, as HmcParams(0.1, 3.0) requires; np.integer is one
+    for bad in (200.0, True, np.bool_(True), "200"):
+        with pytest.raises(ValueError, match="n_mcmc must be an integer of at least 100"):
+            RunConfig("M1", ES90, "gibbs", n_mcmc=bad)
+    n_mc = RunConfig("M1", ES90, "mc", n_mc=np.int64(5000)).n_mc
+    assert n_mc == 5000 and type(n_mc) is int
     with pytest.raises(TypeError, match="MarginalRiskMeasure"):
         RunConfig("M1", ES90, "mc", measures=("mean", "mean", "mean"))
 

@@ -11,7 +11,7 @@ from riskalloc.events import (
     EQUALITY_RTOL,
     CrisisEventSpec,
     _as_presample,
-    _row_sums,
+    _left_to_right_sum,
     band_levels,
     estimate_event,
 )
@@ -58,14 +58,14 @@ EVENT_KINDS = [
 def test_cut_presample_builds_the_events_of_every_row(name, n):
     m = preset(name)
     full = chunked_matrix(m, n, 4)
-    full_sums = _row_sums(full)
+    full_sums = _left_to_right_sum(full.T)
     if n <= PRESAMPLE_CHUNK:
         # one chunk is one model.sample call
         assert np.array_equal(full, m.sample(n, np.random.default_rng(4)))
     for spec in EVENT_KINDS:
         rank = math.ceil(n * band_levels(spec)[0])
         pre = mc_presample(m, n, 4, rank)
-        assert np.array_equal(pre.sums, _row_sums(pre.rows))
+        assert np.array_equal(pre.sums, _left_to_right_sum(pre.rows.T))
         ev = estimate_event(spec, pre, m.support_class)
         ref = estimate_event(spec, full, m.support_class)
         assert ev.thresholds == ref.thresholds
@@ -126,6 +126,28 @@ def test_widened_mc_run_on_a_cut_presample_equals_every_row(monkeypatch):
     assert prep.widening_log == ref.widening_log
     assert prep.event.to_json_dict() == ref.event.to_json_dict()
     assert np.array_equal(prep.cond, ref.cond)
+
+
+def test_ties_at_the_es_threshold_stop_the_widening(monkeypatch):
+    # sums 1..1000 with the ten below 990 raised to it: es 0.99 has 11 ranks,
+    # fewer than min_conditional, but 20 rows, so mc keeps the band; the
+    # presample still keeps the rows of the band the walk could widen to
+    sums = np.arange(1.0, 1001.0)
+    sums[980:990] = 990.0
+    rows = np.column_stack([sums, np.zeros((1000, 2))])
+    ranks = []
+
+    def tied(model, n, seed, rank=1):
+        ranks.append(rank)
+        return _as_presample(rows)
+
+    monkeypatch.setattr(harness, "mc_presample", tied)
+    cfg = RunConfig("M1", CrisisEventSpec("es", (0.99,)), "mc", n_mc=1000, min_conditional=20)
+    prep = prepare(cfg)
+    assert ranks == [math.ceil(1000 * (0.99 - 0.01))]
+    assert not prep.widening_log
+    assert prep.event.spec == cfg.event and prep.event.v1 == 990.0
+    assert len(prep.cond) == 20
 
 
 def test_far_tail_mc_run_needs_no_widening():
