@@ -9,8 +9,10 @@ import math
 import sys
 from pathlib import Path
 
-from .events import CrisisEventSpec
+from .events import EVENT_KINDS, CrisisEventSpec
 from .harness import (
+    ENGINES,
+    OVERRIDE_TYPES,
     RunConfig,
     compare,
     oracle_for,
@@ -62,7 +64,7 @@ def _model_spec(args):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help=f"preset name ({', '.join(PRESET_NAMES)})")
     p.add_argument("--model-file", help="JSON file with an inline model spec")
-    p.add_argument("--event", choices=("var", "rvar", "es"), help="crisis event kind")
+    p.add_argument("--event", choices=EVENT_KINDS, help="crisis event kind")
     p.add_argument("--levels", type=_parse_levels, help="event levels, comma separated")
     p.add_argument("--delta", type=float, default=0.0, help="half-width of the var band")
     p.add_argument(
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="run one allocation and report estimates")
     _add_common(p)
-    p.add_argument("--engine", choices=("mc", "hmc", "gibbs"), default="mc")
+    p.add_argument("--engine", choices=ENGINES, default="mc")
     p.add_argument("--n", type=_whole_number, default=10_000, help="MCMC sample size (1e4 allowed)")
     p.add_argument(
         "--measure",
@@ -211,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="emit tuned sampler parameters only")
     _add_common(p)
-    p.add_argument("--engine", choices=("hmc", "gibbs"), default="hmc")
+    p.add_argument("--engine", choices=tuple(OVERRIDE_TYPES), default="hmc")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("compare", help="run several engines and tabulate bias/SE/MSE")

@@ -26,7 +26,6 @@ from functools import cached_property
 import numpy as np
 
 EVENT_KINDS = ("var", "rvar", "es")
-SUPPORT_CLASSES = ("pure-losses", "pnl")
 
 # relative tolerance on a band's sum bounds (band_tolerance);
 # the sum identities are maintained algebraically, this only absorbs float
@@ -270,13 +269,14 @@ def band_levels(spec: CrisisEventSpec) -> tuple:
     return alpha - spec.delta, alpha + spec.delta
 
 
-def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> ConcreteCrisisEvent:
+def estimate_event(spec: CrisisEventSpec, presample, nonnegative: bool) -> ConcreteCrisisEvent:
     """Build a concrete event from order statistics of presample row sums.
 
-    presample is a Presample, or an (n, d) matrix of every row.
+    presample is a Presample, or an (n, d) matrix of every row.  nonnegative
+    (the model's flag, a bool) adds the walls x >= 0.
     """
-    if support_class not in SUPPORT_CLASSES:
-        raise ValueError(f"unknown support class {support_class!r}")
+    if not isinstance(nonnegative, (bool, np.bool_)):
+        raise ValueError(f"nonnegative must be a bool, got {nonnegative!r}")
     pre = presample if isinstance(presample, Presample) else _as_presample(presample)
     if pre.n < 100:
         raise ValueError(f"presample too small to estimate thresholds: n={pre.n} < 100")
@@ -308,7 +308,7 @@ def estimate_event(spec: CrisisEventSpec, presample, support_class: str) -> Conc
         v1=v1,
         v2=v2,
         d=pre.rows.shape[1],
-        nonnegative=support_class == "pure-losses",
+        nonnegative=bool(nonnegative),
         thresholds=thresholds,
     )
 
@@ -349,7 +349,7 @@ class ReducedVarTarget:
     """
 
     def __init__(self, model, v_star: float):
-        if model.support_class != "pure-losses":
+        if not model.nonnegative:
             raise ValueError(PURE_LOSSES_ONLY)
         if model.d < 2:
             raise ValueError("dimension reduction needs d >= 2")

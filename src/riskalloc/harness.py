@@ -26,7 +26,6 @@ from .events import (
     ConcreteCrisisEvent,
     CrisisEventSpec,
     PURE_LOSSES_ONLY,
-    SUPPORT_CLASSES,
     EventTarget,
     ReducedVarTarget,
     band_levels,
@@ -54,6 +53,9 @@ except PackageNotFoundError:
 # the parameter type each MCMC engine takes as overrides; mc takes none
 OVERRIDE_TYPES = {"hmc": HmcParams, "gibbs": GibbsParams}
 
+# each count a run is configured with, and its least value (events.count)
+COUNTS = {"n_mc": 100, "n_mcmc": 100, "seed": 0, "min_conditional": 2}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -73,7 +75,7 @@ class RunConfig:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not isinstance(self.event, CrisisEventSpec):
             raise TypeError("event must be a CrisisEventSpec")
-        for name, least in (("n_mc", 100), ("n_mcmc", 100), ("min_conditional", 2)):
+        for name, least in COUNTS.items():
             object.__setattr__(self, name, count(name, getattr(self, name), least))
         if self.measures is not None:
             object.__setattr__(self, "measures", tuple(self.measures))
@@ -124,11 +126,10 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
     engine = cfg.setdefault("engine", "mc")
     if overrides is not None and engine in OVERRIDE_TYPES:
         overrides = OVERRIDE_TYPES[engine].from_json_dict(overrides)
-    known = {"model", "engine", "n_mc", "n_mcmc", "seed", "output_dir", "min_conditional"}
-    extra = set(cfg) - known
+    extra = set(cfg) - {"model", "engine", "output_dir", *COUNTS}
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
-    for name in ("n_mc", "n_mcmc", "seed", "min_conditional"):
+    for name in COUNTS:
         if name in cfg:
             cfg[name] = json_count(cfg[name])
     return RunConfig(event=spec, measures=measures, overrides=overrides, **cfg)
@@ -212,8 +213,9 @@ class AllocationReport:
 
 # -- engine/event rules ----------------------------------------------------------
 
-# (engine, event form) -> (the support classes the pair runs on, the message
-# that rejects it on any other model); a pair not listed runs on every model
+# (engine, event form) -> (the values of the model's nonnegative flag the
+# pair runs on, the message that rejects it on any other model); a pair not
+# listed runs on every model
 ENGINE_EVENT_RULES = {
     ("mc", "exact var"): (
         (),
@@ -232,7 +234,7 @@ ENGINE_EVENT_RULES = {
         "band provides; use a positive delta",
     ),
     # hmc samples the var hyperplane through the reduced simplex target
-    ("hmc", "var band"): (("pure-losses",), PURE_LOSSES_ONLY),
+    ("hmc", "var band"): ((True,), PURE_LOSSES_ONLY),
 }
 
 
@@ -242,11 +244,9 @@ def _event_form(spec: CrisisEventSpec) -> str:
     return "var band" if spec.delta > 0.0 else "exact var"
 
 
-def _check_supported(engine: str, spec: CrisisEventSpec, support_class: str) -> None:
-    allowed, message = ENGINE_EVENT_RULES.get(
-        (engine, _event_form(spec)), (SUPPORT_CLASSES, None)
-    )
-    if support_class not in allowed:
+def _check_supported(engine: str, spec: CrisisEventSpec, nonnegative: bool) -> None:
+    allowed, message = ENGINE_EVENT_RULES.get((engine, _event_form(spec)), ((False, True), None))
+    if nonnegative not in allowed:
         raise ValueError(message)
 
 
@@ -345,14 +345,14 @@ def prepare(config: RunConfig) -> PreparedRun:
         raise ValueError(
             f"need one measure per coordinate: got {len(measures)} for d={model.d}"
         )
-    _check_supported(config.engine, config.event, model.support_class)
+    _check_supported(config.engine, config.event, model.nonnegative)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     started = time.perf_counter()
     presample = mc_presample(model, config.n_mc, seeds[0], rank=_lowest_rank(config))
     presampled = time.perf_counter()
     bands, log = _bands(config), []
     for spec, wider in zip(bands, bands[1:] + [None]):
-        event = estimate_event(spec, presample, model.support_class)
+        event = estimate_event(spec, presample, model.nonnegative)
         cond = presample.rows[event.contains_rows(presample.rows)]
         if len(cond) >= config.min_conditional:
             break
@@ -369,9 +369,9 @@ def prepare(config: RunConfig) -> PreparedRun:
         details["acr"] = 1.0
         work = {"presample_rows": int(config.n_mc), "conditional_rows": int(len(cond))}
     elif config.engine == "hmc":
-        target, start, params, work = _prepare_hmc(model, event, cond, config, seeds[1], details)
-        if spec.kind == "var":
-            event = _var_hyperplane(event)
+        event, target, start, params, work = _prepare_hmc(
+            model, event, cond, config, seeds[1], details
+        )
     else:
         start, params, work = _prepare_gibbs(model, event, cond, config, seeds[1], details)
     work["presample_kept_rows"] = len(presample.rows)
@@ -397,20 +397,18 @@ def prepare(config: RunConfig) -> PreparedRun:
     )
 
 
-def _var_hyperplane(band):
-    """The exact var event {1.x = v*} that hmc samples on a var band.  The
-    band's thresholds (v_star, v_lo, v_hi) stay on record."""
-    v_star = band.thresholds["v_star"]
-    return replace(band, spec=replace(band.spec, delta=0.0), v1=v_star, v2=v_star)
-
-
 def _prepare_hmc(model, event, cond, config, seed, details):
+    """On a var band, hmc samples the exact var event {1.x = v*} through the
+    reduced target; that event is returned in the band's place, with the
+    band's thresholds (v_star, v_lo, v_hi) on record."""
     if event.spec.kind == "var":
-        target = ReducedVarTarget(model, event.thresholds["v_star"])
+        v_star = event.thresholds["v_star"]
+        target = ReducedVarTarget(model, v_star)
         pts = cond[:, :-1]
         pts = pts[(target.constraints.slack(pts) > 0.0).all(axis=-1)]
         if len(pts) < 2:
             raise ConditionalCountError(len(pts), 2, event.spec)
+        event = replace(event, spec=replace(event.spec, delta=0.0), v1=v_star, v2=v_star)
     else:
         target = EventTarget(model, event)
         pts = cond
@@ -438,7 +436,7 @@ def _prepare_hmc(model, event, cond, config, seed, details):
         "tune_capped": tuning.n_capped if tuning is not None else 0,
         "chain_grad_evals": 2 * params.T * config.n_mcmc,
     }
-    return std_target, y_pts.mean(axis=0), params, work
+    return event, std_target, y_pts.mean(axis=0), params, work
 
 
 def _prepare_gibbs(model, event, cond, config, seed, details):
@@ -467,7 +465,7 @@ def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
     n = prep.config.n_mcmc
     path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
     path_x = prep.target.to_x(path_y)
-    sample = prep.target.base.lift(path_x) if prep.event.spec.kind == "var" else path_x
+    sample = path_x if prep.event.sum_equality is None else prep.target.base.lift(path_x)
     details.update(
         acr=diag.acr,
         n_nonfinite=diag.n_nonfinite,

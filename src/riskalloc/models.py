@@ -117,11 +117,9 @@ class JointLossModel:
         self.d = copula.dim
         self._groups = _group_coordinates(marginals)
         self._elliptical = _elliptical(marginals, copula)
-        self.support_class = (
-            "pure-losses"
-            if all(m.support == "nonnegative-half-line" for m in marginals)
-            else "pnl"
-        )
+        # pure losses, every margin on x >= 0: the one support fact that the
+        # event and the engine rules read
+        self.nonnegative = all(m.support_min == 0.0 for m in marginals)
 
     # -- density -------------------------------------------------------------
     # Each takes a point of shape (d,) or a batch of shape (K, d); a batch

@@ -155,7 +155,7 @@ def test_criterion_07_integrator_reversibility():
     model = preset("M1")
     rng = np.random.default_rng(0)
     draws = model.sample(200_000, rng)
-    event = estimate_event(RVAR_TAIL, draws, model.support_class)
+    event = estimate_event(RVAR_TAIL, draws, model.nonnegative)
     target = EventTarget(model, event)
     pool = draws[event.contains_rows(draws)]
     pool = pool[(target.constraints.slack(pool) > 1e-9).all(axis=1)]
@@ -201,7 +201,7 @@ def test_criterion_08_gibbs_stationarity():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         draws = model.sample(60_000, rng)
-        event = estimate_event(spec, draws, model.support_class)
+        event = estimate_event(spec, draws, model.nonnegative)
         cond = draws[event.contains_rows(draws)]
         mc_rows = cond[:10_000]
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))

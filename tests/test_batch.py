@@ -38,7 +38,7 @@ MODELS.update(
 def _targets():
     m = MODELS["M1"]
     pre = m.sample(20_000, np.random.default_rng(0))
-    ev = estimate_event(CrisisEventSpec("es", (0.9,)), pre, m.support_class)
+    ev = estimate_event(CrisisEventSpec("es", (0.9,)), pre, m.nonnegative)
     cond = pre[ev.contains_rows(pre)]
     event_target = EventTarget(m, ev)
     return {
@@ -168,7 +168,7 @@ def test_leapfrog_batch_equals_rows_on_a_gaussian(seed, k, eps):
 def test_leapfrog_batch_equals_rows_on_m1_rvar():
     m = MODELS["M1"]
     pre = m.sample(50_000, np.random.default_rng(0))
-    ev = estimate_event(CrisisEventSpec("rvar", (0.95, 0.99)), pre, m.support_class)
+    ev = estimate_event(CrisisEventSpec("rvar", (0.95, 0.99)), pre, m.nonnegative)
     target = EventTarget(m, ev)
     cond = pre[ev.contains_rows(pre)]
     rng = np.random.default_rng(5)

@@ -78,6 +78,9 @@ def test_config_file_counts_read_integral_floats_and_name_a_bad_field(tmp_path, 
         for bad in (2.5, True, "100"):
             assert _allocate_from_config(tmp_path, "bad", **{field: bad}) == 2
             assert f"error: {field} must be an integer of at least" in capsys.readouterr().err
+    for bad in (True, 2.5):
+        assert _allocate_from_config(tmp_path, "bad", seed=bad) == 2
+        assert "error: seed must be an integer of at least 0" in capsys.readouterr().err
 
 
 def test_allocate_model_file(tmp_path):

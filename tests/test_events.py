@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from riskalloc.events import (
     EQUALITY_RTOL,
-    SUPPORT_CLASSES,
     ConcreteCrisisEvent,
     CrisisEventSpec,
     EventTarget,
@@ -69,7 +68,7 @@ def test_spec_validation():
 
 
 def test_es_event_on_ladder():
-    ev = estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(), "pnl")
+    ev = estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(), False)
     assert len(ev.constraints) == 1
     assert ev.thresholds["v"] == 990.0
     assert ev.contains_rows([[500.0, 500.0], [400.0, 500.0]]).tolist() == [True, False]
@@ -77,7 +76,7 @@ def test_es_event_on_ladder():
 
 def test_rvar_event_thresholds_ordered():
     ev = estimate_event(
-        CrisisEventSpec("rvar", (0.975, 0.99)), ladder_presample(), "pure-losses"
+        CrisisEventSpec("rvar", (0.975, 0.99)), ladder_presample(), True
     )
     assert ev.thresholds["v1"] < ev.thresholds["v2"]
     # two sum constraints plus d coordinate constraints
@@ -87,7 +86,7 @@ def test_rvar_event_thresholds_ordered():
 
 def test_var_band_event_on_ladder():
     ev = estimate_event(
-        CrisisEventSpec("var", (0.99,), delta=0.001), ladder_presample(), "pnl"
+        CrisisEventSpec("var", (0.99,), delta=0.001), ladder_presample(), False
     )
     assert ev.sum_equality is None
     assert ev.thresholds == {"v_star": 990.0, "v_lo": 989.0, "v_hi": 991.0}
@@ -95,7 +94,7 @@ def test_var_band_event_on_ladder():
 
 
 def test_var_exact_event_on_ladder():
-    ev = estimate_event(CrisisEventSpec("var", (0.99,)), ladder_presample(), "pnl")
+    ev = estimate_event(CrisisEventSpec("var", (0.99,)), ladder_presample(), False)
     assert ev.sum_equality == 990.0
     assert len(ev.constraints) == 0
     rows = [[495.0, 495.0], [495.0, 495.1],
@@ -106,13 +105,18 @@ def test_var_exact_event_on_ladder():
 
 def test_estimate_event_errors():
     with pytest.raises(ValueError):
-        estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(50), "pnl")
+        estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(50), False)
     with pytest.raises(ValueError):
         estimate_event(
-            CrisisEventSpec("var", (0.995,), delta=0.01), ladder_presample(), "pnl"
+            CrisisEventSpec("var", (0.995,), delta=0.01), ladder_presample(), False
         )
     with pytest.raises(ValueError):
         estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(), "gains")
+    # the flag is a bool (np.bool_ too): a truthy string adds no x >= 0 walls
+    with pytest.raises(ValueError, match="nonnegative must be a bool"):
+        estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(), 'pnl')
+    ev = estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(), np.bool_(True))
+    assert ev.nonnegative is True and len(ev.constraints) == 3
 
 
 def contains_point(ev, x) -> bool:
@@ -176,16 +180,16 @@ GEOMETRY_SPECS = [
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(2, 6),
     spec=st.sampled_from(GEOMETRY_SPECS),
-    support=st.sampled_from(SUPPORT_CLASSES),
+    nonnegative=st.booleans(),
     whitening=st.sampled_from(["random", "identity", "zero-shift"]),
 )
-def test_event_geometry_equals_the_row_loop(seed, d, spec, support, whitening):
+def test_event_geometry_equals_the_row_loop(seed, d, spec, nonnegative, whitening):
     rng = np.random.default_rng(seed)
     # rows on a grid of multiples of 1/16, so that every sum is exact:
     # contains_rows adds the columns left to right, the reference takes
     # h @ row
     x = rng.integers(-2**10, 2**10, size=(300, d)) / 16.0
-    ev = estimate_event(spec, x, support)
+    ev = estimate_event(spec, x, nonnegative)
     v1 = ev.v1
     # rows whose sum is exactly v1, and rows on a coordinate wall; the
     # presample holds the row whose x.sum() is v1
@@ -221,14 +225,14 @@ def test_event_geometry_equals_the_row_loop(seed, d, spec, support, whitening):
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(2, 10),
     level=st.sampled_from([0.5, 0.9, 0.99]),
-    support=st.sampled_from(SUPPORT_CLASSES),
+    nonnegative=st.booleans(),
 )
-def test_the_presample_row_on_the_es_threshold_is_in_the_event(seed, d, level, support):
+def test_the_presample_row_on_the_es_threshold_is_in_the_event(seed, d, level, nonnegative):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((300, d)) * rng.uniform(0.1, 10.0, size=d)
-    if support == "pure-losses":
+    if nonnegative:
         x = np.abs(x)
-    ev = estimate_event(CrisisEventSpec("es", (level,)), x, support)
+    ev = estimate_event(CrisisEventSpec("es", (level,)), x, nonnegative)
     # the row sums added left to right: v is one of them
     on = functools.reduce(np.add, x.T) == ev.v1
     assert on.any()
@@ -237,7 +241,7 @@ def test_the_presample_row_on_the_es_threshold_is_in_the_event(seed, d, level, s
 
 def test_contains_rows_matches_scalar():
     ev = estimate_event(
-        CrisisEventSpec("rvar", (0.9, 0.99)), ladder_presample(), "pure-losses"
+        CrisisEventSpec("rvar", (0.9, 0.99)), ladder_presample(), True
     )
     rng = np.random.default_rng(0)
     rows = rng.uniform(-10.0, 600.0, size=(200, 2))
@@ -257,14 +261,14 @@ def test_contains_rows_matches_scalar():
 def test_presample_fraction_matches_nominal_probability(spec, prob):
     m = preset("M1")
     x = m.sample(100_000, np.random.default_rng(1))
-    ev = estimate_event(spec, x, m.support_class)
+    ev = estimate_event(spec, x, m.nonnegative)
     frac = ev.contains_rows(x).mean()
     assert abs(frac - prob) <= 2.0 / np.sqrt(x.shape[0])
 
 
 def test_event_json_roundtrip():
     ev = estimate_event(
-        CrisisEventSpec("var", (0.99,), delta=0.001), ladder_presample(), "pure-losses"
+        CrisisEventSpec("var", (0.99,), delta=0.001), ladder_presample(), True
     )
     d = ev.to_json_dict()
     assert d["kind"] == "var"
@@ -419,7 +423,7 @@ def test_reduced_var_constraint_geometry():
 def test_event_target_restriction():
     m = preset("M1")
     ev = estimate_event(
-        CrisisEventSpec("es", (0.9,)), m.sample(1000, np.random.default_rng(6)), m.support_class
+        CrisisEventSpec("es", (0.9,)), m.sample(1000, np.random.default_rng(6)), m.nonnegative
     )
     tgt = EventTarget(m, ev)
     v = ev.thresholds["v"]
@@ -431,7 +435,7 @@ def test_event_target_restriction():
 
 
 def test_event_target_rejects_exact_var():
-    ev = estimate_event(CrisisEventSpec("var", (0.99,)), ladder_presample(), "pnl")
+    ev = estimate_event(CrisisEventSpec("var", (0.99,)), ladder_presample(), False)
     with pytest.raises(ValueError):
         EventTarget(preset("M1"), ev)
 

@@ -65,13 +65,13 @@ def ladder_presample(n=1000, d=2):
 
 def test_band_from_event_kinds():
     pre = ladder_presample()
-    es = estimate_event(CrisisEventSpec("es", (0.99,)), pre, "pnl")
+    es = estimate_event(CrisisEventSpec("es", (0.99,)), pre, False)
     assert es.v1 == 990.0 and es.v2 == np.inf
-    rv = estimate_event(CrisisEventSpec("rvar", (0.9, 0.99)), pre, "pnl")
+    rv = estimate_event(CrisisEventSpec("rvar", (0.9, 0.99)), pre, False)
     assert (rv.v1, rv.v2) == (900.0, 990.0)
-    vb = estimate_event(CrisisEventSpec("var", (0.99,), delta=0.001), pre, "pnl")
+    vb = estimate_event(CrisisEventSpec("var", (0.99,), delta=0.001), pre, False)
     assert (vb.v1, vb.v2) == (989.0, 991.0)
-    exact = estimate_event(CrisisEventSpec("var", (0.99,)), pre, "pnl")
+    exact = estimate_event(CrisisEventSpec("var", (0.99,)), pre, False)
     assert exact.v1 == exact.v2 == 990.0
     with pytest.raises(ValueError, match="delta band|hmc"):
         run(RunConfig("M1", CrisisEventSpec("var", (0.99,)), "gibbs"))
@@ -100,7 +100,7 @@ def test_select_probs_m1_es_near_uniform():
     # (the GPD(0.3) fourth moment is infinite), hence the loose band.
     m = preset("M1")
     x = m.sample(100_000, np.random.default_rng(1))
-    ev = estimate_event(CrisisEventSpec("es", (0.99,)), x, m.support_class)
+    ev = estimate_event(CrisisEventSpec("es", (0.99,)), x, m.nonnegative)
     cond = x[ev.contains_rows(x)]
     p = select_probs(np.cov(cond, rowvar=False))
     assert p.shape == (3,)
@@ -252,7 +252,7 @@ BANDS = {"es": CrisisEventSpec("es", (0.9,)), "rvar": CrisisEventSpec("rvar", (0
 
 def chain_setup(m, band, seed=21):
     x = m.sample(20_000, np.random.default_rng(seed))
-    ev = estimate_event(BANDS[band], x, m.support_class)
+    ev = estimate_event(BANDS[band], x, m.nonnegative)
     cond = x[ev.contains_rows(x)]
     return ev, GibbsParams(select_probs(np.cov(cond, rowvar=False)), 3), cond.mean(axis=0)
 
@@ -356,7 +356,7 @@ def test_chain_sums_equal_the_event_row_sums(d, seed, scale):
             lo, hi = gibbs._slice_interval(rest, sum_band(d, 0.0, np.inf))
             assert lo.hex() == (0.0 - want_rest).hex() and hi == np.inf
     # the row whose sum is the es threshold passes rsgs_sample's start check
-    ev = estimate_event(CrisisEventSpec("es", (0.9,)), rows, "pnl")
+    ev = estimate_event(CrisisEventSpec("es", (0.9,)), rows, False)
     threshold_row = rows[np.flatnonzero(sums == ev.v1)[0]]
     assert gibbs._in_band(ev, threshold_row.tolist())
     m = JointLossModel([Normal(0.0, scale)] * d, Independence(d))
@@ -432,7 +432,7 @@ def test_gibbs_params_from_json_reject_non_integral_values():
 def test_rsgs_emits_feasible_states_and_is_deterministic():
     m = preset("M1")
     x = m.sample(50_000, np.random.default_rng(7))
-    ev = estimate_event(CrisisEventSpec("es", (0.99,)), x, m.support_class)
+    ev = estimate_event(CrisisEventSpec("es", (0.99,)), x, m.nonnegative)
     cond = x[ev.contains_rows(x)]
     params = GibbsParams(select_probs(np.cov(cond, rowvar=False)), 3)
     x0 = cond.mean(axis=0)
@@ -479,7 +479,7 @@ def test_single_site_update_preserves_target():
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         x = m.sample(150_000, rng)
-        ev = estimate_event(spec, x, m.support_class)
+        ev = estimate_event(spec, x, m.nonnegative)
         cond = x[ev.contains_rows(x)]
         assert len(cond) > n_move + n_ref
         moved = np.empty((n_move, 2))
@@ -521,7 +521,7 @@ def test_rsgs_matches_mc_on_wide_band():
     worst_stat = 0.0
     for seed in range(5):
         x = m.sample(60_000, np.random.default_rng(100 + seed))
-        ev = estimate_event(CrisisEventSpec("rvar", (0.5, 0.9)), x, m.support_class)
+        ev = estimate_event(CrisisEventSpec("rvar", (0.5, 0.9)), x, m.nonnegative)
         cond = x[ev.contains_rows(x)]
         pre, _ = rsgs_sample(m, ev, GibbsParams(p, 1), cond.mean(axis=0), 100, seed=seed)
         thin = thin_interval(pre)

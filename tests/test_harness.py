@@ -50,6 +50,12 @@ def test_config_rejects_bad_fields():
             RunConfig("M1", ES90, "gibbs", n_mcmc=bad)
     n_mc = RunConfig("M1", ES90, "mc", n_mc=np.int64(5000)).n_mc
     assert n_mc == 5000 and type(n_mc) is int
+    # the seed is a count too: report.json writes it as a JSON integer
+    for bad in (True, 2.5, "1", -1):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            RunConfig("M1", ES90, "mc", seed=bad)
+    seed = RunConfig("M1", ES90, "mc", seed=np.int64(3)).seed
+    assert seed == 3 and type(seed) is int
     with pytest.raises(TypeError, match="MarginalRiskMeasure"):
         RunConfig("M1", ES90, "mc", measures=("mean", "mean", "mean"))
 

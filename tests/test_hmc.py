@@ -81,7 +81,7 @@ class BrokenGradientTarget(GaussianTarget):
 def m1_rvar_target():
     m = preset("M1")
     pre = m.sample(50_000, np.random.default_rng(0))
-    ev = estimate_event(CrisisEventSpec("rvar", (0.95, 0.99)), pre, m.support_class)
+    ev = estimate_event(CrisisEventSpec("rvar", (0.95, 0.99)), pre, m.nonnegative)
     cond = pre[ev.contains_rows(pre)]
     return EventTarget(m, ev), cond
 
@@ -340,7 +340,7 @@ def test_standardizer_whitens_and_roundtrips():
 def test_standardized_target_chain_rule():
     m = preset("M1")
     pre = m.sample(20_000, np.random.default_rng(10))
-    ev = estimate_event(CrisisEventSpec("es", (0.9,)), pre, m.support_class)
+    ev = estimate_event(CrisisEventSpec("es", (0.9,)), pre, m.nonnegative)
     cond = pre[ev.contains_rows(pre)]
     base = EventTarget(m, ev)
     std_tgt = StandardizedTarget(base, cond)
@@ -495,7 +495,7 @@ def _tuning_problem(name, spec, n, seed):
     """The standardized target and start rows hmc tunes on, as a run builds them."""
     m = preset(name)
     pre = m.sample(n, np.random.default_rng(seed))
-    ev = estimate_event(spec, pre, m.support_class)
+    ev = estimate_event(spec, pre, m.nonnegative)
     cond = pre[ev.contains_rows(pre)]
     if spec.kind == "var":
         target = ReducedVarTarget(m, ev.thresholds["v_star"])

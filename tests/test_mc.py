@@ -66,8 +66,8 @@ def test_cut_presample_builds_the_events_of_every_row(name, n):
         rank = math.ceil(n * band_levels(spec)[0])
         pre = mc_presample(m, n, 4, rank)
         assert np.array_equal(pre.sums, _left_to_right_sum(pre.rows.T))
-        ev = estimate_event(spec, pre, m.support_class)
-        ref = estimate_event(spec, full, m.support_class)
+        ev = estimate_event(spec, pre, m.nonnegative)
+        ref = estimate_event(spec, full, m.nonnegative)
         assert ev.thresholds == ref.thresholds
         assert (ev.v1, ev.v2) == (ref.v1, ref.v2)
         # the same rows in the same draw order
@@ -91,7 +91,7 @@ def test_cut_keeps_the_rows_within_the_tolerance_below_an_exact_var():
     spec = CrisisEventSpec("var", (0.99,))
     pre = mc_presample(model, 1000, 0, rank=990)
     assert len(pre.rows) == 12
-    ev = estimate_event(spec, pre, "pure-losses")
+    ev = estimate_event(spec, pre, True)
     assert ev.sum_equality == 990.0
     cond = pre.rows[ev.contains_rows(pre.rows)]
     assert cond[:, 0].tolist() == [sums[0], 990.0]
@@ -102,7 +102,7 @@ def test_cut_presample_cannot_read_below_its_rank():
     assert len(pre.rows) == 51
     assert pre.order_statistic(0.99) == pre.sums.min()
     with pytest.raises(ValueError, match="kept the largest 51 of 5000"):
-        estimate_event(CrisisEventSpec("es", (0.98,)), pre, "pnl")
+        estimate_event(CrisisEventSpec("es", (0.98,)), pre, False)
     with pytest.raises(ValueError, match="rank"):
         mc_presample(preset("M2"), 5000, 1, rank=5001)
 

@@ -47,9 +47,7 @@ def m3():
 
 def test_preset_shapes(m1, m2, m3):
     assert (m1.d, m2.d, m3.d) == (3, 3, 2)
-    assert m1.support_class == "pure-losses"
-    assert m2.support_class == "pnl"
-    assert m3.support_class == "pure-losses"
+    assert (m1.nonnegative, m2.nonnegative, m3.nonnegative) == (True, False, True)
     assert m2.copula.corr[0, 2] == pytest.approx(2.0 / 3.0)
     assert m3.copula.theta == 0.512
 
@@ -192,7 +190,7 @@ def test_equicorrelation_helper():
 
 def test_student_t_model_roundtrip():
     m = student_t_model(6.0, equicorrelation(5, 1.0 / 12.0))
-    assert m.d == 5 and m.support_class == "pnl"
+    assert m.d == 5 and m.nonnegative is False
     assert all(mm.nu == 6.0 for mm in m.marginals)
 
 
