@@ -12,7 +12,6 @@ from pathlib import Path
 from .events import EVENT_KINDS, CrisisEventSpec
 from .harness import (
     ENGINES,
-    OVERRIDE_TYPES,
     RunConfig,
     compare,
     oracle_for,
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("allocate", help="run one allocation and report estimates")
     _add_common(p)
-    p.add_argument("--engine", choices=ENGINES, default="mc")
+    p.add_argument("--engine", choices=tuple(ENGINES), default="mc")
     p.add_argument("--n", type=_whole_number, default=10_000, help="MCMC sample size (1e4 allowed)")
     p.add_argument(
         "--measure",
@@ -213,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="emit tuned sampler parameters only")
     _add_common(p)
-    p.add_argument("--engine", choices=tuple(OVERRIDE_TYPES), default="hmc")
+    tunable = tuple(name for name, engine in ENGINES.items() if engine.overrides is not None)
+    p.add_argument("--engine", choices=tunable, default="hmc")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("compare", help="run several engines and tabulate bias/SE/MSE")

@@ -40,8 +40,6 @@ from .measures import MarginalRiskMeasure, batch_means_se
 from .models import JointLossModel, load_model
 from .oracle import elliptical_oracle
 
-ENGINES = ("mc", "hmc", "gibbs")
-
 try:
     _VERSION = version("riskalloc")
 except PackageNotFoundError:
@@ -49,9 +47,6 @@ except PackageNotFoundError:
 
 
 # -- configuration ---------------------------------------------------------------
-
-# the parameter type each MCMC engine takes as overrides; mc takes none
-OVERRIDE_TYPES = {"hmc": HmcParams, "gibbs": GibbsParams}
 
 # each count a run is configured with, and its least value (events.count)
 COUNTS = {"n_mc": 100, "n_mcmc": 100, "seed": 0, "min_conditional": 2}
@@ -71,8 +66,8 @@ class RunConfig:
     min_conditional: int = 100
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        if self.engine not in tuple(ENGINES):
+            raise ValueError(f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}")
         if not isinstance(self.event, CrisisEventSpec):
             raise TypeError("event must be a CrisisEventSpec")
         for name, least in COUNTS.items():
@@ -83,9 +78,9 @@ class RunConfig:
                 if not isinstance(m, MarginalRiskMeasure):
                     raise TypeError("measures must be MarginalRiskMeasure instances")
         if self.overrides is not None:
-            want = OVERRIDE_TYPES.get(self.engine)
+            want = ENGINES[self.engine].overrides
             if want is None:
-                raise ValueError("the mc engine takes no parameter overrides")
+                raise ValueError(f"the {self.engine} engine takes no parameter overrides")
             if not isinstance(self.overrides, want):
                 raise TypeError(
                     f"{self.engine} overrides must be {want.__name__}, "
@@ -111,21 +106,25 @@ class RunConfig:
 
 
 def run_config_from_dict(cfg: dict) -> RunConfig:
-    """Build a RunConfig from the JSON config-file schema."""
+    """Build a RunConfig from the JSON config-file schema, naming any missing key."""
     cfg = dict(cfg)
-    event = cfg.pop("event")
-    spec = CrisisEventSpec(
-        event["kind"], tuple(event["levels"]), delta=float(event.get("delta", 0.0))
-    )
-    measures = cfg.pop("measures", None)
-    if measures is not None:
-        measures = tuple(
-            MarginalRiskMeasure(m["kind"], tuple(m.get("levels", ()))) for m in measures
+    try:
+        event = cfg.pop("event")
+        spec = CrisisEventSpec(
+            event["kind"], tuple(event["levels"]), delta=float(event.get("delta", 0.0))
         )
-    overrides = cfg.pop("overrides", None)
-    engine = cfg.setdefault("engine", "mc")
-    if overrides is not None and engine in OVERRIDE_TYPES:
-        overrides = OVERRIDE_TYPES[engine].from_json_dict(overrides)
+        measures = cfg.pop("measures", None)
+        if measures is not None:
+            measures = tuple(
+                MarginalRiskMeasure(m["kind"], tuple(m.get("levels", ()))) for m in measures
+            )
+        overrides = cfg.pop("overrides", None)
+        engine = cfg.setdefault("engine", "mc")
+        want = ENGINES[engine].overrides if engine in tuple(ENGINES) else None
+        if overrides is not None and want is not None:
+            overrides = want.from_json_dict(overrides)
+    except KeyError as err:
+        raise ValueError(f"the config is missing the key {err.args[0]!r}") from None
     extra = set(cfg) - {"model", "engine", "output_dir", *COUNTS}
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
@@ -213,30 +212,6 @@ class AllocationReport:
 
 # -- engine/event rules ----------------------------------------------------------
 
-# (engine, event form) -> (the values of the model's nonnegative flag the
-# pair runs on, the message that rejects it on any other model); a pair not
-# listed runs on every model
-ENGINE_EVENT_RULES = {
-    ("mc", "exact var"): (
-        (),
-        "plain Monte Carlo cannot hit the zero-probability exact var "
-        "event; use a positive delta band",
-    ),
-    ("gibbs", "exact var"): (
-        (),
-        "the gibbs engine needs a band event and the exact var event "
-        "has zero width; use a positive delta band or the hmc engine",
-    ),
-    ("hmc", "exact var"): (
-        (),
-        "hmc on the exact var event still needs conditional presample "
-        "points for standardization and tuning, which only the delta "
-        "band provides; use a positive delta",
-    ),
-    # hmc samples the var hyperplane through the reduced simplex target
-    ("hmc", "var band"): ((True,), PURE_LOSSES_ONLY),
-}
-
 
 def _event_form(spec: CrisisEventSpec) -> str:
     if spec.kind != "var":
@@ -245,7 +220,7 @@ def _event_form(spec: CrisisEventSpec) -> str:
 
 
 def _check_supported(engine: str, spec: CrisisEventSpec, nonnegative: bool) -> None:
-    allowed, message = ENGINE_EVENT_RULES.get((engine, _event_form(spec)), ((False, True), None))
+    allowed, message = ENGINES[engine].rules.get(_event_form(spec), ((False, True), None))
     if nonnegative not in allowed:
         raise ValueError(message)
 
@@ -278,7 +253,7 @@ def _bands(config: RunConfig) -> list:
     band holds at least the rows of its ranks (ties only add rows), so the
     walk never needs a band past the last."""
     n, bands = config.n_mc, [config.event]
-    while config.engine == "mc":
+    while ENGINES[config.engine].widens:
         lo, hi = band_levels(bands[-1])
         wider = _widened(bands[-1])
         if math.ceil(n * hi) - math.ceil(n * lo) + 1 >= config.min_conditional or wider is None:
@@ -303,21 +278,13 @@ class PreparedRun:
     {1.x = v*} and the band only supplied the conditional rows.  cond holds
     the presample rows inside the estimated band.  params are the engine's
     tuned or overridden parameters (None for mc) and details the
-    engine_details known before the chain.  The chain runs on target from
-    start with chain_seed; started is the perf_counter reading before the
-    presample and phase_seconds the wall time of each phase so far.  work
-    holds the engine's work counters, and on every engine
-    presample_kept_rows, the presample rows kept past the cut at the lowest
-    rank the run can read (mc_presample):
-
-    - mc: presample_rows (n_mc) and conditional_rows (the rows in the event);
-    - hmc: tune_steps (lockstep steps of the tuning scans),
-      tune_trajectory_steps (trajectory steps within them), tune_capped
-      (tuning trajectories stopped at t_max before a U-turn; 0 with
-      overrides) and chain_grad_evals (2 T n_mcmc); run() adds
-      chain_reflections, the reflections of all chain proposals;
-    - gibbs: prerun_updates, chain_updates (n_mcmc thin_T) and
-      degenerate_redraws (so far the prerun's; run() adds the chain's).
+    engine_details known before the chain.  chain(details, work) runs the
+    main chain, adds to details and work, and returns (sample, n,
+    diagnostics).  started is the perf_counter reading before the presample
+    and phase_seconds the wall time of each phase so far.  work holds the
+    engine's work counters (see each _prepare_<engine>) and, on every
+    engine, presample_kept_rows: the presample rows kept past the cut at
+    the lowest rank the run can read (mc_presample).
     """
 
     config: RunConfig
@@ -328,9 +295,7 @@ class PreparedRun:
     widening_log: tuple
     params: object
     details: dict
-    target: object
-    start: np.ndarray
-    chain_seed: object
+    chain: object
     started: float
     phase_seconds: dict
     work: dict
@@ -364,16 +329,9 @@ def prepare(config: RunConfig) -> PreparedRun:
         )
     estimated = time.perf_counter()
     details = {"k_conditional": int(len(cond))}
-    target = start = params = None
-    if config.engine == "mc":
-        details["acr"] = 1.0
-        work = {"presample_rows": int(config.n_mc), "conditional_rows": int(len(cond))}
-    elif config.engine == "hmc":
-        event, target, start, params, work = _prepare_hmc(
-            model, event, cond, config, seeds[1], details
-        )
-    else:
-        start, params, work = _prepare_gibbs(model, event, cond, config, seeds[1], details)
+    event, params, work, chain = ENGINES[config.engine].prepare(
+        model, event, cond, config, seeds, details
+    )
     work["presample_kept_rows"] = len(presample.rows)
     return PreparedRun(
         config=config,
@@ -384,9 +342,7 @@ def prepare(config: RunConfig) -> PreparedRun:
         widening_log=tuple(log),
         params=params,
         details=details,
-        target=target,
-        start=start,
-        chain_seed=seeds[2],
+        chain=chain,
         started=started,
         work=work,
         phase_seconds={
@@ -397,10 +353,22 @@ def prepare(config: RunConfig) -> PreparedRun:
     )
 
 
-def _prepare_hmc(model, event, cond, config, seed, details):
+def _prepare_mc(model, event, cond, config, seeds, details):
+    """mc's sample is the conditional rows themselves, n_mc its n.  work:
+    presample_rows (n_mc) and conditional_rows (the rows in the event)."""
+    details["acr"] = 1.0
+    work = {"presample_rows": int(config.n_mc), "conditional_rows": int(len(cond))}
+    return event, None, work, lambda details, work: (cond, config.n_mc, None)
+
+
+def _prepare_hmc(model, event, cond, config, seeds, details):
     """On a var band, hmc samples the exact var event {1.x = v*} through the
     reduced target; that event is returned in the band's place, with the
-    band's thresholds (v_star, v_lo, v_hi) on record."""
+    band's thresholds (v_star, v_lo, v_hi) on record.  work: tune_steps
+    (lockstep steps of the tuning scans), tune_trajectory_steps (trajectory
+    steps within them), tune_capped (tuning trajectories stopped at t_max
+    before a U-turn; 0 with overrides) and chain_grad_evals (2 T n_mcmc);
+    the chain adds chain_reflections, its proposals' reflections."""
     if event.spec.kind == "var":
         v_star = event.thresholds["v_star"]
         target = ReducedVarTarget(model, v_star)
@@ -417,7 +385,7 @@ def _prepare_hmc(model, event, cond, config, seed, details):
     if config.overrides is not None:
         params, tuning = config.overrides, None
     else:
-        tuning = tune(std_target, y_pts, seed=seed)
+        tuning = tune(std_target, y_pts, seed=seeds[1])
         params = tuning.params
     details.update(
         eps=params.eps, T=params.T, tuned=tuning is not None,
@@ -436,10 +404,29 @@ def _prepare_hmc(model, event, cond, config, seed, details):
         "tune_capped": tuning.n_capped if tuning is not None else 0,
         "chain_grad_evals": 2 * params.T * config.n_mcmc,
     }
-    return event, std_target, y_pts.mean(axis=0), params, work
+    start, n = y_pts.mean(axis=0), config.n_mcmc
+
+    def chain(details, work):
+        path_y, diag = hmc_sample(std_target, params, start, n, seeds[2])
+        path_x = std_target.to_x(path_y)
+        sample = path_x if event.sum_equality is None else target.lift(path_x)
+        details.update(
+            acr=diag.acr,
+            n_nonfinite=diag.n_nonfinite,
+            mean_reflections=float(diag.reflections_per_proposal.mean()),
+        )
+        work["chain_reflections"] = int(diag.reflections_per_proposal.sum())
+        rows = list(zip(
+            range(1, n + 1), diag.hamiltonian_errors.tolist(), diag.accepted.astype(int).tolist()
+        ))
+        return sample, n, ("delta_H", rows)
+
+    return event, params, work, chain
 
 
-def _prepare_gibbs(model, event, cond, config, seed, details):
+def _prepare_gibbs(model, event, cond, config, seeds, details):
+    """work: prerun_updates, chain_updates (n_mcmc thin_T) and
+    degenerate_redraws (the prerun's; the chain adds its own)."""
     x0 = cond.mean(axis=0)
     work = {"prerun_updates": 0, "degenerate_redraws": 0}
     if config.overrides is not None:
@@ -447,7 +434,7 @@ def _prepare_gibbs(model, event, cond, config, seed, details):
         details["tuned"] = False
     else:
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
-        pre_path, pre_diag = rsgs_sample(model, event, GibbsParams(p, 1), x0, N_PRERUN, seed)
+        pre_path, pre_diag = rsgs_sample(model, event, GibbsParams(p, 1), x0, N_PRERUN, seeds[1])
         thin = thin_interval(pre_path)
         params = GibbsParams(p, thin.interval)
         x0 = pre_path[-1]
@@ -458,35 +445,51 @@ def _prepare_gibbs(model, event, cond, config, seed, details):
         )
     details.update(p=[float(v) for v in params.p], thin_T=params.thin_T)
     work["chain_updates"] = config.n_mcmc * params.thin_T
-    return x0, params, work
+
+    def chain(details, work):
+        path, diag = rsgs_sample(model, event, params, x0, config.n_mcmc, seeds[2])
+        details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
+        work["degenerate_redraws"] += diag.n_degenerate_redraws
+        coords = diag.coordinates_updated
+        rows = list(zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size))
+        return path, config.n_mcmc, ("coordinate_updated", rows)
+
+    return event, params, work, chain
 
 
-def _hmc_chain(prep: PreparedRun, details: dict, work: dict):
-    n = prep.config.n_mcmc
-    path_y, diag = hmc_sample(prep.target, prep.params, prep.start, n, prep.chain_seed)
-    path_x = prep.target.to_x(path_y)
-    sample = path_x if prep.event.sum_equality is None else prep.target.base.lift(path_x)
-    details.update(
-        acr=diag.acr,
-        n_nonfinite=diag.n_nonfinite,
-        mean_reflections=float(diag.reflections_per_proposal.mean()),
-    )
-    work["chain_reflections"] = int(diag.reflections_per_proposal.sum())
-    rows = list(zip(
-        range(1, n + 1), diag.hamiltonian_errors.tolist(), diag.accepted.astype(int).tolist()
-    ))
-    return sample, ("delta_H", rows)
+@dataclass(frozen=True)
+class _Engine:
+    """overrides is the parameter type an engine takes (None: none) and
+    widens whether _bands widens its event.  rules maps an event form to
+    (the nonnegative flags the pair runs on, the message that rejects any
+    other); a form not listed runs on every model.  prepare returns
+    PreparedRun's (event, params, work, chain); a chain looks its sampler
+    up in this module when it runs, so it calls what a tracer bound there."""
+
+    overrides: type
+    widens: bool
+    rules: dict
+    prepare: object
 
 
-def _gibbs_chain(prep: PreparedRun, details: dict, work: dict):
-    path, diag = rsgs_sample(
-        prep.model, prep.event, prep.params, prep.start, prep.config.n_mcmc, prep.chain_seed
-    )
-    details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
-    work["degenerate_redraws"] += diag.n_degenerate_redraws
-    coords = diag.coordinates_updated
-    rows = list(zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size))
-    return path, ("coordinate_updated", rows)
+ENGINES = {
+    "mc": _Engine(None, True, {
+        "exact var": ((), "plain Monte Carlo cannot hit the zero-probability "
+                      "exact var event; use a positive delta band"),
+    }, _prepare_mc),
+    "hmc": _Engine(HmcParams, False, {
+        "exact var": ((), "hmc on the exact var event still needs conditional "
+                      "presample points for standardization and tuning, which "
+                      "only the delta band provides; use a positive delta"),
+        # hmc samples the var hyperplane through the reduced simplex target
+        "var band": ((True,), PURE_LOSSES_ONLY),
+    }, _prepare_hmc),
+    "gibbs": _Engine(GibbsParams, False, {
+        "exact var": ((), "the gibbs engine needs a band event and the exact var "
+                      "event has zero width; use a positive delta band or the "
+                      "hmc engine"),
+    }, _prepare_gibbs),
+}
 
 
 def _allocations(sample, measures) -> tuple:
@@ -511,12 +514,7 @@ def run(config: RunConfig) -> AllocationReport:
     details = dict(prep.details)
     work = dict(prep.work)
     chain_started = time.perf_counter()
-    if config.engine == "mc":
-        sample, diagnostics, n = prep.cond, None, config.n_mc
-    else:
-        chain = _hmc_chain if config.engine == "hmc" else _gibbs_chain
-        sample, diagnostics = chain(prep, details, work)
-        n = config.n_mcmc
+    sample, n, diagnostics = prep.chain(details, work)
     chained = time.perf_counter()
     allocations = _allocations(sample, prep.measures)
     finished = time.perf_counter()

@@ -83,6 +83,29 @@ def test_config_file_counts_read_integral_floats_and_name_a_bad_field(tmp_path, 
         assert "error: seed must be an integer of at least 0" in capsys.readouterr().err
 
 
+ES = {"kind": "es", "levels": [0.9]}
+
+
+@pytest.mark.parametrize(
+    "key, cfg",
+    [
+        ("event", {"model": "M2"}),
+        ("kind", {"model": "M2", "event": {"levels": [0.9]}}),
+        ("levels", {"model": "M2", "event": {"kind": "es"}}),
+        ("kind", {"model": "M2", "event": ES, "measures": [{"levels": [0.9]}] * 3}),
+        ("eps", {"model": "M2", "event": ES, "engine": "hmc", "overrides": {"T": 5}}),
+        ("thin_T", {"model": "M2", "event": ES, "engine": "gibbs", "overrides": {"p": [0.2, 0.3, 0.5]}}),
+    ],
+    ids=["event", "event-kind", "event-levels", "measure-kind", "hmc-eps", "gibbs-thin_T"],
+)
+def test_config_file_missing_a_key_exits_2_and_names_it(key, cfg, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["allocate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_allocate_model_file(tmp_path):
     spec = {
         "marginals": [

@@ -110,6 +110,12 @@ def test_config_from_dict_gibbs_overrides_and_unknown_keys():
         run_config_from_dict(
             {"model": "M1", "event": {"kind": "es", "levels": [0.9]}, "overrides": {"eps": 0.1, "T": 2}}
         )
+    # an engine that is no name, with or without overrides
+    for extra in ({}, {"overrides": {"eps": 0.1, "T": 2}}):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            run_config_from_dict(
+                {"model": "M1", "event": {"kind": "es", "levels": [0.9]}, "engine": ["hmc"], **extra}
+            )
 
 
 # -- engine/event compatibility ----------------------------------------------
@@ -129,6 +135,44 @@ def test_var_reduction_needs_nonnegative_losses():
     band = CrisisEventSpec("var", (0.99,), delta=0.001)
     with pytest.raises(ValueError, match="nonnegative"):
         run(RunConfig("M2", band, "hmc"))
+
+
+RULE_EVENTS = {
+    "es": ES90,
+    "rvar": CrisisEventSpec("rvar", (0.9, 0.99)),
+    "var band": CrisisEventSpec("var", (0.99,), delta=0.001),
+    "exact var": CrisisEventSpec("var", (0.99,)),
+}
+EXACT_VAR_REFUSALS = {
+    "mc": "plain Monte Carlo cannot hit the zero-probability exact var event; "
+    "use a positive delta band",
+    "hmc": "hmc on the exact var event still needs conditional presample points "
+    "for standardization and tuning, which only the delta band provides; use a positive delta",
+    "gibbs": "the gibbs engine needs a band event and the exact var event has zero "
+    "width; use a positive delta band or the hmc engine",
+}
+
+
+@pytest.mark.parametrize("nonnegative", [True, False])
+@pytest.mark.parametrize("form", list(RULE_EVENTS))
+@pytest.mark.parametrize("engine", ["mc", "hmc", "gibbs"])
+def test_engine_event_rule_matrix(engine, form, nonnegative):
+    # every pair runs on every model but these: exact var on any engine, and
+    # hmc's reduced target on a var band, which needs nonnegative losses
+    refusal = None
+    if form == "exact var":
+        refusal = EXACT_VAR_REFUSALS[engine]
+    elif (engine, form, nonnegative) == ("hmc", "var band", False):
+        refusal = (
+            "var dimension reduction requires a model with nonnegative losses; "
+            "profit-and-loss models are not supported"
+        )
+    if refusal is None:
+        harness._check_supported(engine, RULE_EVENTS[form], nonnegative)
+    else:
+        with pytest.raises(ValueError) as err:
+            harness._check_supported(engine, RULE_EVENTS[form], nonnegative)
+        assert str(err.value) == refusal
 
 
 # -- determinism and artifacts -----------------------------------------------
@@ -347,6 +391,29 @@ def test_manifest_work_without_tuning(engine, tmp_path):
         }
     else:
         assert work == {"presample_rows": 2000, "presample_kept_rows": 201, "conditional_rows": 201}
+
+
+@pytest.mark.parametrize(
+    "engine, overrides, want",
+    [
+        ("hmc", None, {"tune": 1, "hmc_sample": 1, "rsgs_sample": 0}),
+        # the prerun and the main chain
+        ("gibbs", None, {"tune": 0, "hmc_sample": 0, "rsgs_sample": 2}),
+        ("gibbs", GibbsParams(np.full(3, 1 / 3), 2), {"tune": 0, "hmc_sample": 0, "rsgs_sample": 1}),
+    ],
+)
+def test_engines_call_the_samplers_harness_binds_when_they_run(engine, overrides, want, monkeypatch):
+    # perfbench's tracer replaces these module bindings after import; an
+    # engine that held its own reference would run untraced
+    calls = dict.fromkeys(want, 0)
+    for name in want:
+        def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    run(RunConfig("M1", ES90, engine, n_mc=2000, n_mcmc=100, seed=1, overrides=overrides))
+    assert calls == want
 
 
 def test_samplers_are_charged_from_the_presample(monkeypatch):
