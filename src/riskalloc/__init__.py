@@ -11,6 +11,9 @@ The names below are the user-facing API; the engines' building blocks
 submodules.
 """
 
+# set before the submodules import: the harness writes it to manifest.json
+__version__ = "0.1.0"
+
 from .copulas import (
     Clayton,
     Copula,
@@ -45,8 +48,6 @@ from .models import (
     student_t_model,
 )
 from .oracle import elliptical_oracle
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AllocationReport",

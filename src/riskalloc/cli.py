@@ -44,9 +44,9 @@ def _whole_number(text: str) -> int:
 
 def _event_from_args(args) -> CrisisEventSpec:
     if args.event is None:
-        raise SystemExit("an event kind is required (--event var|rvar|es)")
+        raise ValueError("an event kind is required (--event var|rvar|es)")
     if args.levels is None:
-        raise SystemExit("event levels are required (--levels, e.g. 0.99 or 0.975,0.99)")
+        raise ValueError("event levels are required (--levels, e.g. 0.99 or 0.975,0.99)")
     return CrisisEventSpec(args.event, args.levels, delta=args.delta)
 
 
@@ -56,7 +56,7 @@ def _model_spec(args):
         with open(path, encoding="utf-8") as f:
             return json.load(f)
     if args.model is None:
-        raise SystemExit("a model is required (--model M1|M2|M3 or --model-file spec.json)")
+        raise ValueError("a model is required (--model M1|M2|M3 or --model-file spec.json)")
     return args.model
 
 
@@ -80,12 +80,12 @@ def _measures_from_args(args, d: int):
     if len(kinds) == 1:
         kinds = kinds * d
     if len(kinds) != d:
-        raise SystemExit(f"need one measure or one per coordinate, got {len(kinds)} for d={d}")
+        raise ValueError(f"need one measure or one per coordinate, got {len(kinds)} for d={d}")
     out = []
     for item in kinds:
         name, _, lv = item.partition(":")
         if name not in MEASURE_KINDS:
-            raise SystemExit(f"unknown measure kind {name!r}; choose from {MEASURE_KINDS}")
+            raise ValueError(f"unknown measure kind {name!r}; choose from {MEASURE_KINDS}")
         levels = tuple(float(v) for v in lv.split(";")) if lv else ()
         out.append(MarginalRiskMeasure(name, levels))
     return tuple(out)

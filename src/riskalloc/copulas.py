@@ -41,6 +41,10 @@ from scipy.special import cython_special
 # land arbitrarily close to 0/1 where the formulas overflow
 U_EPS = 1e-12
 
+# rows of standard normals an elliptical copula draws, and multiplies into
+# its score matrix, at a time: the one temporary beside the output
+SCORE_BLOCK = 4096
+
 
 def clip01(u):
     # np.minimum(np.maximum(...)) is np.clip's value, NaN included, without
@@ -345,8 +349,18 @@ class _EllipticalCopula(Copula):
 
     def sample_scores(self, n, rng):
         """n rows of scores: correlated standard normals (the t copula
-        divides them by its radial factor)."""
-        return rng.standard_normal((n, self.dim)) @ self._chol.T
+        divides them by its radial factor).  The normals are drawn
+        SCORE_BLOCK rows at a time and each block's product is written into
+        its rows of the one output: the same stream and the same bits as
+        rng.standard_normal((n, d)) @ chol.T, with no second (n, d) array.
+        The last block takes the rest, SCORE_BLOCK + 1 to 2 SCORE_BLOCK rows
+        (all n when n is at most that): a one-row block would go through
+        numpy's matrix-vector product, whose last bits can differ."""
+        z = np.empty((n, self.dim))
+        starts = range(0, max(n - SCORE_BLOCK, 1), SCORE_BLOCK)
+        for i, j in zip(starts, [*starts[1:], n]):
+            np.matmul(rng.standard_normal((j - i, self.dim)), self._chol.T, out=z[i:j])
+        return z
 
     def sample(self, n, rng):
         return clip01(self._levels(self.sample_scores(n, rng)))
@@ -449,8 +463,9 @@ class StudentTCopula(_EllipticalCopula):
 
     def sample_scores(self, n, rng):
         z = super().sample_scores(n, rng)
-        w = rng.chisquare(self.nu, size=n) / self.nu
-        z /= np.sqrt(w)[:, None]
+        w = rng.chisquare(self.nu, size=n)
+        w /= self.nu
+        z /= np.sqrt(w, out=w)[:, None]
         return z
 
 

@@ -17,11 +17,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .events import (
     ConcreteCrisisEvent,
     CrisisEventSpec,
@@ -39,11 +39,6 @@ from .mc import ConditionalCountError, mc_presample
 from .measures import MarginalRiskMeasure, batch_means_se
 from .models import JointLossModel, load_model
 from .oracle import elliptical_oracle
-
-try:
-    _VERSION = version("riskalloc")
-except PackageNotFoundError:
-    _VERSION = "0+unknown"
 
 
 # -- configuration ---------------------------------------------------------------
@@ -105,33 +100,49 @@ class RunConfig:
         }
 
 
+_JSON_KINDS = {"an object": dict, "a list": (list, tuple)}
+
+
+def _field(value, name: str, kind: str):
+    """value, when it is of the JSON kind (a _JSON_KINDS key) that the
+    config field name takes; else a ValueError naming the field."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"the config field {name!r} must be {kind}, got {type(value).__name__}")
+    return value
+
+
 def run_config_from_dict(cfg: dict) -> RunConfig:
-    """Build a RunConfig from the JSON config-file schema, naming any missing key."""
+    """Build a RunConfig from the JSON config-file schema, naming any missing
+    key and any object or list field of another type."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"the config must be an object, got {type(cfg).__name__}")
     cfg = dict(cfg)
     try:
-        event = cfg.pop("event")
-        spec = CrisisEventSpec(
-            event["kind"], tuple(event["levels"]), delta=float(event.get("delta", 0.0))
-        )
+        model = cfg.pop("model")
+        event = _field(cfg.pop("event"), "event", "an object")
+        levels = _field(event["levels"], "levels", "a list")
+        spec = CrisisEventSpec(event["kind"], tuple(levels), delta=float(event.get("delta", 0.0)))
         measures = cfg.pop("measures", None)
         if measures is not None:
-            measures = tuple(
-                MarginalRiskMeasure(m["kind"], tuple(m.get("levels", ()))) for m in measures
-            )
+            items, measures = _field(measures, "measures", "a list"), []
+            for i, m in enumerate(items):
+                m = _field(m, f"measures[{i}]", "an object")
+                levels = _field(m.get("levels", ()), f"measures[{i}].levels", "a list")
+                measures.append(MarginalRiskMeasure(m["kind"], tuple(levels)))
         overrides = cfg.pop("overrides", None)
         engine = cfg.setdefault("engine", "mc")
         want = ENGINES[engine].overrides if engine in tuple(ENGINES) else None
         if overrides is not None and want is not None:
-            overrides = want.from_json_dict(overrides)
+            overrides = want.from_json_dict(_field(overrides, "overrides", "an object"))
     except KeyError as err:
         raise ValueError(f"the config is missing the key {err.args[0]!r}") from None
-    extra = set(cfg) - {"model", "engine", "output_dir", *COUNTS}
+    extra = set(cfg) - {"engine", "output_dir", *COUNTS}
     if extra:
         raise ValueError(f"unknown config keys: {sorted(extra)}")
     for name in COUNTS:
         if name in cfg:
             cfg[name] = json_count(cfg[name])
-    return RunConfig(event=spec, measures=measures, overrides=overrides, **cfg)
+    return RunConfig(model=model, event=spec, measures=measures, overrides=overrides, **cfg)
 
 
 # -- report types ----------------------------------------------------------------
@@ -280,8 +291,10 @@ class PreparedRun:
     tuned or overridden parameters (None for mc) and details the
     engine_details known before the chain.  chain(details, work) runs the
     main chain, adds to details and work, and returns (sample, n,
-    diagnostics).  started is the perf_counter reading before the presample
-    and phase_seconds the wall time of each phase so far.  work holds the
+    diagnostics): diagnostics is None (mc) or (the middle column's name,
+    the rows), and the rows are an iterator that can be read only once.
+    started is the perf_counter reading before the presample and
+    phase_seconds the wall time of each phase so far.  work holds the
     engine's work counters (see each _prepare_<engine>) and, on every
     engine, presample_kept_rows: the presample rows kept past the cut at
     the lowest rank the run can read (mc_presample).
@@ -416,9 +429,9 @@ def _prepare_hmc(model, event, cond, config, seeds, details):
             mean_reflections=float(diag.reflections_per_proposal.mean()),
         )
         work["chain_reflections"] = int(diag.reflections_per_proposal.sum())
-        rows = list(zip(
+        rows = zip(
             range(1, n + 1), diag.hamiltonian_errors.tolist(), diag.accepted.astype(int).tolist()
-        ))
+        )
         return sample, n, ("delta_H", rows)
 
     return event, params, work, chain
@@ -451,7 +464,7 @@ def _prepare_gibbs(model, event, cond, config, seeds, details):
         details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
         work["degenerate_redraws"] += diag.n_degenerate_redraws
         coords = diag.coordinates_updated
-        rows = list(zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size))
+        rows = zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size)
         return path, config.n_mcmc, ("coordinate_updated", rows)
 
     return event, params, work, chain
@@ -553,7 +566,7 @@ def _write_artifacts(report, sample, diagnostics, config):
         middle, rows = diagnostics
         _write_csv(out / "diagnostics.csv", ["iteration", middle, "accepted"], rows)
     manifest = {
-        "version": _VERSION,
+        "version": __version__,
         "config": config.to_json_dict(),
         "engine_details": report.engine_details,
         "event": report.event.to_json_dict(),

@@ -1,6 +1,10 @@
 """CLI tests, driven in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,37 @@ def test_config_file_missing_a_key_exits_2_and_names_it(key, cfg, tmp_path, caps
     assert err.startswith("error:") and repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "field, cfg",
+    [
+        ("event", {"model": "M2", "event": "es"}),
+        ("measures", {"model": "M2", "event": ES, "measures": {"kind": "mean"}}),
+        ("levels", {"model": "M2", "event": {"kind": "es", "levels": 0.9}}),
+        ("overrides", {"model": "M2", "event": ES, "engine": "hmc", "overrides": [1, 2]}),
+        ("model", {"event": ES}),
+    ],
+    ids=["event", "measures", "levels", "hmc-overrides", "no-model"],
+)
+def test_config_file_field_of_a_wrong_type_exits_2_and_names_it(field, cfg, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["allocate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the config") and repr(field) in err
+
+
+def test_python_m_riskalloc_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "riskalloc", "presets"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["M1", "M2", "M3"]
+
+
 def test_allocate_model_file(tmp_path):
     spec = {
         "marginals": [
@@ -129,19 +164,21 @@ def test_allocate_incompatible_run_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_allocate_missing_event_exits():
-    with pytest.raises(SystemExit, match="--event"):
-        main(["allocate", "--model", "M1"])
-    with pytest.raises(SystemExit, match="--levels"):
-        main(["allocate", "--model", "M1", "--event", "es"])
-    with pytest.raises(SystemExit, match="--model"):
-        main(["allocate", "--event", "es", "--levels", "0.9"])
+def test_allocate_missing_event_exits(capsys):
+    for argv, flag in [
+        (["--model", "M1"], "--event"),
+        (["--model", "M1", "--event", "es"], "--levels"),
+        (["--event", "es", "--levels", "0.9"], "--model"),
+    ]:
+        assert main(["allocate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
 
 
-def test_allocate_bad_measure_exits():
-    with pytest.raises(SystemExit, match="measure"):
-        main(["allocate", "--model", "M1", "--event", "es", "--levels", "0.9",
-              "--measure", "median", *TINY])
+def test_allocate_bad_measure_exits(capsys):
+    assert main(["allocate", "--model", "M1", "--event", "es", "--levels", "0.9",
+                 "--measure", "median", *TINY]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown measure kind 'median'")
 
 
 def test_tune_hmc_emits_params(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from riskalloc import copulas
 from riskalloc.copulas import (
+    SCORE_BLOCK,
     U_EPS,
     Clayton,
     GaussianCopula,
@@ -16,6 +18,7 @@ from riskalloc.copulas import (
     SurvivalClayton,
     copula_from_dict,
 )
+from riskalloc.models import preset
 
 R3 = np.array([[1.0, 1.0 / 3.0, 2.0 / 3.0],
                [1.0 / 3.0, 1.0, 1.0 / 3.0],
@@ -300,6 +303,37 @@ def test_sample_kendall_tau_values():
     # elliptical: tau = (2/pi) arcsin(rho)
     tau = stats.kendalltau(u[:20_000, 0], u[:20_000, 2]).statistic
     assert tau == pytest.approx(2.0 / math.pi * math.asin(2.0 / 3.0), abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "n", [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 1, 10**5, 2**17]
+)
+@pytest.mark.parametrize("cop", [GaussianCopula(R3), StudentTCopula(5.0, R3)], ids=["gauss", "t"])
+def test_sample_scores_equal_the_one_shot_product(cop, n):
+    # the reference draws all n rows of normals at once; the blockwise draw
+    # must give the same bits and leave the generator in the same state.
+    # Several seeds: a row multiplied alone can differ in its last bit, on
+    # about half the rows
+    for seed in range(8):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ref_rng.standard_normal((n, cop.dim)) @ cop._chol.T
+        if isinstance(cop, StudentTCopula):
+            want = want / np.sqrt(ref_rng.chisquare(cop.nu, n) / cop.nu)[:, None]
+        got = cop.sample_scores(n, rng)
+        assert got.shape == want.shape and np.array_equal(got, want), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_score_route_sample_peaks_below_one_and_a_half_outputs():
+    model, rng = preset("M2"), np.random.default_rng(0)
+    model.sample(100, rng)
+    tracemalloc.start()
+    try:
+        x = model.sample(10**5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes
 
 
 def test_boundary_arguments_rejected():

@@ -3,11 +3,14 @@
 import csv
 import dataclasses
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskalloc
 from riskalloc import harness
 from riskalloc.events import EQUALITY_RTOL, CrisisEventSpec
 from riskalloc.gibbs import GibbsParams
@@ -303,6 +306,14 @@ def test_mc_run_writes_no_diagnostics(tmp_path):
     assert not (tmp_path / "diagnostics.csv").exists()
     manifest = json.loads(_read(tmp_path / "manifest.json"))
     assert manifest["artifacts"] == ["report.json", "samples.csv"]
+
+
+def test_manifest_version_is_the_package_version(tmp_path):
+    run(RunConfig("M1", ES90, "mc", n_mc=4000, seed=2, output_dir=tmp_path))
+    manifest = json.loads(_read(tmp_path / "manifest.json"))
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "(.+)"$', pyproject, re.MULTILINE).group(1)
+    assert manifest["version"] == riskalloc.__version__ == declared
 
 
 def test_rvar_sample_sums_stay_in_band(tmp_path):
