@@ -91,6 +91,18 @@ def _measures_from_args(args, d: int):
     return tuple(out)
 
 
+def _run_config(args, model, engine: str, d: int = None, **fields) -> RunConfig:
+    """The run the common flags give on model (a spec) and engine, with the
+    command's own fields.  The event is checked before the measures, which
+    --measure gives when d, the model's dimension, is passed."""
+    event = _event_from_args(args)
+    if d is not None:
+        fields["measures"] = _measures_from_args(args, d)
+    return RunConfig(
+        model=model, event=event, engine=engine, n_mc=args.n_mc, seed=args.seed, **fields
+    )
+
+
 def _cmd_allocate(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
@@ -99,16 +111,8 @@ def _cmd_allocate(args) -> int:
             config = dataclasses.replace(config, output_dir=args.out)
     else:
         model = _model_spec(args)
-        d = load_model(model).d
-        config = RunConfig(
-            model=model,
-            event=_event_from_args(args),
-            engine=args.engine,
-            measures=_measures_from_args(args, d),
-            n_mc=args.n_mc,
-            n_mcmc=args.n,
-            seed=args.seed,
-            output_dir=args.out,
+        config = _run_config(
+            args, model, args.engine, d=load_model(model).d, n_mcmc=args.n, output_dir=args.out
         )
     report = run(config)
     spec = report.event_spec
@@ -128,14 +132,7 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    config = RunConfig(
-        model=_model_spec(args),
-        event=_event_from_args(args),
-        engine=args.engine,
-        n_mc=args.n_mc,
-        seed=args.seed,
-    )
-    details = prepare(config).details
+    details = prepare(_run_config(args, _model_spec(args), args.engine)).details
     if args.engine == "gibbs":
         payload = {"engine": "gibbs", **{k: details[k] for k in ("p", "thin_T", "thin_capped")}}
     else:
@@ -151,21 +148,11 @@ def _cmd_tune(args) -> int:
 
 def _cmd_compare(args) -> int:
     model = _model_spec(args)
-    spec = _event_from_args(args)
-    engines = args.engines.split(",")
-    reports = []
-    for engine in engines:
-        config = RunConfig(
-            model=model,
-            event=spec,
-            engine=engine.strip(),
-            n_mc=args.n_mc,
-            n_mcmc=args.n,
-            seed=args.seed,
-        )
-        reports.append(run(config))
-    oracle = oracle_for(model, spec)
-    rows = compare(reports, oracle=oracle)
+    reports = [
+        run(_run_config(args, model, engine.strip(), n_mcmc=args.n))
+        for engine in args.engines.split(",")
+    ]
+    rows = compare(reports, oracle=oracle_for(model, reports[0].requested_event))
     header = f"{'engine':<6} {'coord':>5} {'estimate':>12} {'bias':>10} {'se':>10} {'mse':>12} {'runtime':>9}"
     print(header)
     for r in rows:

@@ -12,11 +12,10 @@ in the report, so the report file is byte-identical across repeat runs.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .gibbs import N_PRERUN, GibbsParams, rsgs_sample, select_probs, thin_interv
 from .hmc import HmcParams, StandardizedTarget, hmc_sample, tune
 from .mc import ConditionalCountError, mc_presample
 from .measures import MarginalRiskMeasure, batch_means_se
-from .models import JointLossModel, load_model
+from .models import load_model
 from .oracle import elliptical_oracle
 
 
@@ -100,40 +99,55 @@ class RunConfig:
         }
 
 
-_JSON_KINDS = {"an object": dict, "a list": (list, tuple)}
+_JSON_KINDS = {
+    "an object": dict,
+    "a list": (list, tuple),
+    "a number": (int, float, np.integer, np.floating),
+    "a preset name or an object": (str, dict),
+}
 
 
 def _field(value, name: str, kind: str):
     """value, when it is of the JSON kind (a _JSON_KINDS key) that the
-    config field name takes; else a ValueError naming the field."""
-    if not isinstance(value, _JSON_KINDS[kind]):
+    config field name takes; else a ValueError naming the field.  A bool
+    is of no kind, as count() takes no bool for a count."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         raise ValueError(f"the config field {name!r} must be {kind}, got {type(value).__name__}")
     return value
 
 
+def _numbers(value, name: str) -> tuple:
+    """The list field name, each of its items a number."""
+    return tuple(_field(v, name, "a number") for v in _field(value, name, "a list"))
+
+
 def run_config_from_dict(cfg: dict) -> RunConfig:
     """Build a RunConfig from the JSON config-file schema, naming any missing
-    key and any object or list field of another type."""
+    key and any field of another type."""
     if not isinstance(cfg, dict):
         raise ValueError(f"the config must be an object, got {type(cfg).__name__}")
     cfg = dict(cfg)
     try:
-        model = cfg.pop("model")
+        model = _field(cfg.pop("model"), "model", "a preset name or an object")
         event = _field(cfg.pop("event"), "event", "an object")
-        levels = _field(event["levels"], "levels", "a list")
-        spec = CrisisEventSpec(event["kind"], tuple(levels), delta=float(event.get("delta", 0.0)))
+        levels = _numbers(event["levels"], "levels")
+        delta = _field(event.get("delta", 0.0), "delta", "a number")
+        spec = CrisisEventSpec(event["kind"], levels, delta=delta)
         measures = cfg.pop("measures", None)
         if measures is not None:
             items, measures = _field(measures, "measures", "a list"), []
             for i, m in enumerate(items):
                 m = _field(m, f"measures[{i}]", "an object")
-                levels = _field(m.get("levels", ()), f"measures[{i}].levels", "a list")
-                measures.append(MarginalRiskMeasure(m["kind"], tuple(levels)))
+                levels = _numbers(m.get("levels", ()), f"measures[{i}].levels")
+                measures.append(MarginalRiskMeasure(m["kind"], levels))
         overrides = cfg.pop("overrides", None)
         engine = cfg.setdefault("engine", "mc")
         want = ENGINES[engine].overrides if engine in tuple(ENGINES) else None
         if overrides is not None and want is not None:
-            overrides = want.from_json_dict(_field(overrides, "overrides", "an object"))
+            overrides = _field(overrides, "overrides", "an object")
+            for key, value in overrides.items():  # a number or a list of numbers
+                _numbers(value if isinstance(value, (list, tuple)) else [value], key)
+            overrides = want.from_json_dict(overrides)
     except KeyError as err:
         raise ValueError(f"the config is missing the key {err.args[0]!r}") from None
     extra = set(cfg) - {"engine", "output_dir", *COUNTS}
@@ -264,7 +278,7 @@ def _bands(config: RunConfig) -> list:
     band holds at least the rows of its ranks (ties only add rows), so the
     walk never needs a band past the last."""
     n, bands = config.n_mc, [config.event]
-    while ENGINES[config.engine].widens:
+    while ENGINES[config.engine].iid:
         lo, hi = band_levels(bands[-1])
         wider = _widened(bands[-1])
         if math.ceil(n * hi) - math.ceil(n * lo) + 1 >= config.min_conditional or wider is None:
@@ -300,8 +314,6 @@ class PreparedRun:
     the lowest rank the run can read (mc_presample).
     """
 
-    config: RunConfig
-    model: JointLossModel
     measures: tuple
     event: ConcreteCrisisEvent
     cond: np.ndarray
@@ -347,8 +359,6 @@ def prepare(config: RunConfig) -> PreparedRun:
     )
     work["presample_kept_rows"] = len(presample.rows)
     return PreparedRun(
-        config=config,
-        model=model,
         measures=measures,
         event=event,
         cond=cond,
@@ -395,28 +405,26 @@ def _prepare_hmc(model, event, cond, config, seeds, details):
         pts = cond
     std_target = StandardizedTarget(target, pts)
     y_pts = std_target.to_y(pts)
+    work = {"tune_steps": 0, "tune_trajectory_steps": 0, "tune_capped": 0}
     if config.overrides is not None:
-        params, tuning = config.overrides, None
+        params = config.overrides
+        details["tuned"] = False
     else:
         tuning = tune(std_target, y_pts, seed=seeds[1])
         params = tuning.params
-    details.update(
-        eps=params.eps, T=params.T, tuned=tuning is not None,
-        standardization_jittered=std_target.jittered,
-    )
-    if tuning is not None:
-        details["tuning"] = {
+        details.update(tuned=True, tuning={
             "alpha_bar": tuning.alpha_bar,
             "n_trajectories": tuning.n_trajectories,
             "n_capped": tuning.n_capped,
             "n_halvings": tuning.n_halvings,
-        }
-    work = {
-        "tune_steps": tuning.n_steps if tuning is not None else 0,
-        "tune_trajectory_steps": tuning.n_trajectory_steps if tuning is not None else 0,
-        "tune_capped": tuning.n_capped if tuning is not None else 0,
-        "chain_grad_evals": 2 * params.T * config.n_mcmc,
-    }
+        })
+        work.update(
+            tune_steps=tuning.n_steps,
+            tune_trajectory_steps=tuning.n_trajectory_steps,
+            tune_capped=tuning.n_capped,
+        )
+    details.update(eps=params.eps, T=params.T, standardization_jittered=std_target.jittered)
+    work["chain_grad_evals"] = 2 * params.T * config.n_mcmc
     start, n = y_pts.mean(axis=0), config.n_mcmc
 
     def chain(details, work):
@@ -472,15 +480,17 @@ def _prepare_gibbs(model, event, cond, config, seeds, details):
 
 @dataclass(frozen=True)
 class _Engine:
-    """overrides is the parameter type an engine takes (None: none) and
-    widens whether _bands widens its event.  rules maps an event form to
+    """overrides is the parameter type an engine takes (None: none) and iid
+    whether its sample is the i.i.d. conditional presample rows: then
+    _bands widens its thin event and compare() scales its variance to the
+    budget of the first other engine.  rules maps an event form to
     (the nonnegative flags the pair runs on, the message that rejects any
     other); a form not listed runs on every model.  prepare returns
     PreparedRun's (event, params, work, chain); a chain looks its sampler
     up in this module when it runs, so it calls what a tracer bound there."""
 
     overrides: type
-    widens: bool
+    iid: bool
     rules: dict
     prepare: object
 
@@ -584,10 +594,10 @@ def _write_artifacts(report, sample, diagnostics, config):
 
 def _write_csv(path, header, rows):
     """The bytes of csv.writer (excel dialect) for a header of plain names
-    and rows of Python ints and floats: each value's repr, comma separated,
-    each line ended by CRLF; no such value needs quoting.  Streamed row by
-    row, with no joined file."""
-    line = ",".join(["%r"] * len(header)) + "\r\n"
+    and rows of Python ints, floats and plain names: each value's str (a
+    number's str is its repr), comma separated, each line ended by CRLF; no
+    such value needs quoting.  Streamed row by row, with no joined file."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
         f.writelines(line % tuple(row) for row in rows)
@@ -617,19 +627,20 @@ def time_adjusted_mse(bias: float, sigma2: float, n: int, runtime_ratio: float) 
 def compare(reports, oracle=None) -> list:
     """Bias/SE/time-adjusted-MSE rows for completed runs.
 
-    The first MCMC run (if any) is the time reference: an mc row's variance
-    is scaled to the sample size it could afford in that run's wall-clock
-    budget.  MCMC rows use their own budget (ratio 1).  Every budget is the
-    run's runtime_seconds, presample through measures, so the samplers pay
-    for their presample, tuning and prerun as mc pays for its presample.
+    The first MCMC run (if any) is the time reference: the variance of an
+    iid engine's (mc's) row is scaled to the sample size it could afford in
+    that run's wall-clock budget.  MCMC rows use their own budget (ratio
+    1).  Every budget is the run's runtime_seconds, presample through
+    measures, so the samplers pay for their presample, tuning and prerun
+    as mc pays for its presample.
     With no oracle the bias column is absent and the MSE is the variance
     term alone.
     """
     reports = list(reports)
-    reference = next((r for r in reports if r.engine != "mc"), None)
+    reference = next((r for r in reports if not ENGINES[r.engine].iid), None)
     rows = []
     for rep in reports:
-        if rep.engine == "mc" and reference is not None:
+        if ENGINES[rep.engine].iid and reference is not None:
             if rep.runtime_seconds <= 0.0 or reference.runtime_seconds <= 0.0:
                 ratio = 1.0
             else:
@@ -660,23 +671,9 @@ def compare(reports, oracle=None) -> list:
 
 
 def write_comparison_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["engine", "coordinate", "estimate", "bias", "se", "time_adjusted_mse", "runtime"]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    r.engine,
-                    r.coordinate,
-                    repr(r.estimate),
-                    "" if r.bias is None else repr(r.bias),
-                    repr(r.se),
-                    repr(r.time_adjusted_mse),
-                    repr(r.runtime),
-                ]
-            )
+    """One line per ComparisonRow, its fields in order; a missing bias is blank."""
+    header = [f.name for f in fields(ComparisonRow)]
+    _write_csv(path, header, (["" if v is None else v for v in astuple(r)] for r in rows))
 
 
 def oracle_for(model_spec, event: CrisisEventSpec):

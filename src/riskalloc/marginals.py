@@ -231,10 +231,10 @@ class Normal(Marginal):
 
 
 _MARGINAL_KINDS = {
-    "gpd": (GPD, ("xi", "beta")),
-    "pareto": (Pareto, ("lam", "theta")),
-    "studentt": (StudentT, ("nu", "mu", "sigma")),
-    "normal": (Normal, ("mu", "sigma")),
+    "gpd": GPD,
+    "pareto": Pareto,
+    "studentt": StudentT,
+    "normal": Normal,
 }
 
 
@@ -244,5 +244,4 @@ def marginal_from_dict(cfg: dict) -> Marginal:
     if kind not in _MARGINAL_KINDS:
         raise ValueError(f"unknown marginal kind {cfg['kind']!r}; "
                          f"expected one of {sorted(_MARGINAL_KINDS)}")
-    cls, _ = _MARGINAL_KINDS[kind]
-    return cls(*[float(p) for p in cfg["params"]])
+    return _MARGINAL_KINDS[kind](*[float(p) for p in cfg["params"]])

@@ -302,9 +302,13 @@ def student_t_model(nu: float, corr, loc=None, scale=None) -> JointLossModel:
 
 def model_from_dict(cfg: dict) -> JointLossModel:
     """Schema: {"marginals": [{"kind", "params"}, ...],
-    "copula": {"kind", ...}} — see the README for examples."""
-    margs = [marginal_from_dict(m) for m in cfg["marginals"]]
-    cop = copula_from_dict(cfg["copula"], len(margs))
+    "copula": {"kind", ...}} — see the README for examples.  A missing key
+    is a ValueError that names it."""
+    try:
+        margs = [marginal_from_dict(m) for m in cfg["marginals"]]
+        cop = copula_from_dict(cfg["copula"], len(margs))
+    except KeyError as err:
+        raise ValueError(f"the model spec is missing the key {err.args[0]!r}") from None
     return JointLossModel(margs, cop)
 
 

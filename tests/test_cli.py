@@ -118,8 +118,16 @@ def test_config_file_missing_a_key_exits_2_and_names_it(key, cfg, tmp_path, caps
         ("levels", {"model": "M2", "event": {"kind": "es", "levels": 0.9}}),
         ("overrides", {"model": "M2", "event": ES, "engine": "hmc", "overrides": [1, 2]}),
         ("model", {"event": ES}),
+        ("delta", {"model": "M2", "event": {"kind": "var", "levels": [0.9], "delta": "x"}}),
+        ("delta", {"model": "M2", "event": {"kind": "var", "levels": [0.9], "delta": True}}),
+        ("levels", {"model": "M2", "event": {"kind": "es", "levels": ["a"]}}),
+        ("measures[0].levels", {"model": "M2", "event": ES, "measures": [{"kind": "es", "levels": ["q"]}] * 3}),
+        ("eps", {"model": "M2", "event": ES, "engine": "hmc", "overrides": {"eps": "a", "T": 5}}),
+        ("p", {"model": "M2", "event": ES, "engine": "gibbs", "overrides": {"p": ["a", 0.5, 0.5], "thin_T": 2}}),
+        ("model", {"model": 5, "event": ES}),
     ],
-    ids=["event", "measures", "levels", "hmc-overrides", "no-model"],
+    ids=["event", "measures", "levels", "hmc-overrides", "no-model", "delta", "delta-bool",
+         "level", "measure-level", "hmc-eps", "gibbs-p", "model"],
 )
 def test_config_file_field_of_a_wrong_type_exits_2_and_names_it(field, cfg, tmp_path, capsys):
     path = tmp_path / "run.json"
@@ -156,6 +164,35 @@ def test_allocate_model_file(tmp_path):
          "--levels", "0.5,0.9", "--engine", "mc", "--n-mc", "4000"]
     )
     assert rc == 0
+
+
+GPD2 = [{"kind": "gpd", "params": [0.2, 1.0]}] * 2
+
+
+@pytest.mark.parametrize(
+    "key, spec",
+    [
+        ("copula", {"marginals": GPD2}),
+        ("marginals", {"copula": {"kind": "independence"}}),
+        ("theta", {"marginals": GPD2, "copula": {"kind": "clayton"}}),
+        ("kind", {"marginals": [{"params": [0.2, 1.0]}] * 2, "copula": {"kind": "independence"}}),
+        ("params", {"marginals": [{"kind": "gpd"}] * 2, "copula": {"kind": "independence"}}),
+    ],
+    ids=["copula", "marginals", "copula-theta", "marginal-kind", "marginal-params"],
+)
+def test_model_spec_missing_a_key_exits_2_and_names_it(key, spec, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = ["--event", "es", "--levels", "0.9", "--n-mc", "4000"]
+    assert main(["allocate", "--model-file", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the model spec") and repr(key) in err
+    # the same spec inline in a run config
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": spec, "event": ES, "n_mc": 4000}))
+    assert main(["allocate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the model spec") and repr(key) in err
 
 
 def test_allocate_incompatible_run_exits_2(capsys):

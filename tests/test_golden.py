@@ -8,7 +8,9 @@ them.  The digests depend on the RNG streams and on the float arithmetic
 of the installed numpy/scipy build.
 
 Run this file as a script to print the cases whose digests moved, each
-as its old and its new triple (a re-record commit shows both):
+as its old and its new triple (a re-record commit shows both); it exits 1
+when any digest moved, 0 when none did, so a byte-identity check can be
+scripted:
     PYTHONPATH=src python tests/test_golden.py
 """
 
@@ -102,3 +104,4 @@ if __name__ == "__main__":
                 moved += 1
                 print(f"{name}\n  old {DIGESTS[name]!r}\n  new {new!r}")
     print(f"{moved} of {len(CASES)} digests moved")
+    raise SystemExit(1 if moved else 0)

@@ -290,10 +290,20 @@ def test_streamed_csv_equals_the_csv_module(tmp_path):
     coords = rng.integers(0, 3, 300)
     gibbs_rows = list(zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size))
     sample = rng.standard_normal((50, 3)) * 1e3
+    # comparison rows: engine names, a blank bias (no oracle) and non-finite values
+    comparison_rows = [
+        ["mc", 1, 1.5, "", 0.25, np.inf, 0.125],
+        ["hmc", 2, np.nan, -0.0, 5e-324, 1e300, 3.0],
+        ["gibbs", 3, -2.0, 0.1, 0.0, np.nan, 1e-7],
+    ]
     cases = {
         "hmc": (["iteration", "delta_H", "accepted"], hmc_rows, hmc_rows),
         "gibbs": (["iteration", "coordinate_updated", "accepted"], gibbs_rows, gibbs_rows),
         "sample": (["X1", "X2", "X3"], map(np.ndarray.tolist, sample), sample.tolist()),
+        "comparison": (
+            ["engine", "coordinate", "estimate", "bias", "se", "time_adjusted_mse", "runtime"],
+            comparison_rows, comparison_rows,
+        ),
     }
     for name, (header, rows, want_rows) in cases.items():
         harness._write_csv(tmp_path / f"{name}.csv", header, rows)
