@@ -37,6 +37,8 @@ import numpy as np
 from scipy import special
 from scipy.special import cython_special
 
+from .events import json_field, json_numbers
+
 # probability-scale clamp applied before copula evaluations; samplers can
 # land arbitrarily close to 0/1 where the formulas overflow
 U_EPS = 1e-12
@@ -470,16 +472,25 @@ class StudentTCopula(_EllipticalCopula):
 
 
 def copula_from_dict(cfg: dict, dim: int) -> Copula:
-    """Build a copula from {"kind": ..., ...} (config-file schema)."""
+    """Build a copula from {"kind": ..., ...} (config-file schema): a
+    number theta or nu, and corr a list of rows of numbers."""
+
+    def number(key):
+        return float(json_field(cfg[key], key, "a number", "model spec"))
+
+    def matrix(key):
+        rows = json_field(cfg[key], key, "a list", "model spec")
+        return np.array([json_numbers(r, key, "model spec") for r in rows], dtype=float)
+
     kind = str(cfg["kind"]).lower()
     if kind == "independence":
         return Independence(dim)
     if kind == "clayton":
-        return Clayton(float(cfg["theta"]), dim)
+        return Clayton(number("theta"), dim)
     if kind == "survivalclayton":
-        return SurvivalClayton(float(cfg["theta"]), dim)
+        return SurvivalClayton(number("theta"), dim)
     if kind == "gaussian":
-        return GaussianCopula(np.asarray(cfg["corr"], dtype=float), dim)
+        return GaussianCopula(matrix("corr"), dim)
     if kind == "studentt":
-        return StudentTCopula(float(cfg["nu"]), np.asarray(cfg["corr"], dtype=float), dim)
+        return StudentTCopula(number("nu"), matrix("corr"), dim)
     raise ValueError(f"unknown copula kind {cfg['kind']!r}")

@@ -25,6 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .measures import check_levels
+
 EVENT_KINDS = ("var", "rvar", "es")
 
 # relative tolerance on a band's sum bounds (band_tolerance);
@@ -51,6 +53,29 @@ def json_count(value):
     """A count as a JSON reader takes it: an integral float (1e5) as an int,
     any other value as it is, for count() to check."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+_JSON_KINDS = {
+    "an object": dict,
+    "a list": (list, tuple),
+    "a number": (int, float, np.integer, np.floating),
+    "a preset name or an object": (str, dict),
+}
+
+
+def json_field(value, name: str, kind: str, subject: str):
+    """value, when it is of the JSON kind (a _JSON_KINDS key) that the field
+    name of subject ("config" or "model spec") takes; else a ValueError
+    naming the field.  A bool is of no kind, as count() takes none."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"the {subject} field {name!r} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def json_numbers(value, name: str, subject: str) -> tuple:
+    """The list field name of subject, each of its items a number."""
+    items = json_field(value, name, "a list", subject)
+    return tuple(json_field(v, name, "a number", subject) for v in items)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,18 +130,14 @@ class CrisisEventSpec:
         object.__setattr__(self, "delta", float(self.delta))
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if kind in ("var", "es"):
-            if len(levels) != 1 or not 0.0 < levels[0] < 1.0:
-                raise ValueError(f"{kind} event takes one level in (0, 1), got {levels}")
-        else:
-            if len(levels) != 2 or not 0.0 < levels[0] < levels[1] <= 1.0:
-                raise ValueError(
-                    f"rvar event takes levels 0 < a1 < a2 <= 1, got {levels}"
-                )
+        check_levels(kind, levels, "event")
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
         if self.delta > 0.0 and kind != "var":
             raise ValueError("delta applies only to the var event kind")
+        lo, hi = band_levels(self)
+        if kind == "var" and not (0.0 < lo and hi < 1.0):
+            raise ValueError(f"band levels {levels[0]} +/- {self.delta} fall outside (0, 1)")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "levels": list(self.levels), "delta": self.delta}
@@ -282,27 +303,16 @@ def estimate_event(spec: CrisisEventSpec, presample, nonnegative: bool) -> Concr
         raise ValueError(f"presample too small to estimate thresholds: n={pre.n} < 100")
     quantile = pre.order_statistic
     lo, hi = band_levels(spec)
-
+    v1 = quantile(lo)
+    v2 = np.inf if spec.kind == "es" else quantile(hi)
     if spec.kind == "es":
-        v1 = quantile(lo)
-        v2 = np.inf
         thresholds = {"v": v1}
     elif spec.kind == "rvar":
-        v1 = quantile(lo)
-        v2 = quantile(hi)
         thresholds = {"v1": v1, "v2": v2}
+    elif spec.delta > 0.0:
+        thresholds = {"v_star": quantile(spec.levels[0]), "v_lo": v1, "v_hi": v2}
     else:
-        alpha = spec.levels[0]
-        v1 = v2 = quantile(alpha)
         thresholds = {"v_star": v1}
-        if spec.delta > 0.0:
-            if not (0.0 < lo and hi < 1.0):
-                raise ValueError(
-                    f"band levels {alpha} +/- {spec.delta} fall outside (0, 1)"
-                )
-            v1 = quantile(lo)
-            v2 = quantile(hi)
-            thresholds.update(v_lo=v1, v_hi=v2)
     return ConcreteCrisisEvent(
         spec=spec,
         v1=v1,

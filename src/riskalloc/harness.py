@@ -31,6 +31,8 @@ from .events import (
     count,
     estimate_event,
     json_count,
+    json_field,
+    json_numbers,
 )
 from .gibbs import N_PRERUN, GibbsParams, rsgs_sample, select_probs, thin_interval
 from .hmc import HmcParams, StandardizedTarget, hmc_sample, tune
@@ -99,54 +101,35 @@ class RunConfig:
         }
 
 
-_JSON_KINDS = {
-    "an object": dict,
-    "a list": (list, tuple),
-    "a number": (int, float, np.integer, np.floating),
-    "a preset name or an object": (str, dict),
-}
-
-
-def _field(value, name: str, kind: str):
-    """value, when it is of the JSON kind (a _JSON_KINDS key) that the
-    config field name takes; else a ValueError naming the field.  A bool
-    is of no kind, as count() takes no bool for a count."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-        raise ValueError(f"the config field {name!r} must be {kind}, got {type(value).__name__}")
-    return value
-
-
-def _numbers(value, name: str) -> tuple:
-    """The list field name, each of its items a number."""
-    return tuple(_field(v, name, "a number") for v in _field(value, name, "a list"))
-
-
 def run_config_from_dict(cfg: dict) -> RunConfig:
     """Build a RunConfig from the JSON config-file schema, naming any missing
-    key and any field of another type."""
+    key, any field of another type and any unknown override key."""
     if not isinstance(cfg, dict):
         raise ValueError(f"the config must be an object, got {type(cfg).__name__}")
     cfg = dict(cfg)
     try:
-        model = _field(cfg.pop("model"), "model", "a preset name or an object")
-        event = _field(cfg.pop("event"), "event", "an object")
-        levels = _numbers(event["levels"], "levels")
-        delta = _field(event.get("delta", 0.0), "delta", "a number")
+        model = json_field(cfg.pop("model"), "model", "a preset name or an object", "config")
+        event = json_field(cfg.pop("event"), "event", "an object", "config")
+        levels = json_numbers(event["levels"], "levels", "config")
+        delta = json_field(event.get("delta", 0.0), "delta", "a number", "config")
         spec = CrisisEventSpec(event["kind"], levels, delta=delta)
         measures = cfg.pop("measures", None)
         if measures is not None:
-            items, measures = _field(measures, "measures", "a list"), []
+            items, measures = json_field(measures, "measures", "a list", "config"), []
             for i, m in enumerate(items):
-                m = _field(m, f"measures[{i}]", "an object")
-                levels = _numbers(m.get("levels", ()), f"measures[{i}].levels")
+                m = json_field(m, f"measures[{i}]", "an object", "config")
+                levels = json_numbers(m.get("levels", ()), f"measures[{i}].levels", "config")
                 measures.append(MarginalRiskMeasure(m["kind"], levels))
         overrides = cfg.pop("overrides", None)
         engine = cfg.setdefault("engine", "mc")
         want = ENGINES[engine].overrides if engine in tuple(ENGINES) else None
         if overrides is not None and want is not None:
-            overrides = _field(overrides, "overrides", "an object")
+            overrides = json_field(overrides, "overrides", "an object", "config")
+            unknown = sorted(set(overrides) - {f.name for f in fields(want)})
+            if unknown:
+                raise ValueError(f"the config field 'overrides' has unknown keys {unknown}")
             for key, value in overrides.items():  # a number or a list of numbers
-                _numbers(value if isinstance(value, (list, tuple)) else [value], key)
+                json_numbers(value if isinstance(value, (list, tuple)) else [value], key, "config")
             overrides = want.from_json_dict(overrides)
     except KeyError as err:
         raise ValueError(f"the config is missing the key {err.args[0]!r}") from None
@@ -253,10 +236,6 @@ def _check_supported(engine: str, spec: CrisisEventSpec, nonnegative: bool) -> N
 # -- the run pipeline ------------------------------------------------------------
 
 
-def _default_measures(d: int) -> tuple:
-    return tuple(MarginalRiskMeasure("mean") for _ in range(d))
-
-
 def _model_name(spec) -> str:
     return spec if isinstance(spec, str) else "inline"
 
@@ -301,24 +280,24 @@ class PreparedRun:
     unless the mc widening rule lowered its lower level (widening_log says
     how), or hmc runs on a var band, where the chain samples the hyperplane
     {1.x = v*} and the band only supplied the conditional rows.  cond holds
-    the presample rows inside the estimated band.  params are the engine's
-    tuned or overridden parameters (None for mc) and details the
-    engine_details known before the chain.  chain(details, work) runs the
-    main chain, adds to details and work, and returns (sample, n,
-    diagnostics): diagnostics is None (mc) or (the middle column's name,
-    the rows), and the rows are an iterator that can be read only once.
-    started is the perf_counter reading before the presample and
-    phase_seconds the wall time of each phase so far.  work holds the
-    engine's work counters (see each _prepare_<engine>) and, on every
-    engine, presample_kept_rows: the presample rows kept past the cut at
-    the lowest rank the run can read (mc_presample).
+    the presample rows inside the estimated band.  details holds the
+    engine_details known before the chain, among them (hmc and gibbs)
+    whether the parameters were tuned and the tuned or overridden
+    parameters.  work holds the engine's work counters (see each
+    _prepare_<engine>) and, on every engine, presample_kept_rows: the
+    presample rows kept past the cut at the lowest rank the run can read
+    (mc_presample).  chain() runs the main chain, adds to details and work
+    in place, and returns (sample, n, diagnostics): diagnostics is None
+    (mc) or (the middle column's name, the rows), and the rows are an
+    iterator that can be read only once.  started is the perf_counter
+    reading before the presample and phase_seconds the wall time of each
+    phase so far.
     """
 
     measures: tuple
     event: ConcreteCrisisEvent
     cond: np.ndarray
     widening_log: tuple
-    params: object
     details: dict
     chain: object
     started: float
@@ -330,7 +309,7 @@ def prepare(config: RunConfig) -> PreparedRun:
     """Everything before the main chain: presample, event, conditional rows,
     and the engine's target and tuned (or overridden) parameters."""
     model = load_model(config.model)
-    measures = config.measures or _default_measures(model.d)
+    measures = config.measures or tuple(MarginalRiskMeasure("mean") for _ in range(model.d))
     if len(measures) != model.d:
         raise ValueError(
             f"need one measure per coordinate: got {len(measures)} for d={model.d}"
@@ -354,16 +333,17 @@ def prepare(config: RunConfig) -> PreparedRun:
         )
     estimated = time.perf_counter()
     details = {"k_conditional": int(len(cond))}
-    event, params, work, chain = ENGINES[config.engine].prepare(
-        model, event, cond, config, seeds, details
+    if ENGINES[config.engine].overrides is not None:
+        details["tuned"] = config.overrides is None
+    work = {"presample_kept_rows": len(presample.rows)}
+    event, chain = ENGINES[config.engine].prepare(
+        model, event, cond, config, seeds, details, work
     )
-    work["presample_kept_rows"] = len(presample.rows)
     return PreparedRun(
         measures=measures,
         event=event,
         cond=cond,
         widening_log=tuple(log),
-        params=params,
         details=details,
         chain=chain,
         started=started,
@@ -376,15 +356,15 @@ def prepare(config: RunConfig) -> PreparedRun:
     )
 
 
-def _prepare_mc(model, event, cond, config, seeds, details):
+def _prepare_mc(model, event, cond, config, seeds, details, work):
     """mc's sample is the conditional rows themselves, n_mc its n.  work:
     presample_rows (n_mc) and conditional_rows (the rows in the event)."""
     details["acr"] = 1.0
-    work = {"presample_rows": int(config.n_mc), "conditional_rows": int(len(cond))}
-    return event, None, work, lambda details, work: (cond, config.n_mc, None)
+    work.update(presample_rows=int(config.n_mc), conditional_rows=int(len(cond)))
+    return event, lambda: (cond, config.n_mc, None)
 
 
-def _prepare_hmc(model, event, cond, config, seeds, details):
+def _prepare_hmc(model, event, cond, config, seeds, details, work):
     """On a var band, hmc samples the exact var event {1.x = v*} through the
     reduced target; that event is returned in the band's place, with the
     band's thresholds (v_star, v_lo, v_hi) on record.  work: tune_steps
@@ -405,19 +385,17 @@ def _prepare_hmc(model, event, cond, config, seeds, details):
         pts = cond
     std_target = StandardizedTarget(target, pts)
     y_pts = std_target.to_y(pts)
-    work = {"tune_steps": 0, "tune_trajectory_steps": 0, "tune_capped": 0}
-    if config.overrides is not None:
-        params = config.overrides
-        details["tuned"] = False
-    else:
+    work.update(tune_steps=0, tune_trajectory_steps=0, tune_capped=0)
+    params = config.overrides
+    if params is None:
         tuning = tune(std_target, y_pts, seed=seeds[1])
         params = tuning.params
-        details.update(tuned=True, tuning={
+        details["tuning"] = {
             "alpha_bar": tuning.alpha_bar,
             "n_trajectories": tuning.n_trajectories,
             "n_capped": tuning.n_capped,
             "n_halvings": tuning.n_halvings,
-        })
+        }
         work.update(
             tune_steps=tuning.n_steps,
             tune_trajectory_steps=tuning.n_trajectory_steps,
@@ -427,7 +405,7 @@ def _prepare_hmc(model, event, cond, config, seeds, details):
     work["chain_grad_evals"] = 2 * params.T * config.n_mcmc
     start, n = y_pts.mean(axis=0), config.n_mcmc
 
-    def chain(details, work):
+    def chain():
         path_y, diag = hmc_sample(std_target, params, start, n, seeds[2])
         path_x = std_target.to_x(path_y)
         sample = path_x if event.sum_equality is None else target.lift(path_x)
@@ -442,24 +420,22 @@ def _prepare_hmc(model, event, cond, config, seeds, details):
         )
         return sample, n, ("delta_H", rows)
 
-    return event, params, work, chain
+    return event, chain
 
 
-def _prepare_gibbs(model, event, cond, config, seeds, details):
+def _prepare_gibbs(model, event, cond, config, seeds, details, work):
     """work: prerun_updates, chain_updates (n_mcmc thin_T) and
     degenerate_redraws (the prerun's; the chain adds its own)."""
     x0 = cond.mean(axis=0)
-    work = {"prerun_updates": 0, "degenerate_redraws": 0}
-    if config.overrides is not None:
-        params = config.overrides
-        details["tuned"] = False
-    else:
+    work.update(prerun_updates=0, degenerate_redraws=0)
+    params = config.overrides
+    if params is None:
         p = select_probs(np.atleast_2d(np.cov(cond, rowvar=False)))
         pre_path, pre_diag = rsgs_sample(model, event, GibbsParams(p, 1), x0, N_PRERUN, seeds[1])
         thin = thin_interval(pre_path)
         params = GibbsParams(p, thin.interval)
         x0 = pre_path[-1]
-        details.update(tuned=True, thin_capped=thin.capped, n_pre=N_PRERUN)
+        details.update(thin_capped=thin.capped, n_pre=N_PRERUN)
         work.update(
             prerun_updates=int(pre_diag.coordinates_updated.size),
             degenerate_redraws=pre_diag.n_degenerate_redraws,
@@ -467,7 +443,7 @@ def _prepare_gibbs(model, event, cond, config, seeds, details):
     details.update(p=[float(v) for v in params.p], thin_T=params.thin_T)
     work["chain_updates"] = config.n_mcmc * params.thin_T
 
-    def chain(details, work):
+    def chain():
         path, diag = rsgs_sample(model, event, params, x0, config.n_mcmc, seeds[2])
         details.update(acr=1.0, n_degenerate_redraws=diag.n_degenerate_redraws)
         work["degenerate_redraws"] += diag.n_degenerate_redraws
@@ -475,7 +451,7 @@ def _prepare_gibbs(model, event, cond, config, seeds, details):
         rows = zip(range(1, coords.size + 1), (coords + 1).tolist(), [1] * coords.size)
         return path, config.n_mcmc, ("coordinate_updated", rows)
 
-    return event, params, work, chain
+    return event, chain
 
 
 @dataclass(frozen=True)
@@ -485,9 +461,10 @@ class _Engine:
     _bands widens its thin event and compare() scales its variance to the
     budget of the first other engine.  rules maps an event form to
     (the nonnegative flags the pair runs on, the message that rejects any
-    other); a form not listed runs on every model.  prepare returns
-    PreparedRun's (event, params, work, chain); a chain looks its sampler
-    up in this module when it runs, so it calls what a tracer bound there."""
+    other); a form not listed runs on every model.  prepare fills
+    PreparedRun's details and work in place and returns its (event, chain);
+    a chain looks its sampler up in this module when it runs, so it calls
+    what a tracer bound there."""
 
     overrides: type
     iid: bool
@@ -534,10 +511,8 @@ def run(config: RunConfig) -> AllocationReport:
     gibbs prerun), chain and measures.
     """
     prep = prepare(config)
-    details = dict(prep.details)
-    work = dict(prep.work)
     chain_started = time.perf_counter()
-    sample, n, diagnostics = prep.chain(details, work)
+    sample, n, diagnostics = prep.chain()
     chained = time.perf_counter()
     allocations = _allocations(sample, prep.measures)
     finished = time.perf_counter()
@@ -550,11 +525,11 @@ def run(config: RunConfig) -> AllocationReport:
         requested_event=config.event,
         event=prep.event,
         allocations=allocations,
-        engine_details=details,
+        engine_details=prep.details,
         runtime_seconds=finished - prep.started,
         widening_log=prep.widening_log,
         phase_seconds=phases,
-        work=work,
+        work=prep.work,
     )
     if config.output_dir is not None:
         _write_artifacts(report, sample, diagnostics, config)
@@ -640,13 +615,10 @@ def compare(reports, oracle=None) -> list:
     reference = next((r for r in reports if not ENGINES[r.engine].iid), None)
     rows = []
     for rep in reports:
+        ratio = 1.0
         if ENGINES[rep.engine].iid and reference is not None:
-            if rep.runtime_seconds <= 0.0 or reference.runtime_seconds <= 0.0:
-                ratio = 1.0
-            else:
+            if rep.runtime_seconds > 0.0 and reference.runtime_seconds > 0.0:
                 ratio = reference.runtime_seconds / rep.runtime_seconds
-        else:
-            ratio = 1.0
         for a in rep.allocations:
             bias = None
             if oracle is not None:

@@ -20,6 +20,8 @@ import math
 import numpy as np
 from scipy import special
 
+from .events import json_numbers
+
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -244,4 +246,5 @@ def marginal_from_dict(cfg: dict) -> Marginal:
     if kind not in _MARGINAL_KINDS:
         raise ValueError(f"unknown marginal kind {cfg['kind']!r}; "
                          f"expected one of {sorted(_MARGINAL_KINDS)}")
-    return _MARGINAL_KINDS[kind](*[float(p) for p in cfg["params"]])
+    params = json_numbers(cfg["params"], "params", "model spec")
+    return _MARGINAL_KINDS[kind](*[float(p) for p in params])

@@ -14,7 +14,17 @@ import numpy as np
 
 MEASURE_KINDS = ("mean", "var", "rvar", "es")
 
-_N_LEVELS = {"mean": 0, "var": 1, "rvar": 2, "es": 1}
+
+def check_levels(kind: str, levels: tuple, what: str) -> None:
+    """The levels a kind of measure or crisis event takes: one level in
+    (0, 1) for var and es, 0 < a1 < a2 <= 1 for rvar, none for mean.  A
+    ValueError that names what ("event" or "measure") otherwise."""
+    if kind in ("var", "es") and not (len(levels) == 1 and 0.0 < levels[0] < 1.0):
+        raise ValueError(f"{kind} {what} takes one level in (0, 1), got {levels}")
+    if kind == "rvar" and not (len(levels) == 2 and 0.0 < levels[0] < levels[1] <= 1.0):
+        raise ValueError(f"rvar {what} takes levels 0 < a1 < a2 <= 1, got {levels}")
+    if kind == "mean" and levels:
+        raise ValueError(f"mean {what} takes no levels, got {levels}")
 
 
 @dataclass(frozen=True)
@@ -22,8 +32,7 @@ class MarginalRiskMeasure:
     """A risk functional applied to one marginal of a conditional sample.
 
     kind is one of ``mean``, ``var``, ``rvar``, ``es``; levels carries the
-    confidence levels (none for mean, one for var/es, an ordered pair for
-    rvar, where the upper rvar level may equal 1).
+    confidence levels (check_levels).
     """
 
     kind: str
@@ -35,18 +44,8 @@ class MarginalRiskMeasure:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "levels", levels)
         if kind not in MEASURE_KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if len(levels) != _N_LEVELS[kind]:
-            raise ValueError(
-                f"measure {kind!r} takes {_N_LEVELS[kind]} level(s), got {levels}"
-            )
-        for b in levels:
-            if not 0.0 < b <= 1.0:
-                raise ValueError(f"levels must lie in (0, 1], got {levels}")
-        if kind in ("var", "es") and levels[0] == 1.0:
-            raise ValueError(f"{kind} level must lie in (0, 1), got {levels[0]}")
-        if kind == "rvar" and not levels[0] < levels[1]:
-            raise ValueError(f"rvar needs increasing levels, got {levels}")
+            raise ValueError(f"unknown measure kind {self.kind!r}; choose from {MEASURE_KINDS}")
+        check_levels(kind, levels, "measure")
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,12 @@ from .copulas import (
     U_EPS,
     Copula,
     GaussianCopula,
-    Independence,
     StudentTCopula,
     SurvivalClayton,
     clip01,
     copula_from_dict,
 )
-from .events import _left_to_right_sum
+from .events import _left_to_right_sum, json_field
 from .marginals import GPD, Marginal, Normal, Pareto, StudentT, marginal_from_dict
 
 
@@ -303,10 +302,15 @@ def student_t_model(nu: float, corr, loc=None, scale=None) -> JointLossModel:
 def model_from_dict(cfg: dict) -> JointLossModel:
     """Schema: {"marginals": [{"kind", "params"}, ...],
     "copula": {"kind", ...}} — see the README for examples.  A missing key
-    is a ValueError that names it."""
+    or a field of another type is a ValueError that names it."""
     try:
-        margs = [marginal_from_dict(m) for m in cfg["marginals"]]
-        cop = copula_from_dict(cfg["copula"], len(margs))
+        items = json_field(cfg["marginals"], "marginals", "a list", "model spec")
+        margs = [
+            marginal_from_dict(json_field(m, f"marginals[{i}]", "an object", "model spec"))
+            for i, m in enumerate(items)
+        ]
+        cop = json_field(cfg["copula"], "copula", "an object", "model spec")
+        cop = copula_from_dict(cop, len(margs))
     except KeyError as err:
         raise ValueError(f"the model spec is missing the key {err.args[0]!r}") from None
     return JointLossModel(margs, cop)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from riskalloc import harness
 from riskalloc.cli import main
 
 TINY = ["--n-mc", "4000", "--n", "200", "--seed", "3"]
@@ -125,9 +126,12 @@ def test_config_file_missing_a_key_exits_2_and_names_it(key, cfg, tmp_path, caps
         ("eps", {"model": "M2", "event": ES, "engine": "hmc", "overrides": {"eps": "a", "T": 5}}),
         ("p", {"model": "M2", "event": ES, "engine": "gibbs", "overrides": {"p": ["a", 0.5, 0.5], "thin_T": 2}}),
         ("model", {"model": 5, "event": ES}),
+        ("epsilon", {"model": "M2", "event": ES, "engine": "hmc", "overrides": {"eps": 0.1, "T": 3, "epsilon": 9}}),
+        ("thin", {"model": "M2", "event": ES, "engine": "gibbs", "overrides": {"p": [0.5, 0.25, 0.25], "thin_T": 2, "thin": 1}}),
     ],
     ids=["event", "measures", "levels", "hmc-overrides", "no-model", "delta", "delta-bool",
-         "level", "measure-level", "hmc-eps", "gibbs-p", "model"],
+         "level", "measure-level", "hmc-eps", "gibbs-p", "model", "hmc-unknown-key",
+         "gibbs-unknown-key"],
 )
 def test_config_file_field_of_a_wrong_type_exits_2_and_names_it(field, cfg, tmp_path, capsys):
     path = tmp_path / "run.json"
@@ -193,6 +197,48 @@ def test_model_spec_missing_a_key_exits_2_and_names_it(key, spec, tmp_path, caps
     assert main(["allocate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the model spec") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "field, spec",
+    [
+        ("marginals", {"marginals": {"kind": "gpd"}, "copula": {"kind": "independence"}}),
+        ("marginals[0]", {"marginals": ["gpd", "gpd"], "copula": {"kind": "independence"}}),
+        ("copula", {"marginals": GPD2, "copula": "clayton"}),
+        ("corr", {"marginals": GPD2, "copula": {"kind": "gaussian", "corr": "abc"}}),
+        ("params", {"marginals": [{"kind": "gpd", "params": ["0.2", 1.0]}] * 2,
+                    "copula": {"kind": "independence"}}),
+        ("params", {"marginals": [{"kind": "gpd", "params": [0.2, True]}] * 2,
+                    "copula": {"kind": "independence"}}),
+        ("theta", {"marginals": GPD2, "copula": {"kind": "clayton", "theta": "2"}}),
+    ],
+    ids=["marginals", "marginal", "copula", "corr", "params-string", "params-bool", "theta"],
+)
+def test_model_spec_field_of_a_wrong_type_exits_2_and_names_it(field, spec, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = ["--event", "es", "--levels", "0.9", "--n-mc", "4000"]
+    assert main(["allocate", "--model-file", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the model spec field") and repr(field) in err
+    # the same spec inline in a run config
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"model": spec, "event": ES, "n_mc": 4000}))
+    assert main(["allocate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the model spec field") and repr(field) in err
+
+
+@pytest.mark.parametrize("engine", ["mc", "hmc", "gibbs"])
+def test_var_band_past_the_unit_interval_exits_2_before_the_presample(engine, monkeypatch, capsys):
+    def no_presample(*args, **kwargs):
+        raise AssertionError("the presample ran for an event that cannot be built")
+
+    monkeypatch.setattr(harness, "mc_presample", no_presample)
+    argv = ["allocate", "--model", "M1", "--event", "var", "--levels", "0.995",
+            "--delta", "0.01", "--engine", engine, *TINY]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: band levels 0.995 +/- 0.01 fall outside (0, 1)\n"
 
 
 def test_allocate_incompatible_run_exits_2(capsys):

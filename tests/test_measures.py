@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskalloc.events import CrisisEventSpec
 from riskalloc.measures import (
     EstimateWithSE,
     MarginalRiskMeasure,
@@ -81,8 +82,10 @@ def test_empty_order_statistic_range_names_levels_and_n():
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown measure kind 'median'; choose from \("):
         MarginalRiskMeasure("median")
+    with pytest.raises(ValueError, match=r"^var measure takes one level in \(0, 1\), got \(1\.5,\)$"):
+        MarginalRiskMeasure("var", (1.5,))
     with pytest.raises(ValueError):
         MarginalRiskMeasure("var", (1.0,))
     with pytest.raises(ValueError):
@@ -92,6 +95,27 @@ def test_measure_validation():
     with pytest.raises(ValueError):
         MarginalRiskMeasure("mean", (0.5,))
     assert MarginalRiskMeasure("rvar", (0.9, 1.0)).levels == (0.9, 1.0)
+
+
+def _accepts(cls, kind, levels) -> bool:
+    try:
+        cls(kind, levels)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["var", "rvar", "es"]),
+    levels=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(-0.5, 1.5)), max_size=3
+    ),
+)
+def test_events_and_measures_take_the_same_levels(kind, levels):
+    """A crisis event and a marginal measure of one kind accept the same levels."""
+    levels = tuple(levels)
+    assert _accepts(CrisisEventSpec, kind, levels) == _accepts(MarginalRiskMeasure, kind, levels)
 
 
 def test_es_equals_rvar_to_one():
