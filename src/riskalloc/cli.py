@@ -84,7 +84,12 @@ def _measures_from_args(args, d: int):
     out = []
     for item in kinds:
         name, _, lv = item.partition(":")
-        levels = tuple(float(v) for v in lv.split(";")) if lv else ()
+        try:
+            levels = tuple(float(v) for v in lv.split(";")) if lv else ()
+        except ValueError:
+            raise ValueError(
+                f"--measure levels must be numbers separated by ';', got {item!r}"
+            ) from None
         out.append(MarginalRiskMeasure(name, levels))
     return tuple(out)
 

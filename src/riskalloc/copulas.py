@@ -42,19 +42,28 @@ from .events import json_field, json_numbers
 # probability-scale clamp applied before copula evaluations; samplers can
 # land arbitrarily close to 0/1 where the formulas overflow
 U_EPS = 1e-12
+_U_MAX = 1.0 - U_EPS
 
 # rows of standard normals an elliptical copula draws, and multiplies into
 # its score matrix, at a time: the one temporary beside the output
 SCORE_BLOCK = 4096
 
 
-def clip01(u):
+def clip01(u, out=None):
+    """u clamped to [U_EPS, 1 - U_EPS], NaN passed through; an array is
+    written into out when it is given."""
+    if isinstance(u, float):
+        # a Gibbs update's scalar: the comparisons pick np.maximum's and
+        # np.minimum's value without the ufunc machinery, and the result
+        # stays an np.float64, because a later float ** x would take libm's
+        # pow, not numpy's
+        return np.float64(U_EPS if u < U_EPS else _U_MAX if u > _U_MAX else u)
     # np.minimum(np.maximum(...)) is np.clip's value, NaN included, without
     # the wrapper's overhead on the hot path; on an array the second step
     # writes into the first one's result, so a presample-sized u costs one
-    # new array, as np.clip did
-    lo = np.maximum(u, U_EPS)
-    return np.minimum(lo, 1.0 - U_EPS, out=lo if isinstance(lo, np.ndarray) else None)
+    # new array, as np.clip did, and none with out
+    lo = np.maximum(u, U_EPS, out=out)
+    return np.minimum(lo, _U_MAX, out=lo if isinstance(lo, np.ndarray) else None)
 
 
 def _log(w):
@@ -90,15 +99,6 @@ def _ndtr(z):
 
 def _ndtri(p):
     return _C_NDTRI(p) if isinstance(p, float) else special.ndtri(p)
-
-
-def _dot(a, z):
-    """sum_i a_i z_i, added left to right.  Builtin sum is not used: from
-    Python 3.12 on it compensates, which changes the last bits."""
-    t = 0.0
-    for a_i, z_i in zip(a, z):
-        t += a_i * z_i
-    return t
 
 
 def _as_float(u):
@@ -231,9 +231,13 @@ class Clayton(Copula):
 
     def sample(self, n, rng):
         # Marshall-Olkin frailty: V ~ Gamma(1/theta, 1), U_j = (1 + E_j/V)^(-1/theta)
+        # computed inside the exponential matrix, the one (n, d) array
         v = rng.gamma(1.0 / self.theta, 1.0, size=n)
         e = rng.exponential(size=(n, self.dim))
-        return clip01((1.0 + e / v[:, None]) ** (-1.0 / self.theta))
+        e /= v[:, None]
+        e += 1.0
+        e **= -1.0 / self.theta
+        return clip01(e, out=e)
 
 
 class SurvivalClayton(Copula):
@@ -270,7 +274,8 @@ class SurvivalClayton(Copula):
         return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
-        return 1.0 - self.base.sample(n, rng)
+        u = self.base.sample(n, rng)
+        return np.subtract(1.0, u, out=u)
 
 
 def _check_corr(corr, dim=None):
@@ -297,10 +302,11 @@ class _EllipticalCopula(Copula):
 
     score_conditional(j, z_rest) conditions on the other coordinates'
     scores: the score of U_j given them is m + s T, where T has the
-    returned cdf and ppf.  conditional(j, u_rest) is that part on
-    _scores(u_rest), mapped back to levels.  sample_scores draws the scores
-    that sample maps to levels; an elliptical JointLossModel uses both
-    score-level parts directly.
+    standard law that the copula's score_law evaluates on floats.
+    conditional(j, u_rest) is that part on _scores(u_rest), mapped back to
+    levels.  sample_scores draws the scores that sample maps to levels; an
+    elliptical JointLossModel and its Gibbs chain use both score-level parts
+    directly.
     """
 
     def __init__(self, corr, dim=None):
@@ -326,14 +332,15 @@ class _EllipticalCopula(Copula):
             self._schur.append(float(1.0 - b @ r[rest, j]))
 
     def score_conditional(self, j, z_rest):
-        """(m, s, cdf, ppf): the score of U_j given the others' scores z_rest,
-        a sequence of d - 1 floats, is m + s T, and T has this cdf and ppf."""
+        """(m, s): the score of U_j given the others' scores z_rest, a
+        sequence of d - 1 floats, is m + s T.  Dot products add left to
+        right; builtin sum is not used, because from Python 3.12 on it
+        compensates, which changes the last bits."""
         raise NotImplementedError
 
-    def _location(self, j, z_rest):
-        """m = b_j . z_rest.  j and the length of z_rest are checked as
-        _check_j checks them, with its messages, but z_rest is read as it is,
-        with no array made of it."""
+    def _check_scores(self, j, z_rest):
+        """j and the length of z_rest checked as _check_j checks them, with
+        its messages, but z_rest is read as it is, with no array made of it."""
         if not 0 <= j < self.dim:
             raise ValueError(f"coordinate index {j} out of range for d={self.dim}")
         try:
@@ -342,12 +349,11 @@ class _EllipticalCopula(Copula):
             n = None
         if n != self.dim - 1:
             raise ValueError(f"u_rest must have length {self.dim - 1}")
-        return _dot(self._b[j], z_rest)
 
     def conditional(self, j, u_rest):
-        m, s, cdf, ppf = self.score_conditional(j, self._scores(u_rest))
-        return (lambda uj: cdf((self._scores(uj) - m) / s),
-                lambda p: clip01(self._levels(m + s * ppf(clip01(p)))))
+        m, s = self.score_conditional(j, self._scores(u_rest))
+        return (lambda uj: self._cond_cdf((self._scores(uj) - m) / s),
+                lambda p: clip01(self._levels(m + s * self._cond_ppf(clip01(p)))))
 
     def sample_scores(self, n, rng):
         """n rows of scores: correlated standard normals (the t copula
@@ -386,9 +392,18 @@ class GaussianCopula(_EllipticalCopula):
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return dlogc_dz / phi
 
+    # T is standard normal: score_law on floats, _cond_cdf and _cond_ppf on
+    # a float or an array (conditional)
+    score_law = (_C_NDTR, _C_NDTRI)
+    _cond_cdf = staticmethod(_ndtr)
+    _cond_ppf = staticmethod(_ndtri)
+
     def score_conditional(self, j, z_rest):
-        # normal with mean m and sd s
-        return self._location(j, z_rest), math.sqrt(self._schur[j]), _ndtr, _ndtri
+        self._check_scores(j, z_rest)
+        m = 0.0
+        for b_i, z_i in zip(self._b[j], z_rest):
+            m += b_i * z_i
+        return m, math.sqrt(self._schur[j])
 
     def hfun(self, j, uj, u_rest):
         return self.conditional(j, u_rest)[0](uj)
@@ -415,8 +430,10 @@ class StudentTCopula(_EllipticalCopula):
             - special.gammaln(nu / 2.0)
             - 0.5 * math.log(nu * math.pi)
         )
-        # a score given the other d - 1 is t with nu + d - 1 degrees of freedom
+        # T is t with nu + d - 1 degrees of freedom: score_law on floats,
+        # _cond_cdf and _cond_ppf on a float or an array (conditional)
         self._df = nu + d - 1.0
+        self.score_law = (functools.partial(_C_STDTR, self._df), functools.partial(_C_STDTRIT, self._df))
         self._cond_cdf = functools.partial(_stdtr, self._df)
         self._cond_ppf = functools.partial(_stdtrit, self._df)
 
@@ -447,15 +464,17 @@ class StudentTCopula(_EllipticalCopula):
         return (djoint_dz - duni_dz) / pdf_z
 
     def score_conditional(self, j, z_rest):
-        # location m, scale s; the scale grows with the rest's Mahalanobis
-        # norm q_rest
-        m = self._location(j, z_rest)
-        # q_rest = z_rest . (R_{-j,-j}^{-1} z_rest), each dot left to right
-        q_rest = 0.0
-        for row, z_i in zip(self._rrest_inv[j], z_rest):
-            q_rest += z_i * _dot(row, z_rest)
-        s = math.sqrt((self.nu + q_rest) / self._df * self._schur[j])
-        return m, s, self._cond_cdf, self._cond_ppf
+        # location m = b_j . z_rest; the scale grows with the rest's
+        # Mahalanobis norm q_rest = z_rest . (R_{-j,-j}^{-1} z_rest)
+        self._check_scores(j, z_rest)
+        m = q_rest = 0.0
+        for b_i, row, z_i in zip(self._b[j], self._rrest_inv[j], z_rest):
+            m += b_i * z_i
+            t = 0.0
+            for r_k, z_k in zip(row, z_rest):
+                t += r_k * z_k
+            q_rest += z_i * t
+        return m, math.sqrt((self.nu + q_rest) / self._df * self._schur[j])
 
     def hfun(self, j, uj, u_rest):
         return self.conditional(j, u_rest)[0](uj)

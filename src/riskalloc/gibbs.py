@@ -16,10 +16,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .copulas import U_EPS, clip01
 from .events import ConcreteCrisisEvent, _left_to_right_sum, count, json_count
 from .measures import acf
 
@@ -118,6 +119,9 @@ def thin_interval(prerun_path, rho_target: float = RHO_TARGET) -> ThinResult:
 
 
 # -- truncated full-conditional inversion ---------------------------------------
+# A clamp of a float v to [lo, hi] is written `lo if v < lo else hi if v > hi
+# else v`: for lo <= hi it is min(max(v, lo), hi), NaN included, without
+# the cost of two builtin calls.
 
 
 def _slice_interval(x_rest, event: ConcreteCrisisEvent):
@@ -134,25 +138,88 @@ def _in_band(event: ConcreteCrisisEvent, x) -> bool:
     return event.v1 - tol <= s <= event.v2 + tol
 
 
-def _draw_in_slice(model, j: int, rest, lo: float, hi: float, u: float):
-    """Exact draw of coordinate j, given the others' chain states rest
-    (model.coordinate_state), truncated to [lo, hi]: the full
-    conditional's quantile at C_lo + u (C_hi - C_lo).  Returns the draw and
-    its state."""
-    support_min = model.marginals[j].support_min
-    cdf, quantile = model.full_conditional(j, rest)
+class _Route(NamedTuple):
+    """A model's full conditionals as a Gibbs chain evaluates them, bound
+    once per chain.  condition(j, rest) conditions the copula once on the
+    other coordinates' chain states rest; cdf(j, c, x) and quantile(j, c, p)
+    are the conditional cdf and quantile of X_j given that conditioning c,
+    each on a float; state(j, x) is what the chain carries for x_j, and
+    floor[j] the bottom of coordinate j's support."""
+
+    condition: Callable
+    cdf: Callable
+    quantile: Callable
+    state: Callable
+    floor: list
+
+
+def _copula_route(model) -> _Route:
+    """States are the levels F_j(x_j).  p goes to the copula's ppf
+    unclamped: the ppf clamps it, and a clamp before the survival
+    Clayton's mirror 1 - p would move the last bit of draws near 1."""
+    margins = model.marginals
+
+    def state(j, x):
+        return clip01(float(margins[j].cdf(x)))
+
+    def cdf(j, c, x):
+        return float(c[0](state(j, x)))
+
+    def quantile(j, c, p):
+        return float(margins[j].quantile(clip01(c[1](p))))
+
+    return _Route(model.copula.conditional, cdf, quantile, state, [m.support_min for m in margins])
+
+
+def _score_route(model, ell) -> _Route:
+    """States are the scores (x_j - mu_j) / sigma_j, clamped to
+    [q_lo, q_hi]; the copula conditions on them (score_conditional) and
+    the standard law of its conditional scores takes a float (score_law)."""
+    law_cdf, law_ppf = model.copula.score_law
+    mu, sigma = ell.mu.tolist(), ell.sigma.tolist()
+    q_lo, q_hi = ell.q_lo, ell.q_hi
+    p_lo, p_hi = U_EPS, 1.0 - U_EPS
+
+    def state(j, x):
+        z = (x - mu[j]) / sigma[j]
+        return q_lo if z < q_lo else q_hi if z > q_hi else z
+
+    def cdf(j, c, x):
+        return law_cdf((state(j, x) - c[0]) / c[1])
+
+    def quantile(j, c, p):
+        p = p_lo if p < p_lo else p_hi if p > p_hi else p
+        z = c[0] + c[1] * law_ppf(p)
+        return mu[j] + sigma[j] * (q_lo if z < q_lo else q_hi if z > q_hi else z)
+
+    return _Route(model.copula.score_conditional, cdf, quantile, state, [-math.inf] * model.d)
+
+
+def _route(model) -> _Route:
+    ell = model.elliptical()
+    return _copula_route(model) if ell is None else _score_route(model, ell)
+
+
+def _draw_in_slice(route: _Route, j: int, rest, lo: float, hi: float, u: float):
+    """Exact draw of coordinate j, given the others' chain states rest,
+    truncated to [lo, hi]: the full conditional's quantile at
+    C_lo + u (C_hi - C_lo).  Returns the draw and its state."""
+    condition, cdf, quantile, state, floor = route
+    c = condition(j, rest)
     # the cdf at a bound: 1 at +inf, 0 at or below the support
-    c_lo = 1.0 if lo == math.inf else 0.0 if lo <= support_min else float(cdf(lo))
-    c_hi = 1.0 if hi == math.inf else 0.0 if hi <= support_min else float(cdf(hi))
+    c_lo = 1.0 if lo == math.inf else 0.0 if lo <= floor[j] else cdf(j, c, lo)
+    c_hi = 1.0 if hi == math.inf else 0.0 if hi <= floor[j] else cdf(j, c, hi)
     mass = c_hi - c_lo
     if mass < DEGENERATE_MASS:
         raise DegenerateSliceError(
             f"conditional slice [{lo:.6g}, {hi:.6g}] for coordinate {j} "
             f"carries mass {mass:.3g}"
         )
-    u_trunc = min(max(c_lo + u * mass, 1e-15), 1.0 - 1e-15)
-    x_new = min(max(float(quantile(u_trunc)), lo), hi)
-    return x_new, model.coordinate_state(j, x_new)
+    u_trunc = c_lo + u * mass
+    u_trunc = 1e-15 if u_trunc < 1e-15 else 1.0 - 1e-15 if u_trunc > 1.0 - 1e-15 else u_trunc
+    x_new = quantile(j, c, u_trunc)
+    x_new = lo if x_new < lo else hi if x_new > hi else x_new
+    return x_new, state(j, x_new)
 
 
 def _uniforms(rng, block: int):
@@ -185,8 +252,12 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
     # covers a chain that meets no degenerate slice, up to UNIFORM_BLOCK
     block = min(2 * n * params.thin_T, UNIFORM_BLOCK)
     draw = _uniforms(np.random.default_rng(seed), block).__next__
-    state = [model.coordinate_state(j, x[j]) for j in range(d)]
+    route = _route(model)
+    state = [route.state(j, x[j]) for j in range(d)]
+    # the partial sums can end just below 1; the last is 1, so that every
+    # uniform in [0, 1) picks a coordinate
     cum = np.cumsum(params.p).tolist()
+    cum[-1] = 1.0
     path = np.empty((n, d))
     coords = []
     consec_degenerate = 0
@@ -198,7 +269,7 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
             j = bisect.bisect_right(cum, draw())
             lo, hi = _slice_interval(x[:j] + x[j + 1:], event)
             try:
-                x[j], state[j] = _draw_in_slice(model, j, state[:j] + state[j + 1:], lo, hi, draw())
+                x[j], state[j] = _draw_in_slice(route, j, state[:j] + state[j + 1:], lo, hi, draw())
             except DegenerateSliceError:
                 consec_degenerate += 1
                 total_degenerate += 1

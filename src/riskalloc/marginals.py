@@ -70,6 +70,12 @@ class Marginal:
         raise NotImplementedError
 
     def _check_quantile_arg(self, u):
+        if isinstance(u, float):
+            # a Gibbs update's scalar, checked as the array is, NaN passed
+            # through; an np.float64 keeps numpy's scalar arithmetic
+            if u <= 0.0 or u >= 1.0:
+                raise ValueError("quantile argument must lie in (0, 1)")
+            return np.float64(u)
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0) or np.any(u >= 1.0):
             raise ValueError("quantile argument must lie in (0, 1)")

@@ -2,10 +2,10 @@
 
     f_X(x) = c(F_1(x_1), ..., F_d(x_d)) * f_1(x_1) * ... * f_d(x_d)
 
-The model exposes the joint log-density, its gradient, an i.i.d. sampler
-and, through full_conditional, the full conditional cdf/quantile pair the
-Gibbs engine draws from.  The sampler and the full conditionals take one
-of two routes, and one predicate, JointLossModel.elliptical(), chooses:
+The model exposes the joint log-density, its gradient and an i.i.d.
+sampler.  The sampler, and the full conditionals the Gibbs engine draws
+from (gibbs.py), take one of two routes, and one predicate,
+JointLossModel.elliptical(), chooses:
 
 - The copula route, for every model that is not elliptical.  A draw
   maps copula levels through the marginal quantiles, and the full
@@ -22,10 +22,6 @@ of two routes, and one predicate, JointLossModel.elliptical(), chooses:
   round trip of the copula route, which returns the same numbers up to
   rounding, is skipped.  Scores are clipped to [q_lo, q_hi], the image of
   the copula route's level clamp [U_EPS, 1 - U_EPS].
-
-A Gibbs chain carries one state per coordinate, which coordinate_state
-defines: the level F_j(x_j) on the copula route, the score on the score
-route.
 """
 
 from typing import NamedTuple
@@ -191,8 +187,8 @@ class JointLossModel:
     def elliptical(self):
         """The model as mu + sigma Z (an Elliptical) when it is elliptical:
         a Gaussian copula with normal margins, or a t copula with t margins
-        of the copula's nu.  None otherwise.  The oracle, sample,
-        full_conditional and coordinate_state ask this predicate alone."""
+        of the copula's nu.  None otherwise.  The oracle, sample and the
+        Gibbs chain ask this predicate alone."""
         return self._elliptical
 
     # -- sampling ------------------------------------------------------------
@@ -210,44 +206,11 @@ class JointLossModel:
             x *= ell.sigma
             x += ell.mu
             return x
-        u = self.copula.sample(n, rng)
-        x = np.empty_like(u)
+        # each column's quantiles are written over its levels
+        x = self.copula.sample(n, rng)
         for j, m in enumerate(self.marginals):
-            x[:, j] = m.quantile(u[:, j])
+            x[:, j] = m.quantile(x[:, j])
         return x
-
-    # -- full conditionals ---------------------------------------------------
-
-    def coordinate_state(self, j: int, xj: float) -> float:
-        """What a Gibbs chain carries for coordinate j at the float x_j: the
-        level F_j(x_j) on the copula route, the score (x_j - mu_j) / sigma_j
-        on the score route, each clamped."""
-        ell = self.elliptical()
-        if ell is None:
-            return clip01(float(self.marginals[j].cdf(xj)))
-        m = self.marginals[j]
-        return min(max((xj - m.mu) / m.sigma, ell.q_lo), ell.q_hi)
-
-    def full_conditional(self, j: int, rest):
-        """(cdf, quantile) of X_j given the other coordinates, which enter
-        through their coordinate_state values rest (a Gibbs chain carries
-        them).  On the copula route p goes to the copula's ppf unclamped:
-        the ppf clamps it, and a clamp before the survival Clayton's mirror
-        1 - p would move the last bit of draws near 1.  On the score route
-        the two take a float and return one."""
-        ell = self.elliptical()
-        m = self.marginals[j]
-        if ell is None:
-            cdf, ppf = self.copula.conditional(j, rest)
-            return (lambda x: cdf(clip01(m.cdf(x))),
-                    lambda p: m.quantile(clip01(ppf(p))))
-        loc, scale, cdf, ppf = self.copula.score_conditional(j, rest)
-        mu, sigma, q_lo, q_hi = m.mu, m.sigma, ell.q_lo, ell.q_hi
-        # the cdf reads x's state as coordinate_state computes it, inline
-        return (
-            lambda x: cdf((min(max((x - mu) / sigma, q_lo), q_hi) - loc) / scale),
-            lambda p: mu + sigma * min(max(loc + scale * ppf(min(max(p, U_EPS), 1.0 - U_EPS)), q_lo), q_hi),
-        )
 
 
 # -- presets ------------------------------------------------------------------

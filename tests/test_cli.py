@@ -264,6 +264,14 @@ def test_allocate_bad_measure_exits(capsys):
     assert capsys.readouterr().err.startswith("error: unknown measure kind 'median'")
 
 
+def test_allocate_bad_measure_level_exits(capsys):
+    assert main(["allocate", "--model", "M2", "--event", "es", "--levels", "0.99",
+                 "--measure", "var:abc", *TINY]) == 2
+    assert capsys.readouterr().err == (
+        "error: --measure levels must be numbers separated by ';', got 'var:abc'\n"
+    )
+
+
 def test_tune_hmc_emits_params(tmp_path, capsys):
     rc = main(
         ["tune", "--model", "M1", "--event", "rvar", "--levels", "0.8,0.9",

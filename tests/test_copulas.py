@@ -18,6 +18,7 @@ from riskalloc.copulas import (
     SurvivalClayton,
     copula_from_dict,
 )
+from riskalloc.marginals import GPD
 from riskalloc.models import preset
 
 R3 = np.array([[1.0, 1.0 / 3.0, 2.0 / 3.0],
@@ -209,6 +210,41 @@ def test_scalar_special_functions_equal_their_ufuncs(df, t, p):
         assert got.hex() == float(want).hex()
 
 
+# the clamp's and the quantile check's edges, and any float at all
+EDGE_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, U_EPS, 1.0 - U_EPS, 1.0, -1.0, math.inf, -math.inf]),
+    st.floats(0.0, 1.0),
+    st.floats(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(u=EDGE_FLOAT, numpy_scalar=st.booleans())
+def test_float_fast_paths_equal_the_array_paths(u, numpy_scalar):
+    # clip01 and the marginals' quantile check take a float (an np.float64
+    # too) without a ufunc; each gives the bits, the type and the error of
+    # its array path on the 0-d array, and passes NaN through
+    if numpy_scalar:
+        u = np.float64(u)
+    got, want = copulas.clip01(u), copulas.clip01(np.array(u))
+    assert type(got) is type(want) is np.float64
+    assert got.hex() == want.hex()
+    check = GPD(0.3, 1.0)._check_quantile_arg
+
+    def outcome(arg):
+        try:
+            out = check(arg)
+        except ValueError as err:
+            return "raised", str(err)
+        return "returned", float(out).hex()
+
+    assert outcome(u) == outcome(np.array(u))
+    if outcome(u)[0] == "returned":
+        assert type(check(u)) is np.float64
+    if math.isnan(u):
+        assert math.isnan(copulas.clip01(u)) and math.isnan(check(u))
+
+
 @pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)
 def test_hfun_nondecreasing_in_uj(cop):
     rng = np.random.default_rng(23)
@@ -334,6 +370,32 @@ def test_score_route_sample_peaks_below_one_and_a_half_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * x.nbytes
+
+
+def test_copula_route_sample_peaks_below_1_7_outputs():
+    model, rng = preset("M1"), np.random.default_rng(0)
+    model.sample(100, rng)
+    tracemalloc.start()
+    try:
+        x = model.sample(10**5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.7 * x.nbytes
+
+
+@pytest.mark.parametrize("cop", [Clayton(2.0, 3), SurvivalClayton(0.512, 2)], ids=["clayton", "survival"])
+def test_clayton_sample_in_place_equals_the_formula(cop):
+    # the reference builds (1 + E/V)^(-1/theta), its clamp and the mirror as
+    # new arrays; the sampler computes them inside E, to the same bits
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    theta = cop.theta
+    v = ref_rng.gamma(1.0 / theta, 1.0, size=1000)
+    e = ref_rng.exponential(size=(1000, cop.dim))
+    want = np.clip((1.0 + e / v[:, None]) ** (-1.0 / theta), U_EPS, 1.0 - U_EPS)
+    if isinstance(cop, SurvivalClayton):
+        want = 1.0 - want
+    assert np.array_equal(cop.sample(1000, rng), want)
 
 
 def test_boundary_arguments_rejected():

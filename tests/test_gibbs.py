@@ -143,15 +143,18 @@ def rest_levels(model, j, x_rest):
 
 
 def conditional_cdf(model, j, x_rest):
-    """The cdf of X_j given X_-j = x_rest."""
-    return model.full_conditional(j, rest_levels(model, j, x_rest))[0]
+    """The cdf of X_j given X_-j = x_rest, as a chain update evaluates it
+    (the copula route), taken elementwise over an array."""
+    route = gibbs._route(model)
+    c = route.condition(j, rest_levels(model, j, x_rest))
+    return np.vectorize(lambda x: route.cdf(j, c, x))
 
 
 def slice_draw(model, j, x_rest, band, u):
     """One draw of coordinate j given the others, truncated to the band's
     slice, as a chain update makes it from the innovation u."""
     lo, hi = gibbs._slice_interval(x_rest.tolist(), band)
-    return gibbs._draw_in_slice(model, j, rest_levels(model, j, x_rest), lo, hi, u)[0]
+    return gibbs._draw_in_slice(gibbs._route(model), j, rest_levels(model, j, x_rest), lo, hi, u)[0]
 
 
 def test_full_conditional_truncated_uniform_oracle():
@@ -272,7 +275,7 @@ def test_rsgs_equals_the_three_conditioning_reference(name, band, monkeypatch):
     score_route = m.elliptical() is not None
     # the reference conditions on levels, on the copula route
     monkeypatch.setattr(m, "elliptical", lambda: None)
-    monkeypatch.setattr(gibbs, "_draw_in_slice", reference_draw_in_slice)
+    monkeypatch.setattr(gibbs, "_draw_in_slice", lambda route, *args: reference_draw_in_slice(m, *args))
     ref_path, ref_diag = rsgs_sample(m, ev, params, x0, 300, seed=22)
     if score_route:
         np.testing.assert_allclose(path, ref_path, rtol=SCORE_ROUTE_RTOL, atol=0.0)
@@ -282,10 +285,10 @@ def test_rsgs_equals_the_three_conditioning_reference(name, band, monkeypatch):
     assert diag.n_degenerate_redraws == ref_diag.n_degenerate_redraws
 
 
-@pytest.mark.parametrize("name", ["M1", "M2"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_one_update_conditions_the_copula_once(name, monkeypatch):
-    # on the score route (M2) the copula conditions on scores
-    m = preset(name)
+    # on the score route (M2, gaussian) the copula conditions on scores
+    m = REFERENCE_MODELS[name]
     ev, params, x0 = chain_setup(m, "es")
     calls = []
     method = "conditional" if m.elliptical() is None else "score_conditional"
@@ -328,7 +331,7 @@ def test_slice_draws_stay_inside_the_slice(name, data):
     hi = data.draw(st.sampled_from([float(marginal.quantile(b)), np.inf]))
     u = data.draw(st.floats(0.0, 1.0, exclude_max=True))
     try:
-        x_new, state = gibbs._draw_in_slice(m, j, rest, lo, hi, u)
+        x_new, state = gibbs._draw_in_slice(gibbs._route(m), j, rest, lo, hi, u)
     except DegenerateSliceError:
         return
     assert lo <= x_new <= hi
@@ -369,7 +372,8 @@ def scalar_draw_chain(model, event, params, x0, n, seed):
     coordinate picked by np.searchsorted."""
     rng = np.random.default_rng(seed)
     x = [float(v) for v in x0]
-    state = [model.coordinate_state(j, x[j]) for j in range(model.d)]
+    route = gibbs._route(model)
+    state = [route.state(j, x[j]) for j in range(model.d)]
     cum = np.cumsum(params.p)
     path, coords, redraws = [], [], 0
     for _ in range(n):
@@ -379,7 +383,7 @@ def scalar_draw_chain(model, event, params, x0, n, seed):
             lo, hi = gibbs._slice_interval(x[:j] + x[j + 1:], event)
             u = rng.random()
             try:
-                x[j], state[j] = gibbs._draw_in_slice(model, j, state[:j] + state[j + 1:], lo, hi, u)
+                x[j], state[j] = gibbs._draw_in_slice(route, j, state[:j] + state[j + 1:], lo, hi, u)
             except DegenerateSliceError:
                 redraws += 1
                 continue
@@ -405,6 +409,25 @@ def test_block_drawn_uniforms_equal_the_scalar_stream(name, block, monkeypatch):
     assert diag.n_degenerate_redraws == ref_redraws > 0
     assert diag.coordinates_updated.tolist() == ref_coords
     assert (path == ref_path).all()
+
+
+def test_the_largest_uniform_picks_the_last_coordinate(monkeypatch):
+    # these selection probabilities, once normalized, sum left to right to
+    # 1 - 2**-53, the largest double below 1, which rng.random() can return
+    params = GibbsParams(np.array([0.28345645132114183, 0.33702886895273987,
+                                   0.1595337076076869, 0.21998097211843154]), 1)
+    assert np.cumsum(params.p)[-1] < 1.0
+    uniforms = gibbs._uniforms
+
+    def largest_first(rng, block):
+        yield 1.0 - 2.0**-53
+        yield from uniforms(rng, block)
+
+    monkeypatch.setattr(gibbs, "_uniforms", largest_first)
+    m = JointLossModel([Normal()] * 4, Independence(4))
+    path, diag = rsgs_sample(m, sum_band(4, -np.inf, np.inf), params, np.zeros(4), 1, seed=0)
+    assert diag.coordinates_updated.tolist() == [3]
+    assert (path[0, :3] == 0.0).all()
 
 
 def test_gibbs_params_validation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from riskalloc import gibbs
 from riskalloc.copulas import (
     U_EPS,
     Clayton,
@@ -131,9 +132,12 @@ def test_sample_determinism(m1):
 
 
 def full_conditional_at(m, j, x_rest):
-    """full_conditional of coordinate j given the others at x_rest."""
+    """The conditional (cdf, quantile) of coordinate j given the others at
+    x_rest, on floats, as a Gibbs update evaluates them (the copula route)."""
     rest = [mm for i, mm in enumerate(m.marginals) if i != j]
-    return m.full_conditional(j, clip01(np.array([float(mm.cdf(x)) for mm, x in zip(rest, x_rest)])))
+    route = gibbs._route(m)
+    c = route.condition(j, clip01(np.array([float(mm.cdf(x)) for mm, x in zip(rest, x_rest)])))
+    return (lambda x: route.cdf(j, c, x)), (lambda p: route.quantile(j, c, p))
 
 
 def test_conditional_cdf_equals_marginal_under_independence():
