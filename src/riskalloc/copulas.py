@@ -76,29 +76,13 @@ def _log1p(w):
     return math.log1p(w) if isinstance(w, float) else np.log1p(w)
 
 
-# The conditionals' special functions: cython_special's double version for
-# a point's float, which skips the ufunc machinery and returns a float, the
-# ufunc for an array.  Both evaluate the same C function, to the same bits.
+# score_law's special functions: cython_special's double versions, which
+# take and return a float without the ufunc machinery and evaluate the same
+# C functions as scipy.special's ufuncs, to the same bits.
 _C_STDTR = cython_special.stdtr["double"]
 _C_STDTRIT = cython_special.stdtrit["double"]
 _C_NDTR = cython_special.ndtr["double"]
 _C_NDTRI = cython_special.ndtri
-
-
-def _stdtr(df, t):
-    return _C_STDTR(df, t) if isinstance(t, float) else special.stdtr(df, t)
-
-
-def _stdtrit(df, p):
-    return _C_STDTRIT(df, p) if isinstance(p, float) else special.stdtrit(df, p)
-
-
-def _ndtr(z):
-    return _C_NDTR(z) if isinstance(z, float) else special.ndtr(z)
-
-
-def _ndtri(p):
-    return _C_NDTRI(p) if isinstance(p, float) else special.ndtri(p)
 
 
 def _as_float(u):
@@ -149,11 +133,23 @@ class Copula:
         """(cdf, ppf) of U_j given U_-j = u_rest, conditioned once.
 
         Each of the two takes a scalar or an array (one shared conditioning
-        vector).  Every concrete copula also has hfun(j, uj, u_rest) and
-        hfun_inv(j, p, u_rest): the cdf and the ppf of conditional(j, u_rest)
-        at one argument.
+        vector).
         """
         raise NotImplementedError
+
+    # Every concrete copula binds these two in its own body (hfun, hfun_inv
+    # = Copula.hfun, Copula.hfun_inv): perfbench's tracer wraps only the
+    # methods a class defines itself, and its tests look hfun_inv up in
+    # vars(StudentTCopula).
+    def hfun(self, j, uj, u_rest):
+        """The h-function C_{j|-j}(uj | u_rest): the cdf of
+        conditional(j, u_rest) at uj, a scalar or an array."""
+        return self.conditional(j, u_rest)[0](uj)
+
+    def hfun_inv(self, j, p, u_rest):
+        """The inverse h-function: the ppf of conditional(j, u_rest) at p,
+        a scalar or an array."""
+        return self.conditional(j, u_rest)[1](p)
 
     def sample(self, n, rng):
         raise NotImplementedError
@@ -178,11 +174,7 @@ class Independence(Copula):
         self._check_j(j, u_rest)
         return _as_float, _as_float
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    hfun, hfun_inv = Copula.hfun, Copula.hfun_inv
 
     def sample(self, n, rng):
         return rng.uniform(size=(n, self.dim))
@@ -191,7 +183,7 @@ class Independence(Copula):
 class Clayton(Copula):
     def __init__(self, theta: float, dim: int):
         super().__init__(dim)
-        if theta <= 0.0:
+        if not theta > 0.0:
             raise ValueError("Clayton theta must be > 0")
         self.theta = float(theta)
         d = self.dim
@@ -223,11 +215,7 @@ class Clayton(Copula):
 
         return cdf, ppf
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    hfun, hfun_inv = Copula.hfun, Copula.hfun_inv
 
     def sample(self, n, rng):
         # Marshall-Olkin frailty: V ~ Gamma(1/theta, 1), U_j = (1 + E_j/V)^(-1/theta)
@@ -267,11 +255,7 @@ class SurvivalClayton(Copula):
         return (lambda uj: 1.0 - cdf(1.0 - np.asarray(uj, dtype=float)),
                 lambda p: 1.0 - ppf(1.0 - np.asarray(p, dtype=float)))
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    hfun, hfun_inv = Copula.hfun, Copula.hfun_inv
 
     def sample(self, n, rng):
         u = self.base.sample(n, rng)
@@ -304,9 +288,9 @@ class _EllipticalCopula(Copula):
     scores: the score of U_j given them is m + s T, where T has the
     standard law that the copula's score_law evaluates on floats.
     conditional(j, u_rest) is that part on _scores(u_rest), mapped back to
-    levels.  sample_scores draws the scores that sample maps to levels; an
-    elliptical JointLossModel and its Gibbs chain use both score-level parts
-    directly.
+    levels by the scipy ufuncs; score_law is the one float path.
+    sample_scores draws the scores that sample maps to levels; an elliptical
+    JointLossModel and its Gibbs chain use both score-level parts directly.
     """
 
     def __init__(self, corr, dim=None):
@@ -340,7 +324,8 @@ class _EllipticalCopula(Copula):
 
     def _check_scores(self, j, z_rest):
         """j and the length of z_rest checked as _check_j checks them, with
-        its messages, but z_rest is read as it is, with no array made of it."""
+        its messages (the length only, not the shape), but z_rest is read as
+        it is, with no array made of it."""
         if not 0 <= j < self.dim:
             raise ValueError(f"coordinate index {j} out of range for d={self.dim}")
         try:
@@ -351,7 +336,7 @@ class _EllipticalCopula(Copula):
             raise ValueError(f"u_rest must have length {self.dim - 1}")
 
     def conditional(self, j, u_rest):
-        m, s = self.score_conditional(j, self._scores(u_rest))
+        m, s = self.score_conditional(j, self._scores(self._check_j(j, u_rest)))
         return (lambda uj: self._cond_cdf((self._scores(uj) - m) / s),
                 lambda p: clip01(self._levels(m + s * self._cond_ppf(clip01(p)))))
 
@@ -376,10 +361,10 @@ class _EllipticalCopula(Copula):
 
 class GaussianCopula(_EllipticalCopula):
     def _scores(self, u):
-        return _ndtri(clip01(u))
+        return special.ndtri(clip01(u))
 
     def _levels(self, z):
-        return _ndtr(z)
+        return special.ndtr(z)
 
     def _logdensity(self, u):
         z = self._scores(u)
@@ -392,11 +377,11 @@ class GaussianCopula(_EllipticalCopula):
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return dlogc_dz / phi
 
-    # T is standard normal: score_law on floats, _cond_cdf and _cond_ppf on
-    # a float or an array (conditional)
+    # T is standard normal: score_law on floats, _cond_cdf and _cond_ppf
+    # (the ufuncs) in conditional
     score_law = (_C_NDTR, _C_NDTRI)
-    _cond_cdf = staticmethod(_ndtr)
-    _cond_ppf = staticmethod(_ndtri)
+    _cond_cdf = special.ndtr
+    _cond_ppf = special.ndtri
 
     def score_conditional(self, j, z_rest):
         self._check_scores(j, z_rest)
@@ -405,17 +390,13 @@ class GaussianCopula(_EllipticalCopula):
             m += b_i * z_i
         return m, math.sqrt(self._schur[j])
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    hfun, hfun_inv = Copula.hfun, Copula.hfun_inv
 
 
 class StudentTCopula(_EllipticalCopula):
     def __init__(self, nu: float, corr, dim=None):
         super().__init__(corr, dim)
-        if nu <= 0.0:
+        if not nu > 0.0:
             raise ValueError("StudentT copula nu must be > 0")
         self.nu = float(nu)
         d, nu = self.dim, self.nu
@@ -431,17 +412,17 @@ class StudentTCopula(_EllipticalCopula):
             - 0.5 * math.log(nu * math.pi)
         )
         # T is t with nu + d - 1 degrees of freedom: score_law on floats,
-        # _cond_cdf and _cond_ppf on a float or an array (conditional)
+        # _cond_cdf and _cond_ppf (the ufuncs) in conditional
         self._df = nu + d - 1.0
         self.score_law = (functools.partial(_C_STDTR, self._df), functools.partial(_C_STDTRIT, self._df))
-        self._cond_cdf = functools.partial(_stdtr, self._df)
-        self._cond_ppf = functools.partial(_stdtrit, self._df)
+        self._cond_cdf = functools.partial(special.stdtr, self._df)
+        self._cond_ppf = functools.partial(special.stdtrit, self._df)
 
     def _scores(self, u):
-        return _stdtrit(self.nu, clip01(u))
+        return special.stdtrit(self.nu, clip01(u))
 
     def _levels(self, z):
-        return _stdtr(self.nu, z)
+        return special.stdtr(self.nu, z)
 
     def _uni_logpdf(self, z):
         return self._uni_lognorm - 0.5 * (self.nu + 1.0) * np.log1p(z * z / self.nu)
@@ -476,11 +457,7 @@ class StudentTCopula(_EllipticalCopula):
             q_rest += z_i * t
         return m, math.sqrt((self.nu + q_rest) / self._df * self._schur[j])
 
-    def hfun(self, j, uj, u_rest):
-        return self.conditional(j, u_rest)[0](uj)
-
-    def hfun_inv(self, j, p, u_rest):
-        return self.conditional(j, u_rest)[1](p)
+    hfun, hfun_inv = Copula.hfun, Copula.hfun_inv
 
     def sample_scores(self, n, rng):
         z = super().sample_scores(n, rng)

@@ -131,7 +131,7 @@ class CrisisEventSpec:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         check_levels(kind, levels, "event")
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise ValueError("delta must be nonnegative")
         if self.delta > 0.0 and kind != "var":
             raise ValueError("delta applies only to the var event kind")

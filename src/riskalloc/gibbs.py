@@ -45,9 +45,9 @@ class GibbsParams:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or np.any(p <= 0.0):
+        if p.ndim != 1 or not np.all(p > 0.0):
             raise ValueError("selection probabilities must be positive")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValueError("selection probabilities must sum to one")
         p = p / p.sum()
         p.setflags(write=False)

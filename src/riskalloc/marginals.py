@@ -91,9 +91,9 @@ class GPD(Marginal):
     support = "nonnegative-half-line"
 
     def __init__(self, xi: float, beta: float):
-        if xi < 0.0:
+        if not xi >= 0.0:
             raise ValueError("GPD shape xi must be >= 0")
-        if beta <= 0.0:
+        if not beta > 0.0:
             raise ValueError("GPD scale beta must be > 0")
         self.xi = float(xi)
         self.beta = float(beta)
@@ -143,9 +143,9 @@ class Pareto(Marginal):
     support = "nonnegative-half-line"
 
     def __init__(self, lam: float, theta: float):
-        if lam <= 0.0:
+        if not lam > 0.0:
             raise ValueError("Pareto scale lam must be > 0")
-        if theta <= 0.0:
+        if not theta > 0.0:
             raise ValueError("Pareto shape theta must be > 0")
         self.lam = float(lam)
         self.theta = float(theta)
@@ -179,9 +179,9 @@ class StudentT(Marginal):
     support = "real-line"
 
     def __init__(self, nu: float, mu: float = 0.0, sigma: float = 1.0):
-        if nu <= 0.0:
+        if not nu > 0.0:
             raise ValueError("StudentT degrees of freedom nu must be > 0")
-        if sigma <= 0.0:
+        if not sigma > 0.0:
             raise ValueError("StudentT scale sigma must be > 0")
         self.nu = float(nu)
         self.mu = float(mu)
@@ -216,7 +216,7 @@ class Normal(Marginal):
     support = "real-line"
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        if sigma <= 0.0:
+        if not sigma > 0.0:
             raise ValueError("Normal scale sigma must be > 0")
         self.mu = float(mu)
         self.sigma = float(sigma)

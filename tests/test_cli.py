@@ -1,6 +1,7 @@
 """CLI tests, driven in-process through main()."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,6 +240,35 @@ def test_var_band_past_the_unit_interval_exits_2_before_the_presample(engine, mo
             "--delta", "0.01", "--engine", engine, *TINY]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: band levels 0.995 +/- 0.01 fall outside (0, 1)\n"
+
+
+NAN_GPD2 = [{"kind": "gpd", "params": [math.nan, 1.0]}] * 2
+
+
+@pytest.mark.parametrize(
+    "message, cfg",
+    [
+        ("selection probabilities must be positive",
+         {"model": "M2", "event": ES, "engine": "gibbs", "overrides": {"p": [math.nan, 0.5, 0.5], "thin_T": 2}}),
+        ("GPD shape xi must be >= 0", {"model": {"marginals": NAN_GPD2, "copula": {"kind": "independence"}}, "event": ES}),
+    ],
+    ids=["gibbs-p", "gpd-xi"],
+)
+def test_config_with_a_nan_exits_2_and_names_it(message, cfg, tmp_path, capsys):
+    # json writes and reads NaN; a NaN is named where it is checked, not run
+    # through (an all-NaN p normalized) or first seen as an empty presample tail
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**cfg, "n_mc": 4000, "n_mcmc": 200, "seed": 3}))
+    assert main(["allocate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_allocate_nan_delta_exits_2(tmp_path, capsys):
+    # not run and written out as "delta": NaN, which strict JSON rejects
+    argv = ["allocate", "--model", "M2", "--event", "es", "--levels", "0.99",
+            "--delta", "nan", *TINY, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: delta must be nonnegative\n"
 
 
 def test_allocate_incompatible_run_exits_2(capsys):

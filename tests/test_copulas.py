@@ -12,6 +12,7 @@ from riskalloc.copulas import (
     SCORE_BLOCK,
     U_EPS,
     Clayton,
+    Copula,
     GaussianCopula,
     Independence,
     StudentTCopula,
@@ -191,23 +192,43 @@ def test_conditional_ppf_inverts_cdf_near_the_clamp(cop, data):
 
 @settings(max_examples=500, deadline=None)
 @given(
-    df=st.one_of(st.sampled_from([5.0, 7.0]), st.floats(0.5, 50.0)),
+    nu=st.one_of(st.sampled_from([5.0, 7.0]), st.floats(0.5, 50.0)),
     t=st.floats(allow_nan=False),
     p=st.one_of(st.sampled_from([U_EPS, 1.0 - U_EPS]), LEVEL),
 )
-def test_scalar_special_functions_equal_their_ufuncs(df, t, p):
-    # a float goes through cython_special, an array through the ufunc, and
-    # the two agree bit for bit: at +-inf, near the clamp and anywhere else
-    for fn, args in [
-        (copulas._stdtr, (df, t)),
-        (copulas._stdtrit, (df, p)),
-        (copulas._ndtr, (t,)),
-        (copulas._ndtri, (p,)),
-    ]:
-        got = fn(*args)
-        want = fn(*args[:-1], np.array([args[-1]]))[0]
-        assert type(got) is float
-        assert got.hex() == float(want).hex()
+def test_score_law_equals_the_conditional_ufuncs(nu, t, p):
+    # score_law, the one float path, goes through cython_special; conditional
+    # runs _cond_cdf and _cond_ppf, the ufuncs; the two agree bit for bit:
+    # at +-inf, near the clamp and anywhere else
+    for cop in (GaussianCopula(R3), StudentTCopula(nu, R3)):
+        for fn, ufunc, arg in [(cop.score_law[0], cop._cond_cdf, t), (cop.score_law[1], cop._cond_ppf, p)]:
+            got = fn(arg)
+            want = ufunc(np.array([arg]))[0]
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
+
+
+CONCRETE_COPULAS = [Independence, Clayton, SurvivalClayton, GaussianCopula, StudentTCopula]
+
+
+@pytest.mark.parametrize("cls", CONCRETE_COPULAS, ids=[c.__name__ for c in CONCRETE_COPULAS])
+def test_every_copula_binds_the_one_hfun_pair(cls):
+    # one body each, on Copula; the class's own binding is what a tracer
+    # that wraps only the methods a class defines finds
+    assert vars(cls)["hfun"] is Copula.hfun
+    assert vars(cls)["hfun_inv"] is Copula.hfun_inv
+
+
+@pytest.mark.parametrize("cop", ALL_COPULAS, ids=IDS)
+def test_conditional_rejects_a_misshapen_u_rest(cop):
+    # a (d-1, 1) or (1, d-1) array has the right number of entries, or the
+    # right length, but not the shape (d-1,)
+    j, d = 0, cop.dim
+    for u_rest in (np.full((d - 1, 1), 0.5), np.full((1, d - 1), 0.5), 0.5):
+        for call in (lambda: cop.conditional(j, u_rest), lambda: cop.hfun(j, 0.5, u_rest),
+                     lambda: cop.hfun_inv(j, 0.5, u_rest)):
+            with pytest.raises(ValueError, match=f"u_rest must have length {d - 1}"):
+                call()
 
 
 # the clamp's and the quantile check's edges, and any float at all

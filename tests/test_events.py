@@ -67,6 +67,12 @@ def test_spec_validation():
         CrisisEventSpec("var", (0.9,), delta=-0.1)
 
 
+@pytest.mark.parametrize("kind", ["var", "es"])
+def test_spec_rejects_a_nan_delta(kind):
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        CrisisEventSpec(kind, (0.99,), delta=float("nan"))
+
+
 def test_es_event_on_ladder():
     ev = estimate_event(CrisisEventSpec("es", (0.99,)), ladder_presample(), False)
     assert len(ev.constraints) == 1

@@ -443,6 +443,14 @@ def test_gibbs_params_validation():
             GibbsParams(np.full(3, 1.0 / 3.0), thin_T)
 
 
+def test_gibbs_params_reject_a_nan_selection_probability():
+    # NaN fails every comparison, so each check is written to fail on it
+    with pytest.raises(ValueError, match="must be positive"):
+        GibbsParams(np.array([math.nan, 0.5, 0.5]), 4)
+    with pytest.raises(ValueError, match="must be positive"):
+        GibbsParams.from_json_dict({"p": [math.nan, 0.5, 0.5], "thin_T": 4})
+
+
 def test_gibbs_params_from_json_reject_non_integral_values():
     p = [0.2, 0.3, 0.5]
     assert GibbsParams.from_json_dict({"p": p, "thin_T": 4}).thin_T == 4

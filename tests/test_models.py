@@ -212,6 +212,36 @@ def test_model_from_dict_and_load_model(m1):
         load_model(42)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "marginal, copula, message",
+    [
+        (("gpd", [NAN, 1.0]), {"kind": "independence"}, "GPD shape xi must be >= 0"),
+        (("gpd", [0.3, NAN]), {"kind": "independence"}, "GPD scale beta must be > 0"),
+        (("pareto", [NAN, 2.0]), {"kind": "independence"}, "Pareto scale lam must be > 0"),
+        (("pareto", [1.0, NAN]), {"kind": "independence"}, "Pareto shape theta must be > 0"),
+        (("studentt", [NAN, 0.0, 1.0]), {"kind": "independence"}, "StudentT degrees of freedom nu must be > 0"),
+        (("studentt", [5.0, 0.0, NAN]), {"kind": "independence"}, "StudentT scale sigma must be > 0"),
+        (("normal", [0.0, NAN]), {"kind": "independence"}, "Normal scale sigma must be > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "clayton", "theta": NAN}, "Clayton theta must be > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "survivalclayton", "theta": NAN}, "Clayton theta must be > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "studentt", "nu": NAN, "corr": [[1.0, 0.5], [0.5, 1.0]]},
+         "StudentT copula nu must be > 0"),
+    ],
+    ids=["gpd-xi", "gpd-beta", "pareto-lam", "pareto-theta", "studentt-nu", "studentt-sigma",
+         "normal-sigma", "clayton-theta", "survival-theta", "t-copula-nu"],
+)
+def test_model_spec_names_a_nan_parameter(marginal, copula, message):
+    # a NaN fails every comparison, so each positivity check is written to
+    # fail on it and name the parameter, not to let it through to the run
+    kind, params = marginal
+    cfg = {"marginals": [{"kind": kind, "params": params}] * 2, "copula": copula}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model_from_dict(cfg)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         JointLossModel([GPD(0.3, 1.0)] * 3, Independence(2))
