@@ -37,8 +37,6 @@ import numpy as np
 from scipy import special
 from scipy.special import cython_special
 
-from .events import json_field, json_numbers
-
 # probability-scale clamp applied before copula evaluations; samplers can
 # land arbitrarily close to 0/1 where the formulas overflow
 U_EPS = 1e-12
@@ -183,8 +181,8 @@ class Independence(Copula):
 class Clayton(Copula):
     def __init__(self, theta: float, dim: int):
         super().__init__(dim)
-        if not theta > 0.0:
-            raise ValueError("Clayton theta must be > 0")
+        if not 0.0 < theta < math.inf:
+            raise ValueError("Clayton theta must be finite and > 0")
         self.theta = float(theta)
         d = self.dim
         self._logconst = sum(math.log1p(k * self.theta) for k in range(1, d))
@@ -396,8 +394,8 @@ class GaussianCopula(_EllipticalCopula):
 class StudentTCopula(_EllipticalCopula):
     def __init__(self, nu: float, corr, dim=None):
         super().__init__(corr, dim)
-        if not nu > 0.0:
-            raise ValueError("StudentT copula nu must be > 0")
+        if not 0.0 < nu < math.inf:
+            raise ValueError("StudentT copula nu must be finite and > 0")
         self.nu = float(nu)
         d, nu = self.dim, self.nu
         self._mvt_lognorm = (
@@ -466,27 +464,3 @@ class StudentTCopula(_EllipticalCopula):
         z /= np.sqrt(w, out=w)[:, None]
         return z
 
-
-def copula_from_dict(cfg: dict, dim: int) -> Copula:
-    """Build a copula from {"kind": ..., ...} (config-file schema): a
-    number theta or nu, and corr a list of rows of numbers."""
-
-    def number(key):
-        return float(json_field(cfg[key], key, "a number", "model spec"))
-
-    def matrix(key):
-        rows = json_field(cfg[key], key, "a list", "model spec")
-        return np.array([json_numbers(r, key, "model spec") for r in rows], dtype=float)
-
-    kind = str(cfg["kind"]).lower()
-    if kind == "independence":
-        return Independence(dim)
-    if kind == "clayton":
-        return Clayton(number("theta"), dim)
-    if kind == "survivalclayton":
-        return SurvivalClayton(number("theta"), dim)
-    if kind == "gaussian":
-        return GaussianCopula(matrix("corr"), dim)
-    if kind == "studentt":
-        return StudentTCopula(number("nu"), matrix("corr"), dim)
-    raise ValueError(f"unknown copula kind {cfg['kind']!r}")

@@ -49,35 +49,6 @@ def count(field: str, value, least: int) -> int:
     return int(value)
 
 
-def json_count(value):
-    """A count as a JSON reader takes it: an integral float (1e5) as an int,
-    any other value as it is, for count() to check."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-_JSON_KINDS = {
-    "an object": dict,
-    "a list": (list, tuple),
-    "a number": (int, float, np.integer, np.floating),
-    "a preset name or an object": (str, dict),
-}
-
-
-def json_field(value, name: str, kind: str, subject: str):
-    """value, when it is of the JSON kind (a _JSON_KINDS key) that the field
-    name of subject ("config" or "model spec") takes; else a ValueError
-    naming the field.  A bool is of no kind, as count() takes none."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-        raise ValueError(f"the {subject} field {name!r} must be {kind}, got {type(value).__name__}")
-    return value
-
-
-def json_numbers(value, name: str, subject: str) -> tuple:
-    """The list field name of subject, each of its items a number."""
-    items = json_field(value, name, "a list", subject)
-    return tuple(json_field(v, name, "a number", subject) for v in items)
-
-
 @dataclass(frozen=True, eq=False)
 class HalfSpaces:
     """The half-spaces h.x >= v: the normals h as the rows of an (m, d)

@@ -11,8 +11,6 @@ variances of the conditional presample covariance, and the thinning
 interval from prerun autocorrelations.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 from dataclasses import dataclass
@@ -21,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .copulas import U_EPS, clip01
-from .events import ConcreteCrisisEvent, _left_to_right_sum, count, json_count
+from .events import ConcreteCrisisEvent, _left_to_right_sum, count
 from .measures import acf
 
 DEGENERATE_MASS = 1e-14
@@ -45,7 +43,9 @@ class GibbsParams:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or not np.all(p > 0.0):
+        if p.ndim != 1:
+            raise ValueError(f"selection probabilities must be a vector, got shape {p.shape}")
+        if not np.all(p > 0.0):
             raise ValueError("selection probabilities must be positive")
         if not abs(p.sum() - 1.0) <= 1e-9:
             raise ValueError("selection probabilities must sum to one")
@@ -53,13 +53,6 @@ class GibbsParams:
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "thin_T", count("thinning interval thin_T", self.thin_T, 1))
-
-    def to_json_dict(self) -> dict:
-        return {"p": [float(v) for v in self.p], "thin_T": self.thin_T}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> GibbsParams:
-        return cls(np.asarray(d["p"], dtype=float), json_count(d["thin_T"]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,15 +30,12 @@ from .events import (
     band_levels,
     count,
     estimate_event,
-    json_count,
-    json_field,
-    json_numbers,
 )
 from .gibbs import N_PRERUN, GibbsParams, rsgs_sample, select_probs, thin_interval
 from .hmc import HmcParams, StandardizedTarget, hmc_sample, tune
 from .mc import ConditionalCountError, mc_presample
 from .measures import MarginalRiskMeasure, batch_means_se
-from .models import load_model
+from .models import json_count, json_field, json_numbers, load_model
 from .oracle import elliptical_oracle
 
 
@@ -96,7 +93,9 @@ class RunConfig:
             "n_mcmc": self.n_mcmc,
             "seed": self.seed,
             "output_dir": None if self.output_dir is None else str(self.output_dir),
-            "overrides": None if self.overrides is None else self.overrides.to_json_dict(),
+            "overrides": None
+            if self.overrides is None
+            else {k: np.asarray(v).tolist() for k, v in vars(self.overrides).items()},
             "min_conditional": self.min_conditional,
         }
 
@@ -130,7 +129,7 @@ def run_config_from_dict(cfg: dict) -> RunConfig:
                 raise ValueError(f"the config field 'overrides' has unknown keys {unknown}")
             for key, value in overrides.items():  # a number or a list of numbers
                 json_numbers(value if isinstance(value, (list, tuple)) else [value], key, "config")
-            overrides = want.from_json_dict(overrides)
+            overrides = want(**{f.name: json_count(overrides[f.name]) for f in fields(want)})
     except KeyError as err:
         raise ValueError(f"the config is missing the key {err.args[0]!r}") from None
     extra = set(cfg) - {"engine", "output_dir", *COUNTS}
@@ -309,7 +308,9 @@ def prepare(config: RunConfig) -> PreparedRun:
     """Everything before the main chain: presample, event, conditional rows,
     and the engine's target and tuned (or overridden) parameters."""
     model = load_model(config.model)
-    measures = config.measures or tuple(MarginalRiskMeasure("mean") for _ in range(model.d))
+    measures = config.measures
+    if measures is None:
+        measures = tuple(MarginalRiskMeasure("mean") for _ in range(model.d))
     if len(measures) != model.d:
         raise ValueError(
             f"need one measure per coordinate: got {len(measures)} for d={model.d}"

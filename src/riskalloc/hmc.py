@@ -16,15 +16,13 @@ whitened by the mean and Cholesky factor of conditional presample rows, and
 the presample-driven heuristic that picks the stepsize and integration time.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .events import HalfSpaces, count, hit_time, json_count, reflect
+from .events import HalfSpaces, count, hit_time, reflect
 
 MAX_REFLECTIONS = 10_000
 EPS_FLOOR = 1e-12
@@ -42,16 +40,10 @@ class HmcParams:
     T: int
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", float(self.eps))
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError("stepsize must be positive and finite")
         object.__setattr__(self, "T", count("integration time T", self.T, 1))
-
-    def to_json_dict(self) -> dict:
-        return {"eps": self.eps, "T": self.T}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> HmcParams:
-        return cls(float(d["eps"]), json_count(d["T"]))
 
 
 @dataclass(frozen=True, eq=False)

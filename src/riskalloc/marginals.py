@@ -20,8 +20,6 @@ import math
 import numpy as np
 from scipy import special
 
-from .events import json_numbers
-
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -91,10 +89,10 @@ class GPD(Marginal):
     support = "nonnegative-half-line"
 
     def __init__(self, xi: float, beta: float):
-        if not xi >= 0.0:
-            raise ValueError("GPD shape xi must be >= 0")
-        if not beta > 0.0:
-            raise ValueError("GPD scale beta must be > 0")
+        if not 0.0 <= xi < math.inf:
+            raise ValueError("GPD shape xi must be finite and >= 0")
+        if not 0.0 < beta < math.inf:
+            raise ValueError("GPD scale beta must be finite and > 0")
         self.xi = float(xi)
         self.beta = float(beta)
 
@@ -143,10 +141,10 @@ class Pareto(Marginal):
     support = "nonnegative-half-line"
 
     def __init__(self, lam: float, theta: float):
-        if not lam > 0.0:
-            raise ValueError("Pareto scale lam must be > 0")
-        if not theta > 0.0:
-            raise ValueError("Pareto shape theta must be > 0")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("Pareto scale lam must be finite and > 0")
+        if not 0.0 < theta < math.inf:
+            raise ValueError("Pareto shape theta must be finite and > 0")
         self.lam = float(lam)
         self.theta = float(theta)
 
@@ -179,10 +177,12 @@ class StudentT(Marginal):
     support = "real-line"
 
     def __init__(self, nu: float, mu: float = 0.0, sigma: float = 1.0):
-        if not nu > 0.0:
-            raise ValueError("StudentT degrees of freedom nu must be > 0")
-        if not sigma > 0.0:
-            raise ValueError("StudentT scale sigma must be > 0")
+        if not 0.0 < nu < math.inf:
+            raise ValueError("StudentT degrees of freedom nu must be finite and > 0")
+        if not math.isfinite(mu):
+            raise ValueError("StudentT location mu must be finite")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("StudentT scale sigma must be finite and > 0")
         self.nu = float(nu)
         self.mu = float(mu)
         self.sigma = float(sigma)
@@ -216,8 +216,10 @@ class Normal(Marginal):
     support = "real-line"
 
     def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        if not sigma > 0.0:
-            raise ValueError("Normal scale sigma must be > 0")
+        if not math.isfinite(mu):
+            raise ValueError("Normal location mu must be finite")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("Normal scale sigma must be finite and > 0")
         self.mu = float(mu)
         self.sigma = float(sigma)
 
@@ -237,20 +239,3 @@ class Normal(Marginal):
         u = self._check_quantile_arg(u)
         return self.mu + self.sigma * special.ndtri(u)
 
-
-_MARGINAL_KINDS = {
-    "gpd": GPD,
-    "pareto": Pareto,
-    "studentt": StudentT,
-    "normal": Normal,
-}
-
-
-def marginal_from_dict(cfg: dict) -> Marginal:
-    """Build a marginal from {"kind": ..., "params": [...]} (config-file schema)."""
-    kind = str(cfg["kind"]).lower()
-    if kind not in _MARGINAL_KINDS:
-        raise ValueError(f"unknown marginal kind {cfg['kind']!r}; "
-                         f"expected one of {sorted(_MARGINAL_KINDS)}")
-    params = json_numbers(cfg["params"], "params", "model spec")
-    return _MARGINAL_KINDS[kind](*[float(p) for p in params])

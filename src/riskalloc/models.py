@@ -24,21 +24,23 @@ JointLossModel.elliptical(), chooses:
   the copula route's level clamp [U_EPS, 1 - U_EPS].
 """
 
+import inspect
 from typing import NamedTuple
 
 import numpy as np
 
 from .copulas import (
     U_EPS,
+    Clayton,
     Copula,
     GaussianCopula,
+    Independence,
     StudentTCopula,
     SurvivalClayton,
     clip01,
-    copula_from_dict,
 )
-from .events import _left_to_right_sum, json_field
-from .marginals import GPD, Marginal, Normal, Pareto, StudentT, marginal_from_dict
+from .events import _left_to_right_sum
+from .marginals import GPD, Marginal, Normal, Pareto, StudentT
 
 
 def _same_distribution(a: Marginal, b: Marginal) -> bool:
@@ -213,7 +215,7 @@ class JointLossModel:
         return x
 
 
-# -- presets ------------------------------------------------------------------
+# -- presets and the model spec ------------------------------------------------
 
 
 def _banded_corr(d: int) -> np.ndarray:
@@ -228,6 +230,17 @@ def equicorrelation(d: int, rho: float) -> np.ndarray:
     return r
 
 
+_PRESETS = {
+    "M1": lambda: JointLossModel([GPD(0.3, 1.0) for _ in range(3)], SurvivalClayton(2.0, 3)),
+    "M2": lambda: student_t_model(5.0, _banded_corr(3)),
+    "M3": lambda: JointLossModel(
+        [Pareto(14036.0, 1.122), Pareto(14219.0, 2.118)],
+        SurvivalClayton(0.512, 2),
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> JointLossModel:
     """Named models used throughout the experiments.
 
@@ -236,20 +249,11 @@ def preset(name: str) -> JointLossModel:
     M3: two Pareto losses fitted to insurance claims, survival Clayton
         theta=0.512.
     """
-    key = name.strip().upper()
-    if key == "M1":
-        return JointLossModel([GPD(0.3, 1.0) for _ in range(3)], SurvivalClayton(2.0, 3))
-    if key == "M2":
-        return student_t_model(5.0, _banded_corr(3))
-    if key == "M3":
-        return JointLossModel(
-            [Pareto(14036.0, 1.122), Pareto(14219.0, 2.118)],
-            SurvivalClayton(0.512, 2),
-        )
-    raise ValueError(f"unknown preset {name!r}; expected M1, M2 or M3")
-
-
-PRESET_NAMES = ("M1", "M2", "M3")
+    build = _PRESETS.get(name.strip().upper())
+    if build is None:
+        *rest, last = PRESET_NAMES
+        raise ValueError(f"unknown preset {name!r}; expected {', '.join(rest)} or {last}")
+    return build()
 
 
 def student_t_model(nu: float, corr, loc=None, scale=None) -> JointLossModel:
@@ -262,18 +266,89 @@ def student_t_model(nu: float, corr, loc=None, scale=None) -> JointLossModel:
     return JointLossModel(margs, StudentTCopula(nu, corr))
 
 
+def json_count(value):
+    """A count as a JSON reader takes it: an integral float (1e5) as an int,
+    any other value as it is, for events.count() to check."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+_JSON_KINDS = {
+    "an object": dict,
+    "a list": (list, tuple),
+    "a number": (int, float, np.integer, np.floating),
+    "a preset name or an object": (str, dict),
+}
+
+
+def json_field(value, name: str, kind: str, subject: str):
+    """value, when it is of the JSON kind (a _JSON_KINDS key) that the field
+    name of subject ("config" or "model spec") takes; else a ValueError
+    naming the field.  A bool is of no kind, as events.count() takes none."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"the {subject} field {name!r} must be {kind}, got {type(value).__name__}")
+    return value
+
+
+def json_numbers(value, name: str, subject: str) -> tuple:
+    """The list field name of subject, each of its items a number."""
+    items = json_field(value, name, "a list", subject)
+    return tuple(json_field(v, name, "a number", subject) for v in items)
+
+
+# marginal kind -> class, whose constructor takes a marginal's "params" in order
+MARGINAL_KINDS = {"gpd": GPD, "pareto": Pareto, "studentt": StudentT, "normal": Normal}
+# copula kind -> (class, the fields its constructor takes by name, before the dimension)
+COPULA_KINDS = {
+    "independence": (Independence, ()),
+    "clayton": (Clayton, ("theta",)),
+    "survivalclayton": (SurvivalClayton, ("theta",)),
+    "gaussian": (GaussianCopula, ("corr",)),
+    "studentt": (StudentTCopula, ("nu", "corr")),
+}
+
+
+def _kind(cfg: dict, kinds: dict, what: str):
+    """(kind, its kinds entry) for cfg's "kind", in any case."""
+    kind = str(cfg["kind"]).lower()
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {cfg['kind']!r}; expected one of {sorted(kinds)}")
+    return kind, kinds[kind]
+
+
+def _marginal(item, i: int) -> Marginal:
+    """The marginal of item, the spec's marginals[i], whose params fill its
+    constructor's required arguments and at most all of them."""
+    cfg = json_field(item, f"marginals[{i}]", "an object", "model spec")
+    kind, cls = _kind(cfg, MARGINAL_KINDS, "marginal")
+    params = json_numbers(cfg["params"], "params", "model spec")
+    args = inspect.signature(cls).parameters.values()
+    if not sum(a.default is a.empty for a in args) <= len(params) <= len(args):
+        raise ValueError(
+            f"the model spec field 'params' of a {kind} marginal takes "
+            f"({', '.join(a.name for a in args)}), got {len(params)} "
+            f"number{'' if len(params) == 1 else 's'}"
+        )
+    return cls(*[float(p) for p in params])
+
+
+def _copula_field(cfg: dict, key: str):
+    """corr as a matrix of numbers, any other field as a number."""
+    if key != "corr":
+        return float(json_field(cfg[key], key, "a number", "model spec"))
+    rows = json_field(cfg[key], key, "a list", "model spec")
+    return np.array([json_numbers(r, key, "model spec") for r in rows], dtype=float)
+
+
 def model_from_dict(cfg: dict) -> JointLossModel:
-    """Schema: {"marginals": [{"kind", "params"}, ...],
-    "copula": {"kind", ...}} — see the README for examples.  A missing key
-    or a field of another type is a ValueError that names it."""
+    """Schema: {"marginals": [{"kind", "params"}, ...], "copula": {"kind", ...}}
+    with the kinds of MARGINAL_KINDS and COPULA_KINDS; see the README.  A
+    missing key or a field of another type is a ValueError that names it."""
     try:
         items = json_field(cfg["marginals"], "marginals", "a list", "model spec")
-        margs = [
-            marginal_from_dict(json_field(m, f"marginals[{i}]", "an object", "model spec"))
-            for i, m in enumerate(items)
-        ]
+        margs = [_marginal(m, i) for i, m in enumerate(items)]
         cop = json_field(cfg["copula"], "copula", "an object", "model spec")
-        cop = copula_from_dict(cop, len(margs))
+        cls, keys = _kind(cop, COPULA_KINDS, "copula")[1]
+        cop = cls(*[_copula_field(cop, key) for key in keys], len(margs))
     except KeyError as err:
         raise ValueError(f"the model spec is missing the key {err.args[0]!r}") from None
     return JointLossModel(margs, cop)

@@ -17,10 +17,9 @@ from riskalloc.copulas import (
     Independence,
     StudentTCopula,
     SurvivalClayton,
-    copula_from_dict,
 )
 from riskalloc.marginals import GPD
-from riskalloc.models import preset
+from riskalloc.models import model_from_dict, preset
 
 R3 = np.array([[1.0, 1.0 / 3.0, 2.0 / 3.0],
                [1.0 / 3.0, 1.0, 1.0 / 3.0],
@@ -441,9 +440,14 @@ def test_parameter_validation():
 
 
 def test_copula_from_dict():
-    c = copula_from_dict({"kind": "SurvivalClayton", "theta": 2.0}, 3)
-    assert isinstance(c, SurvivalClayton) and c.dim == 3
-    c = copula_from_dict({"kind": "studentt", "nu": 5.0, "corr": R3.tolist()}, 3)
-    assert isinstance(c, StudentTCopula)
-    with pytest.raises(ValueError):
-        copula_from_dict({"kind": "vine"}, 3)
+    def copula(cfg):
+        gpd3 = [{"kind": "gpd", "params": [0.3, 1.0]}] * 3
+        return model_from_dict({"marginals": gpd3, "copula": cfg}).copula
+
+    c = copula({"kind": "SurvivalClayton", "theta": 2.0})
+    assert isinstance(c, SurvivalClayton) and c.dim == 3 and c.theta == 2.0
+    c = copula({"kind": "studentt", "nu": 5.0, "corr": R3.tolist()})
+    assert isinstance(c, StudentTCopula) and c.nu == 5.0 and np.array_equal(c.corr, R3)
+    assert isinstance(copula({"kind": "independence"}), Independence)
+    with pytest.raises(ValueError, match=r"^unknown copula kind 'vine'; expected one of \['clayton', "):
+        copula({"kind": "vine"})

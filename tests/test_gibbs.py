@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from riskalloc.gibbs import (
     select_probs,
     thin_interval,
 )
-from riskalloc.harness import RunConfig, run
+from riskalloc.harness import RunConfig, run, run_config_from_dict
 from riskalloc.marginals import GPD, Marginal, Normal, Pareto, StudentT
 from riskalloc.models import JointLossModel, equicorrelation, preset
 
@@ -443,21 +444,43 @@ def test_gibbs_params_validation():
             GibbsParams(np.full(3, 1.0 / 3.0), thin_T)
 
 
+def _gibbs_overrides(overrides):
+    """The GibbsParams that a JSON config's overrides give."""
+    cfg = {"model": "M2", "event": {"kind": "es", "levels": [0.99]}, "engine": "gibbs"}
+    return run_config_from_dict({**cfg, "overrides": overrides}).overrides
+
+
 def test_gibbs_params_reject_a_nan_selection_probability():
     # NaN fails every comparison, so each check is written to fail on it
     with pytest.raises(ValueError, match="must be positive"):
         GibbsParams(np.array([math.nan, 0.5, 0.5]), 4)
     with pytest.raises(ValueError, match="must be positive"):
-        GibbsParams.from_json_dict({"p": [math.nan, 0.5, 0.5], "thin_T": 4})
+        _gibbs_overrides({"p": [math.nan, 0.5, 0.5], "thin_T": 4})
+
+
+def test_gibbs_params_name_selection_probabilities_that_are_no_vector():
+    for p, shape in ((1.0, ()), (np.array(0.5), ()), ([[0.5, 0.5]], (1, 2))):
+        message = f"selection probabilities must be a vector, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GibbsParams(p, 2)
+    with pytest.raises(ValueError, match=re.escape("must be a vector, got shape ()")):
+        _gibbs_overrides({"p": 0.5, "thin_T": 2})
+    # a list of lists is no list of numbers to the config reader
+    with pytest.raises(ValueError, match="^the config field 'p' must be a number, got list$"):
+        _gibbs_overrides({"p": [[0.5, 0.5]], "thin_T": 2})
 
 
 def test_gibbs_params_from_json_reject_non_integral_values():
     p = [0.2, 0.3, 0.5]
-    assert GibbsParams.from_json_dict({"p": p, "thin_T": 4}).thin_T == 4
-    assert GibbsParams.from_json_dict({"p": p, "thin_T": 4.0}).thin_T == 4
-    for thin_T in (2.7, True, "4", math.inf):
+    assert _gibbs_overrides({"p": p, "thin_T": 4}).thin_T == 4
+    assert _gibbs_overrides({"p": p, "thin_T": 4.0}).thin_T == 4
+    for thin_T in (2.7, math.inf):
         with pytest.raises(ValueError, match="thinning interval"):
-            GibbsParams.from_json_dict({"p": p, "thin_T": thin_T})
+            _gibbs_overrides({"p": p, "thin_T": thin_T})
+    # the config reader names a field that is no number
+    for thin_T, kind in ((True, "bool"), ("4", "str")):
+        with pytest.raises(ValueError, match=f"^the config field 'thin_T' must be a number, got {kind}$"):
+            _gibbs_overrides({"p": p, "thin_T": thin_T})
 
 
 def test_rsgs_emits_feasible_states_and_is_deterministic():

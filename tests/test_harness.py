@@ -76,6 +76,9 @@ def test_measure_count_must_match_dimension():
     two = (MarginalRiskMeasure("mean"),) * 2
     with pytest.raises(ValueError, match="one measure per coordinate"):
         run(RunConfig("M1", ES90, "mc", measures=two))
+    # no measures is not the default measures
+    with pytest.raises(ValueError, match="^need one measure per coordinate: got 0 for d=3$"):
+        run(RunConfig("M1", ES90, "mc", measures=()))
 
 
 def test_config_from_dict_roundtrip():
@@ -94,6 +97,34 @@ def test_config_from_dict_roundtrip():
 
     plain = run_config_from_dict({"model": "M1", "event": {"kind": "es", "levels": [0.9]}})
     assert plain.engine == "mc" and plain.event == ES90 and plain.measures is None
+
+
+@pytest.mark.parametrize(
+    "engine, overrides, echo",
+    [
+        ("hmc", {"eps": 1, "T": 3.0}, {"eps": 1.0, "T": 3}),
+        ("gibbs", {"p": [0.25, 0.25, 0.5], "thin_T": 2.0}, {"p": [0.25, 0.25, 0.5], "thin_T": 2}),
+    ],
+    ids=["hmc", "gibbs"],
+)
+def test_config_to_json_dict_echoes_json_overrides(engine, overrides, echo):
+    # the manifest's config record, as the override records wrote it when
+    # each carried its own JSON writer
+    d = {"model": "M2", "event": {"kind": "es", "levels": [0.99]}, "engine": engine}
+    got = run_config_from_dict({**d, "overrides": overrides}).to_json_dict()
+    assert got == {
+        "model": "M2",
+        "event": {"kind": "es", "levels": [0.99], "delta": 0.0},
+        "engine": engine,
+        "measures": None,
+        "n_mc": 100000,
+        "n_mcmc": 10000,
+        "seed": 0,
+        "output_dir": None,
+        "overrides": echo,
+        "min_conditional": 100,
+    }
+    assert json.dumps(got["overrides"]) == json.dumps(echo)
 
 
 def test_config_from_dict_gibbs_overrides_and_unknown_keys():

@@ -23,6 +23,7 @@ from riskalloc.hmc import (
     tune,
     _reflective_drift,
 )
+from riskalloc.harness import run_config_from_dict
 from riskalloc.measures import MarginalRiskMeasure, batch_means_se
 from riskalloc.models import preset
 
@@ -311,13 +312,26 @@ def test_params_validation():
 
 
 def test_params_from_json_reject_non_integral_values():
-    assert HmcParams.from_json_dict({"eps": 0.1, "T": 3}) == HmcParams(0.1, 3)
-    assert HmcParams.from_json_dict({"eps": 0.1, "T": 3.0}) == HmcParams(0.1, 3)
-    for T in (2.7, True, "3", math.inf, math.nan):
+    def from_json(overrides):
+        cfg = {"model": "M1", "event": {"kind": "es", "levels": [0.99]}, "engine": "hmc"}
+        return run_config_from_dict({**cfg, "overrides": overrides}).overrides
+
+    assert from_json({"eps": 0.1, "T": 3}) == HmcParams(0.1, 3)
+    assert from_json({"eps": 0.1, "T": 3.0}) == HmcParams(0.1, 3)
+    eps = from_json({"eps": 1, "T": 3}).eps
+    assert eps == 1.0 and type(eps) is float
+    for T in (2.7, math.inf, math.nan):
         with pytest.raises(ValueError, match="integration time"):
-            HmcParams.from_json_dict({"eps": 0.1, "T": T})
-    with pytest.raises(ValueError, match="stepsize"):
-        HmcParams.from_json_dict({"eps": "inf", "T": 3})
+            from_json({"eps": 0.1, "T": T})
+    # the config reader names a field that is no number
+    for T, kind in ((True, "bool"), ("3", "str")):
+        with pytest.raises(ValueError, match=f"^the config field 'T' must be a number, got {kind}$"):
+            from_json({"eps": 0.1, "T": T})
+    with pytest.raises(ValueError, match="^the config field 'eps' must be a number, got str$"):
+        from_json({"eps": "inf", "T": 3})
+    for eps in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="stepsize"):
+            from_json({"eps": eps, "T": 3})
 
 
 def test_standardizer_whitens_and_roundtrips():

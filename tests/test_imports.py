@@ -1,12 +1,17 @@
-"""Source checks: no package module imports a name it never uses, and no
-private module-level name goes unread by the package."""
+"""Source checks: no package module imports a name it never uses, no
+private module-level name goes unread by the package, only the model spec
+and run config readers use the JSON field readers, and the README lists
+the model spec's kinds as the kind tables hold them."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import riskalloc
+from riskalloc.models import COPULA_KINDS, MARGINAL_KINDS
 
 PACKAGE = Path(riskalloc.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -76,3 +81,57 @@ def test_unread_privates_finds_a_dead_definition():
 def test_package_reads_every_private_module_level_name():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_privates(sources) == []
+
+
+JSON_READERS = ("json_count", "json_field", "json_numbers")
+
+
+def json_reader_uses(source: str) -> list:
+    """The JSON readers that source imports or reads as an attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return sorted(used & set(JSON_READERS))
+
+
+def test_json_reader_uses_finds_an_import_and_an_attribute():
+    source = "from .models import json_field, load_model\nfrom . import models\nmodels.json_count(1)\n"
+    assert json_reader_uses(source) == ["json_count", "json_field"]
+
+
+def test_only_the_model_spec_and_run_config_readers_use_the_json_readers():
+    # models.py defines them and reads the model spec; harness.py reads the
+    # run config.  Every other module holds its math and records only.
+    users = {p.name: json_reader_uses(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: used for name, used in users.items() if used} == {"harness.py": list(JSON_READERS)}
+
+
+def readme_kinds(text: str) -> tuple:
+    """(marginal kinds, copula kinds) of the README sentence "Marginal kinds:
+    ... Copula kinds: ...", each as kind -> its parameter names.  A kind is
+    `name`; kinds joined by " / " share the parameter list that follows."""
+    found = re.search(r"Marginal kinds: (.*?)Copula kinds: (.*?)\n\n", text, re.S)
+    assert found, "the README has no 'Marginal kinds: ... Copula kinds: ...' paragraph"
+    tables = []
+    for part in found.groups():
+        kinds = {}
+        for names, params in re.findall(r"((?:`\w+`(?:\s*/\s*)?)+)\s*(?:\(([^)]*)\))?", part):
+            for kind in re.findall(r"`(\w+)`", names):
+                kinds[kind] = tuple(p.strip() for p in params.split(",")) if params else ()
+        tables.append(kinds)
+    return tuple(tables)
+
+
+def test_readme_kinds_reads_the_sentence():
+    text = "Marginal kinds: `a` (x, y), `b`\n(z). Copula kinds: `c`,\n`d` / `e` (t).\n\nNext."
+    assert readme_kinds(text) == ({"a": ("x", "y"), "b": ("z",)}, {"c": (), "d": ("t",), "e": ("t",)})
+
+
+def test_readme_lists_the_kind_tables():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    marginals, copulas = readme_kinds(readme.read_text(encoding="utf-8"))
+    assert marginals == {k: tuple(inspect.signature(c).parameters) for k, c in MARGINAL_KINDS.items()}
+    assert copulas == {k: names for k, (_, names) in COPULA_KINDS.items()}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from riskalloc.marginals import GPD, Normal, Pareto, StudentT, marginal_from_dict
+from riskalloc.marginals import GPD, Normal, Pareto, StudentT
+from riskalloc.models import model_from_dict
 
 
 def bisect_quantile(cdf, u, lo, hi, tol=1e-12):
@@ -109,9 +110,15 @@ def test_exponential_special_case_of_gpd():
 
 
 def test_marginal_from_dict():
-    m = marginal_from_dict({"kind": "GPD", "params": [0.3, 1.0]})
+    def marginal(cfg):
+        return model_from_dict({"marginals": [cfg] * 2, "copula": {"kind": "independence"}}).marginals[0]
+
+    m = marginal({"kind": "GPD", "params": [0.3, 1.0]})
     assert isinstance(m, GPD) and m.xi == 0.3 and m.beta == 1.0
-    m = marginal_from_dict({"kind": "studentt", "params": [5.0, 0.0, 1.0]})
+    m = marginal({"kind": "studentt", "params": [5.0, 0.0, 1.0]})
     assert isinstance(m, StudentT)
-    with pytest.raises(ValueError):
-        marginal_from_dict({"kind": "uniform", "params": [0, 1]})
+    # the constructor's defaults fill the params left out
+    m = marginal({"kind": "studentt", "params": [5.0]})
+    assert (m.nu, m.mu, m.sigma) == (5.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="unknown marginal kind 'uniform'"):
+        marginal({"kind": "uniform", "params": [0, 1]})

@@ -213,29 +213,56 @@ def test_model_from_dict_and_load_model(m1):
 
 
 NAN = math.nan
+INF = math.inf
+IND = {"kind": "independence"}
+CORR2 = [[1.0, 0.5], [0.5, 1.0]]
 
 
 @pytest.mark.parametrize(
     "marginal, copula, message",
     [
-        (("gpd", [NAN, 1.0]), {"kind": "independence"}, "GPD shape xi must be >= 0"),
-        (("gpd", [0.3, NAN]), {"kind": "independence"}, "GPD scale beta must be > 0"),
-        (("pareto", [NAN, 2.0]), {"kind": "independence"}, "Pareto scale lam must be > 0"),
-        (("pareto", [1.0, NAN]), {"kind": "independence"}, "Pareto shape theta must be > 0"),
-        (("studentt", [NAN, 0.0, 1.0]), {"kind": "independence"}, "StudentT degrees of freedom nu must be > 0"),
-        (("studentt", [5.0, 0.0, NAN]), {"kind": "independence"}, "StudentT scale sigma must be > 0"),
-        (("normal", [0.0, NAN]), {"kind": "independence"}, "Normal scale sigma must be > 0"),
-        (("gpd", [0.3, 1.0]), {"kind": "clayton", "theta": NAN}, "Clayton theta must be > 0"),
-        (("gpd", [0.3, 1.0]), {"kind": "survivalclayton", "theta": NAN}, "Clayton theta must be > 0"),
-        (("gpd", [0.3, 1.0]), {"kind": "studentt", "nu": NAN, "corr": [[1.0, 0.5], [0.5, 1.0]]},
-         "StudentT copula nu must be > 0"),
+        (("gpd", [NAN, 1.0]), IND, "GPD shape xi must be finite and >= 0"),
+        (("gpd", [0.3, NAN]), IND, "GPD scale beta must be finite and > 0"),
+        (("pareto", [NAN, 2.0]), IND, "Pareto scale lam must be finite and > 0"),
+        (("pareto", [1.0, NAN]), IND, "Pareto shape theta must be finite and > 0"),
+        (("studentt", [NAN, 0.0, 1.0]), IND, "StudentT degrees of freedom nu must be finite and > 0"),
+        (("studentt", [5.0, 0.0, NAN]), IND, "StudentT scale sigma must be finite and > 0"),
+        (("normal", [0.0, NAN]), IND, "Normal scale sigma must be finite and > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "clayton", "theta": NAN}, "Clayton theta must be finite and > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "survivalclayton", "theta": NAN},
+         "Clayton theta must be finite and > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "studentt", "nu": NAN, "corr": CORR2},
+         "StudentT copula nu must be finite and > 0"),
+        (("gpd", [INF, 1.0]), IND, "GPD shape xi must be finite and >= 0"),
+        (("gpd", [0.3, INF]), IND, "GPD scale beta must be finite and > 0"),
+        (("pareto", [INF, 2.0]), IND, "Pareto scale lam must be finite and > 0"),
+        (("pareto", [1.0, INF]), IND, "Pareto shape theta must be finite and > 0"),
+        (("studentt", [INF, 0.0, 1.0]), IND, "StudentT degrees of freedom nu must be finite and > 0"),
+        (("studentt", [5.0, 0.0, INF]), IND, "StudentT scale sigma must be finite and > 0"),
+        (("normal", [0.0, INF]), IND, "Normal scale sigma must be finite and > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "clayton", "theta": INF}, "Clayton theta must be finite and > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "survivalclayton", "theta": INF},
+         "Clayton theta must be finite and > 0"),
+        (("gpd", [0.3, 1.0]), {"kind": "studentt", "nu": INF, "corr": CORR2},
+         "StudentT copula nu must be finite and > 0"),
+        (("studentt", [5.0, NAN, 1.0]), IND, "StudentT location mu must be finite"),
+        (("studentt", [5.0, INF, 1.0]), IND, "StudentT location mu must be finite"),
+        (("studentt", [5.0, -INF, 1.0]), IND, "StudentT location mu must be finite"),
+        (("normal", [NAN, 1.0]), IND, "Normal location mu must be finite"),
+        (("normal", [INF, 1.0]), IND, "Normal location mu must be finite"),
+        (("normal", [-INF, 1.0]), IND, "Normal location mu must be finite"),
     ],
     ids=["gpd-xi", "gpd-beta", "pareto-lam", "pareto-theta", "studentt-nu", "studentt-sigma",
-         "normal-sigma", "clayton-theta", "survival-theta", "t-copula-nu"],
+         "normal-sigma", "clayton-theta", "survival-theta", "t-copula-nu",
+         "gpd-xi-inf", "gpd-beta-inf", "pareto-lam-inf", "pareto-theta-inf", "studentt-nu-inf",
+         "studentt-sigma-inf", "normal-sigma-inf", "clayton-theta-inf", "survival-theta-inf",
+         "t-copula-nu-inf", "studentt-mu", "studentt-mu-inf", "studentt-mu-minus-inf",
+         "normal-mu", "normal-mu-inf", "normal-mu-minus-inf"],
 )
 def test_model_spec_names_a_nan_parameter(marginal, copula, message):
-    # a NaN fails every comparison, so each positivity check is written to
-    # fail on it and name the parameter, not to let it through to the run
+    # a NaN fails every comparison and an infinity passes a bare positivity
+    # check, so each check is written to fail on both and name the
+    # parameter, not to let it through to the run
     kind, params = marginal
     cfg = {"marginals": [{"kind": kind, "params": params}] * 2, "copula": copula}
     with pytest.raises(ValueError, match=f"^{message}$"):
