@@ -49,7 +49,10 @@ SCORE_BLOCK = 4096
 
 def clip01(u, out=None):
     """u clamped to [U_EPS, 1 - U_EPS], NaN passed through; an array is
-    written into out when it is given."""
+    written into out when it is given, and a list of floats (a point's
+    levels) gives a list of floats."""
+    if isinstance(u, list):
+        return [U_EPS if v < U_EPS else _U_MAX if v > _U_MAX else v for v in u]
     if isinstance(u, float):
         # a Gibbs update's scalar: the comparisons pick np.maximum's and
         # np.minimum's value without the ufunc machinery, and the result
@@ -74,13 +77,44 @@ def _log1p(w):
     return math.log1p(w) if isinstance(w, float) else np.log1p(w)
 
 
-# score_law's special functions: cython_special's double versions, which
-# take and return a float without the ufunc machinery and evaluate the same
-# C functions as scipy.special's ufuncs, to the same bits.
+# score_law's and level_law's special functions: cython_special's double
+# versions, which take and return a float without the ufunc machinery and
+# evaluate the same C functions as scipy.special's ufuncs, to the same bits.
 _C_STDTR = cython_special.stdtr["double"]
 _C_STDTRIT = cython_special.stdtrit["double"]
 _C_NDTR = cython_special.ndtr["double"]
 _C_NDTRI = cython_special.ndtri
+
+
+def _numpy_sum(terms):
+    """The list of floats terms added in the order of numpy's float64 sum
+    along a contiguous axis: left to right below 8 terms, else pairwise
+    (_pairwise_sum) and added to 0.0.  Builtin sum is not used, because
+    from Python 3.12 on it compensates, which changes the last bits."""
+    if len(terms) < 8:
+        s = 0.0
+        for t in terms:
+            s += t
+        return s
+    return 0.0 + _pairwise_sum(terms, 0, len(terms))
+
+
+def _pairwise_sum(terms, start, n):
+    """numpy's pairwise sum of the n >= 8 terms from start on: eight
+    running sums over blocks of 8, combined pairwise, then the rest left to
+    right; above 128 terms, the two halves' sums (the first a multiple of
+    8 terms long) added."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms, start, half) + _pairwise_sum(terms, start + half, n - half)
+    r = terms[start:start + 8]
+    end = start + n - n % 8
+    for i in range(start + 8, end, 8):
+        r = [a + b for a, b in zip(r, terms[i:i + 8])]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[end:start + n]:
+        s += t
+    return s
 
 
 def _as_float(u):
@@ -126,6 +160,13 @@ class Copula:
 
     def _grad_logdensity(self, u):
         raise NotImplementedError
+
+    def _point_grad_logdensity(self, u):
+        """_grad_logdensity at one point's levels u, a list of floats in the
+        open unit cube (NaN passed through), as a list of floats.  An
+        override computes in floats, with one numpy ufunc call per special
+        function, and must give _grad_logdensity's values bit for bit."""
+        return self._grad_logdensity(np.array(u)).tolist()
 
     def conditional(self, j, u_rest):
         """(cdf, ppf) of U_j given U_-j = u_rest, conditioned once.
@@ -200,6 +241,14 @@ class Clayton(Copula):
         w = (t * u).sum(axis=-1, keepdims=True) - d + 1.0
         return -(th + 1.0) / u + (1.0 + d * th) * t / w
 
+    def _point_grad_logdensity(self, u):
+        th, d = self.theta, self.dim
+        # u ** e on an array is np.power for every e < -1
+        t = np.power(u, -th - 1.0).tolist()
+        w = _numpy_sum([a * b for a, b in zip(t, u)]) - d + 1.0
+        c = 1.0 + d * th
+        return [-(th + 1.0) / b + c * a / w for a, b in zip(t, u)]
+
     def conditional(self, j, u_rest):
         th, hexp = self.theta, self._hexp
         w_rest = np.sum(clip01(self._check_j(j, u_rest)) ** -th) - self.dim + 2.0
@@ -248,6 +297,9 @@ class SurvivalClayton(Copula):
     def _grad_logdensity(self, u):
         return -self.base._grad_logdensity(1.0 - u)
 
+    def _point_grad_logdensity(self, u):
+        return [-g for g in self.base._point_grad_logdensity([1.0 - a for a in u])]
+
     def conditional(self, j, u_rest):
         cdf, ppf = self.base.conditional(j, 1.0 - self._check_j(j, u_rest))
         return (lambda uj: 1.0 - cdf(1.0 - np.asarray(uj, dtype=float)),
@@ -286,7 +338,10 @@ class _EllipticalCopula(Copula):
     scores: the score of U_j given them is m + s T, where T has the
     standard law that the copula's score_law evaluates on floats.
     conditional(j, u_rest) is that part on _scores(u_rest), mapped back to
-    levels by the scipy ufuncs; score_law is the one float path.
+    levels.  On floats (a Gibbs chain's list of levels, its cdf's level
+    and its ppf's p) it takes score_law and level_law, the generator's
+    (cdf, ppf) on floats, with no array made; on arrays, the scipy ufuncs.
+    Both evaluate the same C functions to the same bits.
     sample_scores draws the scores that sample maps to levels; an elliptical
     JointLossModel and its Gibbs chain use both score-level parts directly.
     """
@@ -334,9 +389,25 @@ class _EllipticalCopula(Copula):
             raise ValueError(f"u_rest must have length {self.dim - 1}")
 
     def conditional(self, j, u_rest):
-        m, s = self.score_conditional(j, self._scores(self._check_j(j, u_rest)))
-        return (lambda uj: self._cond_cdf((self._scores(uj) - m) / s),
-                lambda p: clip01(self._levels(m + s * self._cond_ppf(clip01(p)))))
+        level, score = self.level_law
+        law_cdf, law_ppf = self.score_law
+        if type(u_rest) is list and all(isinstance(u, float) for u in u_rest):
+            z_rest = [score(clip01(u)) for u in u_rest]
+        else:
+            z_rest = self._scores(self._check_j(j, u_rest))
+        m, s = self.score_conditional(j, z_rest)
+
+        def cdf(uj):
+            if isinstance(uj, float):
+                return law_cdf((score(clip01(uj)) - m) / s)
+            return self._cond_cdf((self._scores(uj) - m) / s)
+
+        def ppf(p):
+            if isinstance(p, float):
+                return clip01(level(m + s * law_ppf(clip01(p))))
+            return clip01(self._levels(m + s * self._cond_ppf(clip01(p))))
+
+        return cdf, ppf
 
     def sample_scores(self, n, rng):
         """n rows of scores: correlated standard normals (the t copula
@@ -376,8 +447,8 @@ class GaussianCopula(_EllipticalCopula):
         return dlogc_dz / phi
 
     # T is standard normal: score_law on floats, _cond_cdf and _cond_ppf
-    # (the ufuncs) in conditional
-    score_law = (_C_NDTR, _C_NDTRI)
+    # (the ufuncs) on arrays; the generator is standard normal too
+    score_law = level_law = (_C_NDTR, _C_NDTRI)
     _cond_cdf = special.ndtr
     _cond_ppf = special.ndtri
 
@@ -410,9 +481,11 @@ class StudentTCopula(_EllipticalCopula):
             - 0.5 * math.log(nu * math.pi)
         )
         # T is t with nu + d - 1 degrees of freedom: score_law on floats,
-        # _cond_cdf and _cond_ppf (the ufuncs) in conditional
+        # _cond_cdf and _cond_ppf (the ufuncs) on arrays; the generator is
+        # t with nu
         self._df = nu + d - 1.0
         self.score_law = (functools.partial(_C_STDTR, self._df), functools.partial(_C_STDTRIT, self._df))
+        self.level_law = (functools.partial(_C_STDTR, nu), functools.partial(_C_STDTRIT, nu))
         self._cond_cdf = functools.partial(special.stdtr, self._df)
         self._cond_ppf = functools.partial(special.stdtrit, self._df)
 

@@ -14,6 +14,12 @@ has no rows when the target is unconstrained.
 Also provides StandardizedTarget(base, rows), a target in the coordinates
 whitened by the mean and Cholesky factor of conditional presample rows, and
 the presample-driven heuristic that picks the stepsize and integration time.
+
+The chain steps one point at a time, and each step takes two gradients.
+StandardizedTarget maps the point to x and the gradient back with numpy's
+matrix products; in between, JointLossModel.grad_logpdf computes the
+point's gradient on Python floats (models.py), with the bits of a one-row
+batch.  The tuning scans step batches of rows, which stay on arrays.
 """
 
 import math

@@ -13,6 +13,14 @@ gradient call it once per group of coordinates.  GPD overrides it to
 share its log1p; an override must give the same values as the three
 methods, bit for bit.  The gradient takes the density as exp(logpdf),
 which is what pdf returns.
+
+A point's gradient calls _point_terms(x, grad) instead, with x the
+group's coordinates as a list of floats, and takes three lists of floats
+back.  The base class runs _terms on an array and converts, so a custom
+marginal needs no more than the four methods.  GPD and Pareto compute in
+floats, with one numpy ufunc call per special function over the group's
+coordinates: math's log1p/expm1 and numpy's vector loops can differ in
+the last bit, and an override must give _terms's values bit for bit.
 """
 
 import math
@@ -46,6 +54,12 @@ class Marginal:
         """(logpdf, cdf, _dlogpdf) at a float array x in the support; the
         derivative is None unless grad."""
         return self.logpdf(x), self.cdf(x), self._dlogpdf(x) if grad else None
+
+    def _point_terms(self, x, grad):
+        """_terms at one point's coordinates x, a list of floats in the
+        support (NaN passed through), as lists of floats."""
+        lp, u, dm = self._terms(np.array(x), grad)
+        return lp.tolist(), u.tolist(), dm.tolist() if grad else None
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
@@ -128,6 +142,20 @@ class GPD(Marginal):
             -(self.xi + 1.0) / (self.beta + xix) if grad else None,
         )
 
+    def _point_terms(self, x, grad):
+        xi, beta = self.xi, self.beta
+        log_beta, neg = math.log(beta), -(xi + 1.0)
+        dm = [neg / (beta + xi * v) for v in x] if grad else None
+        if xi == 0.0:
+            # logpdf's np.where sends NaN to -inf, and np.maximum(x, 0)
+            # maps -0.0 to 0.0
+            e = np.expm1([-(0.0 if v <= 0.0 else v) / beta for v in x]).tolist()
+            return [-v / beta - log_beta if v >= 0.0 else -math.inf for v in x], [-a for a in e], dm
+        log1p = np.log1p([xi * v / beta for v in x]).tolist()
+        c, k = -1.0 / xi - 1.0, -1.0 / xi
+        e = np.expm1([k * a for a in log1p]).tolist()
+        return [c * a - log_beta for a in log1p], [-a for a in e], dm
+
     def quantile(self, u):
         u = self._check_quantile_arg(u)
         if self.xi == 0.0:
@@ -165,6 +193,19 @@ class Pareto(Marginal):
         x = np.asarray(x, dtype=float)
         xc = np.maximum(x, 0.0)
         return -np.expm1(self.theta * (np.log(self.lam) - np.log(self.lam + xc)))
+
+    def _point_terms(self, x, grad):
+        lam, th = self.lam, self.theta
+        # np.log(lam + np.maximum(x, 0)) serves logpdf and cdf alike; the
+        # constant is summed first, as logpdf's expression does
+        logs = np.log([lam + (0.0 if v <= 0.0 else v) for v in x]).tolist()
+        const, log_lam = math.log(th) + th * math.log(lam), float(np.log(lam))
+        e = np.expm1([th * (log_lam - a) for a in logs]).tolist()
+        return (
+            [const - (th + 1.0) * a if v >= 0.0 else -math.inf for v, a in zip(x, logs)],
+            [-a for a in e],
+            [-(th + 1.0) / (lam + v) for v in x] if grad else None,
+        )
 
     def quantile(self, u):
         u = self._check_quantile_arg(u)

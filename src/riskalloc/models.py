@@ -22,6 +22,13 @@ JointLossModel.elliptical(), chooses:
   round trip of the copula route, which returns the same numbers up to
   rounding, is skipped.  Scores are clipped to [q_lo, q_hi], the image of
   the copula route's level clamp [U_EPS, 1 - U_EPS].
+
+The gradient at one point, which each leapfrog half-kick of the HMC chain
+takes, is computed on Python floats (_point_grad): every arithmetic step
+and clamp on floats, and each special function one numpy ufunc call over
+a group's coordinates (Marginal._point_terms,
+Copula._point_grad_logdensity), so that it has the bits of a one-row
+batch.  A batch, and logpdf at a point, stay on numpy arrays.
 """
 
 import inspect
@@ -114,15 +121,17 @@ class JointLossModel:
         self.d = copula.dim
         self._groups = _group_coordinates(marginals)
         self._elliptical = _elliptical(marginals, copula)
+        self._support_mins = [m.support_min for m in marginals]
         # pure losses, every margin on x >= 0: the one support fact that the
         # event and the engine rules read
-        self.nonnegative = all(m.support_min == 0.0 for m in marginals)
+        self.nonnegative = all(lo == 0.0 for lo in self._support_mins)
 
     # -- density -------------------------------------------------------------
     # Each takes a point of shape (d,) or a batch of shape (K, d); a batch
     # gives one value (or gradient row) per row.  A model of one group
     # evaluates on x itself; otherwise coordinates are selected on the first
     # axis of the transpose: x.T[idx] costs a fifth of x[..., idx] on a point.
+    # A point's gradient is computed on floats (_point_grad).
 
     def _points(self, x):
         x = np.asarray(x, dtype=float)
@@ -177,14 +186,34 @@ class JointLossModel:
     def grad_logpdf(self, x):
         """Chain rule: grad_j = (d_j log c)(F(x)) f_j(x_j) + dlogpdf_j(x_j)."""
         x = self._points(x)
-        ok = self.in_support(x)
-        # a point's answer is a numpy bool, whose .all() costs a reduction
-        if not (ok if x.ndim == 1 else ok.all()):
+        if x.ndim == 1:
+            return self._point_grad(x.tolist())
+        if not self.in_support(x).all():
             raise ValueError("gradient requested outside the support")
         lp, u, dm = self._terms(x, grad=True)
         # f_j = exp(logpdf_j), which is what Marginal.pdf computes
         gc = self.copula._grad_logdensity(clip01(u))
         return gc * np.exp(lp) + dm
+
+    def _point_grad(self, x):
+        """grad_logpdf at one point x, a list of floats, with the bits of a
+        one-row batch: each group's Marginal._point_terms and the copula's
+        _point_grad_logdensity return lists of floats, which the chain rule
+        multiplies and adds as floats, with one np.exp call."""
+        for v, lo in zip(x, self._support_mins):
+            if not v >= lo:  # NaN included
+                raise ValueError("gradient requested outside the support")
+        if len(self._groups) == 1:
+            lp, u, dm = self._groups[0][0]._point_terms(x, True)
+        else:
+            lp, u, dm = [0.0] * self.d, [0.0] * self.d, [0.0] * self.d
+            for m, idx in self._groups:
+                idx = idx.tolist()
+                for out, values in zip((lp, u, dm), m._point_terms([x[i] for i in idx], True)):
+                    for i, v in zip(idx, values):
+                        out[i] = v
+        gc = self.copula._point_grad_logdensity(clip01(u))
+        return np.array([g * f + m for g, f, m in zip(gc, np.exp(lp).tolist(), dm)])
 
     def elliptical(self):
         """The model as mu + sigma Z (an Elliptical) when it is elliptical:
@@ -307,6 +336,14 @@ COPULA_KINDS = {
 }
 
 
+def _known_keys(cfg: dict, keys, where: str) -> None:
+    """A ValueError naming every key of cfg, the object that where names,
+    that keys does not list."""
+    unknown = [k for k in cfg if k not in keys]
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}; it takes {list(keys)}")
+
+
 def _kind(cfg: dict, kinds: dict, what: str):
     """(kind, its kinds entry) for cfg's "kind", in any case."""
     kind = str(cfg["kind"]).lower()
@@ -320,6 +357,7 @@ def _marginal(item, i: int) -> Marginal:
     constructor's required arguments and at most all of them."""
     cfg = json_field(item, f"marginals[{i}]", "an object", "model spec")
     kind, cls = _kind(cfg, MARGINAL_KINDS, "marginal")
+    _known_keys(cfg, ("kind", "params"), f"the model spec field 'marginals[{i}]' of kind {kind!r}")
     params = json_numbers(cfg["params"], "params", "model spec")
     args = inspect.signature(cls).parameters.values()
     if not sum(a.default is a.empty for a in args) <= len(params) <= len(args):
@@ -342,12 +380,17 @@ def _copula_field(cfg: dict, key: str):
 def model_from_dict(cfg: dict) -> JointLossModel:
     """Schema: {"marginals": [{"kind", "params"}, ...], "copula": {"kind", ...}}
     with the kinds of MARGINAL_KINDS and COPULA_KINDS; see the README.  A
-    missing key or a field of another type is a ValueError that names it."""
+    missing or unknown key, or a field of another type, is a ValueError
+    that names it and where it sits."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"the model spec must be an object, got {type(cfg).__name__}")
+    _known_keys(cfg, ("marginals", "copula"), "the model spec")
     try:
         items = json_field(cfg["marginals"], "marginals", "a list", "model spec")
         margs = [_marginal(m, i) for i, m in enumerate(items)]
         cop = json_field(cfg["copula"], "copula", "an object", "model spec")
-        cls, keys = _kind(cop, COPULA_KINDS, "copula")[1]
+        kind, (cls, keys) = _kind(cop, COPULA_KINDS, "copula")
+        _known_keys(cop, ("kind", *keys), f"the model spec field 'copula' of kind {kind!r}")
         cop = cls(*[_copula_field(cop, key) for key in keys], len(margs))
     except KeyError as err:
         raise ValueError(f"the model spec is missing the key {err.args[0]!r}") from None

@@ -201,6 +201,29 @@ def test_model_spec_missing_a_key_exits_2_and_names_it(key, spec, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "key, where, spec",
+    [
+        ("copulaa", "the model spec has", {"marginals": GPD2, "copulaa": {"kind": "independence"}}),
+        ("beta", "the model spec field 'marginals[0]'",
+         {"marginals": [{"kind": "gpd", "params": [0.2, 1.0], "beta": 1.0}] * 2,
+          "copula": {"kind": "independence"}}),
+        ("thetta", "the model spec field 'copula'",
+         {"marginals": GPD2, "copula": {"kind": "clayton", "theta": 2.0, "thetta": 5}}),
+        ("corr", "the model spec field 'copula'",
+         {"marginals": GPD2, "copula": {"kind": "independence", "corr": [[1.0, 0.0], [0.0, 1.0]]}}),
+    ],
+    ids=["top-level", "marginal", "clayton", "independence"],
+)
+def test_model_file_with_an_unknown_key_exits_2_and_names_it(key, where, spec, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = ["--event", "es", "--levels", "0.9", "--n-mc", "4000"]
+    assert main(["allocate", "--model-file", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and f"unknown keys [{key!r}]" in err
+
+
+@pytest.mark.parametrize(
     "field, spec",
     [
         ("marginals", {"marginals": {"kind": "gpd"}, "copula": {"kind": "independence"}}),

@@ -207,6 +207,29 @@ def test_score_law_equals_the_conditional_ufuncs(nu, t, p):
             assert got.hex() == float(want).hex()
 
 
+@pytest.mark.parametrize("nu", [None, 5.0, 0.7], ids=["gaussian", "t5", "t0.7"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), numpy_scalars=st.booleans())
+def test_elliptical_conditional_on_floats_equals_its_array_path(nu, data, numpy_scalars):
+    # a Gibbs chain's list of levels (np.float64 on the copula route) takes
+    # level_law and score_law, cython_special on floats; an array takes the
+    # ufuncs; the two give the same bits, and NaN passes through both
+    cop = GaussianCopula(R3) if nu is None else StudentTCopula(nu, R3)
+    level = st.one_of(LEVEL, st.just(math.nan))
+    j = data.draw(st.integers(0, 2))
+    u_rest = data.draw(st.lists(level, min_size=2, max_size=2))
+    uj, p = data.draw(level), data.draw(level)
+    if numpy_scalars:
+        u_rest = [np.float64(u) for u in u_rest]
+    cdf, ppf = cop.conditional(j, u_rest)
+    cdf_a, ppf_a = cop.conditional(j, np.array(u_rest, dtype=float))
+    for got, want in [(cdf(uj), cdf_a(np.array([uj]))[0]), (ppf(p), ppf_a(np.array([p]))[0])]:
+        assert float(got).hex() == float(want).hex()
+    # and each pair at the other's arguments
+    assert float(cdf_a(uj)).hex() == float(cdf(uj)).hex()
+    assert float(ppf(np.array([p]))[0]).hex() == float(ppf(p)).hex()
+
+
 CONCRETE_COPULAS = [Independence, Clayton, SurvivalClayton, GaussianCopula, StudentTCopula]
 
 

@@ -12,6 +12,13 @@ as its old and its new triple (a re-record commit shows both); it exits 1
 when any digest moved, 0 when none did, so a byte-identity check can be
 scripted:
     PYTHONPATH=src python tests/test_golden.py
+
+With --pools it prints instead the digests of every run seed of the three
+benchmark workloads' configs (POOLS, written out below): one line per
+run, for the riskalloc on PYTHONPATH.  Two checkouts compare with one
+command, this script running against each one's src:
+    diff <(PYTHONPATH=a/src python tests/test_golden.py --pools) \
+         <(PYTHONPATH=b/src python tests/test_golden.py --pools)
 """
 
 import dataclasses
@@ -79,6 +86,19 @@ DIGESTS = {
 }
 
 
+# perfbench's workloads as RunConfigs: the hmc and gibbs pools in full, and
+# two of the mc workload's drawn run seeds (the first two of --seed 0)
+ES99, ES999 = CrisisEventSpec("es", (0.99,)), CrisisEventSpec("es", (0.999,))
+HMC_ES_TAIL = dict(model="M1", event=ES99, engine="hmc", n_mc=10_000, n_mcmc=200)
+GIBBS_ES_TAIL = dict(model="M2", event=ES99, engine="gibbs", n_mc=100_000, n_mcmc=2_000)
+MC_FAR_TAIL = dict(model="M2", event=ES999, engine="mc", n_mc=1_000_000, n_mcmc=100)
+POOLS = {
+    **{f"hmc-es-tail seed {s}": RunConfig(**HMC_ES_TAIL, seed=s) for s in range(6)},
+    **{f"gibbs-es-tail seed {s}": RunConfig(**GIBBS_ES_TAIL, seed=s) for s in range(10)},
+    **{f"mc-far-tail seed {s}": RunConfig(**MC_FAR_TAIL, seed=s) for s in (1750292642, 1582608165)},
+}
+
+
 def digests(config: RunConfig, out: Path) -> tuple:
     run(dataclasses.replace(config, output_dir=out))
     return tuple(
@@ -94,8 +114,16 @@ def test_artifacts_match_golden_digests(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    if sys.argv[1:] == ["--pools"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, config in POOLS.items():
+                print(name, *digests(config, Path(tmp) / name.replace(" ", "-")))
+        raise SystemExit(0)
+    if sys.argv[1:]:
+        raise SystemExit("usage: python tests/test_golden.py [--pools]")
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):

@@ -269,6 +269,45 @@ def test_model_spec_names_a_nan_parameter(marginal, copula, message):
         model_from_dict(cfg)
 
 
+GPD_ITEM = {"kind": "gpd", "params": [0.3, 1.0]}
+# a spec with one stray key, at each level of the spec, and the message
+# that must name it and where it sits
+UNKNOWN_KEYS = {
+    "copula-field": (
+        {"marginals": [GPD_ITEM] * 2, "copula": {"kind": "clayton", "theta": 2.0, "thetta": 5}},
+        "the model spec field 'copula' of kind 'clayton' has unknown keys ['thetta']; "
+        "it takes ['kind', 'theta']",
+    ),
+    "marginal-field": (
+        {"marginals": [GPD_ITEM, {**GPD_ITEM, "beta": 1.0}], "copula": IND},
+        "the model spec field 'marginals[1]' of kind 'gpd' has unknown keys ['beta']; "
+        "it takes ['kind', 'params']",
+    ),
+    "top-level": (
+        {"marginals": [GPD_ITEM] * 2, "copulaa": IND, "copula": IND},
+        "the model spec has unknown keys ['copulaa']; it takes ['marginals', 'copula']",
+    ),
+    "independence-corr": (
+        {"marginals": [GPD_ITEM] * 2, "copula": {"kind": "independence", "corr": CORR2}},
+        "the model spec field 'copula' of kind 'independence' has unknown keys ['corr']; "
+        "it takes ['kind']",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_KEYS))
+def test_model_spec_names_an_unknown_key(name):
+    cfg, message = UNKNOWN_KEYS[name]
+    with pytest.raises(ValueError) as err:
+        model_from_dict(cfg)
+    assert str(err.value) == message
+
+
+def test_model_spec_must_be_an_object():
+    with pytest.raises(ValueError, match="^the model spec must be an object, got list$"):
+        model_from_dict([GPD_ITEM])
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         JointLossModel([GPD(0.3, 1.0)] * 3, Independence(2))
@@ -437,26 +476,135 @@ def test_terms_equal_the_three_methods(name, data):
     "name, n_groups", [("M1", 1), ("M2", 1), ("M3", 2), ("mixed", 3), ("custom", 3)]
 )
 def test_one_terms_call_per_group(name, n_groups, monkeypatch):
+    # a point's gradient calls the point hook once per group, everything
+    # else _terms (which the default point hook calls in turn)
     model = _exact_model(name)
-    calls = []
+    calls = {"_terms": [], "_point_terms": []}
     for cls in {type(m) for m in model.marginals}:
-        terms = cls._terms
+        for hook in calls:
+            def counted(self, x, grad, fn=getattr(cls, hook), seen=calls[hook]):
+                seen.append(x)
+                return fn(self, x, grad)
 
-        def counted(self, x, grad, terms=terms):
-            calls.append(x)
-            return terms(self, x, grad)
-
-        monkeypatch.setattr(cls, "_terms", counted)
+            monkeypatch.setattr(cls, hook, counted)
     x = np.full(model.d, 0.5)
     batch = np.full((4, model.d), 0.5)
     for method in ("logpdf", "grad_logpdf"):
         for arg in (x, batch):
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             getattr(model, method)(arg)
-            assert len(calls) == n_groups
-            # a model of one group evaluates on the argument itself
+            hook = "_point_terms" if method == "grad_logpdf" and arg is x else "_terms"
+            assert len(calls[hook]) == n_groups
+            if hook == "_point_terms":
+                assert all(type(c) is list for c in calls[hook])
+            else:
+                assert calls["_point_terms"] == []
+            # a model of one group evaluates on the argument itself, a point
+            # as its list of floats
             if n_groups == 1 and method == "grad_logpdf":
-                assert calls[0] is arg
+                assert calls[hook][0] == arg.tolist() if arg is x else calls[hook][0] is arg
+
+
+# -- the point hooks: Marginal._point_terms, Copula._point_grad_logdensity -------
+
+POINT_MARGINALS = {
+    "gpd": GPD(0.3, 1.7),
+    "gpd-xi0": GPD(0.0, 2.0),
+    "pareto": Pareto(14036.0, 1.122),
+    "pareto-small-scale": Pareto(3.0, 2.5),
+}
+POINT_COPULAS = {
+    f"{cls.__name__}-d{d}": (cls, d) for cls in (Clayton, SurvivalClayton) for d in range(2, 11)
+}
+# the bulk, up to 1e6, near 0, both zeros (the array clamp maps -0.0 to
+# 0.0) and NaN (which the hooks pass through)
+POINT_X = st.one_of(
+    st.floats(0.0, 50.0), st.floats(0.0, 1e6), st.floats(0.0, 1e-9), st.sampled_from([0.0, -0.0]),
+    st.just(math.nan),
+)
+# levels in the bulk, within 1e-12 of 0 and of 1, and NaN, which the clamp
+# passes through
+POINT_LEVEL = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-12, exclude_min=True),
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+    st.just(math.nan),
+)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(POINT_MARGINALS))
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(POINT_X, min_size=1, max_size=5), grad=st.booleans())
+def test_marginal_point_hook_equals_its_array_method(name, x, grad):
+    m = POINT_MARGINALS[name]
+    got = m._point_terms(x, grad)
+    want = m._terms(np.array([x]), grad)
+    assert all(type(v) is float for terms in got if terms is not None for v in terms)
+    assert _hexes(got[0]) == _hexes(want[0][0]) and _hexes(got[1]) == _hexes(want[1][0])
+    assert (got[2] is None) if not grad else _hexes(got[2]) == _hexes(want[2][0])
+
+
+@pytest.mark.parametrize("name", sorted(POINT_COPULAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), theta=st.floats(0.05, 20.0))
+def test_copula_point_hook_equals_its_array_method(name, data, theta):
+    # from d = 8 on, w adds in numpy's pairwise order
+    cls, d = POINT_COPULAS[name]
+    cop = cls(theta, d)
+    u = data.draw(st.lists(POINT_LEVEL, min_size=d, max_size=d))
+    levels = clip01(u)
+    assert _hexes(levels) == _hexes(clip01(np.array(u)))
+    got = cop._point_grad_logdensity(levels)
+    want = cop._grad_logdensity(clip01(np.array([u])))[0]
+    assert all(type(v) is float for v in got)
+    assert _hexes(got) == _hexes(want)
+
+
+@pytest.mark.parametrize("name", ["M1", "M3", "mixed", "wide"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_point_gradient_off_the_support_raises(name, data):
+    model = _exact_model(name)
+    x = data.draw(st.lists(st.floats(0.0, 50.0), min_size=model.d, max_size=model.d))
+    x[data.draw(st.integers(0, model.d - 1))] = data.draw(NEGATIVE_OR_NAN)
+    with pytest.raises(ValueError, match="^gradient requested outside the support$"):
+        model.grad_logpdf(np.array(x))
+
+
+class Logistic(Marginal):
+    """A marginal of the four methods only: it runs the default point hook."""
+
+    def logpdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return -x - 2.0 * np.log1p(np.exp(-x))
+
+    def _dlogpdf(self, x):
+        return -np.tanh(0.5 * np.asarray(x, dtype=float))
+
+    def cdf(self, x):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+    def quantile(self, u):
+        u = self._check_quantile_arg(u)
+        return np.log(u) - np.log1p(-u)
+
+
+@pytest.mark.parametrize(
+    "copula", [Clayton(1.5, 3), GaussianCopula(equicorrelation(3, 0.4))], ids=["clayton", "gaussian"]
+)
+@settings(max_examples=100, deadline=None)
+@given(x=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3))
+def test_default_point_hook_equals_a_one_row_batch(copula, x):
+    assert "_point_terms" not in vars(Logistic)
+    model = JointLossModel([Logistic(), Logistic(), GPD(0.3, 1.0)], copula)
+    x[2] = abs(x[2])
+    point = model.grad_logpdf(np.array(x))
+    assert _hexes(point) == _hexes(model.grad_logpdf(np.array([x]))[0])
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_MODELS))
