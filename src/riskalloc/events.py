@@ -43,7 +43,8 @@ PURE_LOSSES_ONLY = (
 def count(field: str, value, least: int) -> int:
     """value as an int: an int (np.integer too, bool not) of at least least.
     A ValueError naming field otherwise.  Every count a run is configured
-    with, in RunConfig, HmcParams and GibbsParams, follows this rule."""
+    with, in RunConfig, HmcParams and GibbsParams, follows this rule, and so
+    do the chain lengths of hmc_sample and rsgs_sample and tune's t_max."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{field} must be an integer of at least {least}, got {value!r}")
     return int(value)

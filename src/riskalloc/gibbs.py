@@ -227,6 +227,7 @@ def rsgs_sample(model, event: ConcreteCrisisEvent, params: GibbsParams, x0, n: i
     per thin_T updates.  Next to x the chain carries each coordinate's
     state as the model defines it, and conditions on the others' states;
     both are lists of floats."""
+    n = count("chain length n", n, 1)
     d = model.d
     if event.d != d:
         raise ValueError("band dimension does not match the model")

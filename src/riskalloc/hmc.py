@@ -19,7 +19,11 @@ The chain steps one point at a time, and each step takes two gradients.
 StandardizedTarget maps the point to x and the gradient back with numpy's
 matrix products; in between, JointLossModel.grad_logpdf computes the
 point's gradient on Python floats (models.py), with the bits of a one-row
-batch.  The tuning scans step batches of rows, which stay on arrays.
+batch.  A point's drift that clears every wall also runs its tests on
+floats (_point_drift), with the bits of a one-row batch; only the dot
+products with the walls' normals stay one np.vecdot call, because its
+fused multiply-adds are not what a Python sum of products rounds to.  The
+tuning scans step batches of rows, which stay on arrays.
 """
 
 import math
@@ -38,6 +42,9 @@ FEASIBILITY_NUDGE = 1e-9
 # time toward a wall then exceeds 1 by far more than rounding can blur, so
 # hit_time would report no hit either.
 CLEAR_MARGIN = 1.0 + 1e-12
+# a point's reflection count when it clears every wall: the np.int64 that
+# the hit-time loop's 0-d count gives
+_NO_REFLECTIONS = np.int64(0)
 
 
 @dataclass(frozen=True)
@@ -69,26 +76,62 @@ def leapfrog_reflect(x, p, eps: float, grad_u, walls: HalfSpaces):
     at the step endpoints, which reflection keeps feasible; the drift in
     between is piecewise linear.  Returns the new state and the number of
     reflections performed, one count per row for a batch.
+
+    A point that clears every wall drifts with its clear-margin test and
+    nudge check on Python floats (_point_drift), with the bits of a one-row
+    batch; any other point, and a batch, take the hit-time loop.
     """
     x = np.asarray(x, dtype=float)
     half = 0.5 * eps
     p = np.asarray(p, dtype=float) - half * grad_u(x)
-    n_reflections = np.zeros(x.shape[:-1], dtype=np.int64)
-    x, p = _reflective_drift(x, p, eps, walls, n_reflections)
-    p = p - half * grad_u(x)
-    return x, p, n_reflections[()]
+    if x.ndim == 1:
+        x, p, n_reflections = _point_drift(x, p, eps, walls)
+    else:
+        n_reflections = np.zeros(x.shape[:-1], dtype=np.int64)
+        x, p = _reflective_drift(x, p, eps, walls, n_reflections)
+    return x, p - half * grad_u(x), n_reflections
+
+
+def _point_drift(x, p, eps, walls):
+    """_reflective_drift of one point, returning (x, p, reflections).  The
+    dot products of x, p and the straight drift's end with every normal are
+    one np.vecdot call; the clear-margin test and the nudge check compare
+    them as floats in constraint order.  A point that does not clear every
+    wall runs the hit-time loop."""
+    x_new = x + eps * p
+    if not walls:
+        return x_new, p, _NO_REFLECTIONS
+    hx, hp, h_new = np.vecdot(np.array((x, p, x_new))[:, None, :], walls.normals).tolist()
+    offsets = walls.offsets.tolist()
+    reach = eps * CLEAR_MARGIN
+    for v, a, b in zip(offsets, hx, hp):
+        if not v - a < reach * b:
+            n_reflections = np.zeros((), dtype=np.int64)
+            x, p = _hit_time_drift(x, p, eps, walls, n_reflections)
+            return x, p, n_reflections[()]
+    for a, v in zip(h_new, offsets):
+        if a < v:
+            return _nudge_onto_boundary(x_new, walls), p, _NO_REFLECTIONS
+    return x_new, p, _NO_REFLECTIONS
 
 
 def _reflective_drift(x, p, eps, walls, n_reflections):
     """Drift every row for time eps; a row that reaches a hyperplane is
-    mirrored there and drifts on for the rest of its time.  Each round
-    reflects every row that hits, at its earliest hit (ties go to the first
-    constraint), and counts it in n_reflections, in place.  Tiny float
-    violations at the end are nudged back onto the boundary."""
+    mirrored there and drifts on for the rest of its time (_hit_time_drift),
+    counted in n_reflections, in place.  When every row clears every wall
+    the rows drift straight."""
     if not walls:
         return x + eps * p, p
     if (walls.offsets - walls.dots(x) < (eps * CLEAR_MARGIN) * walls.dots(p)).all():
         return _nudge_onto_boundary(x + eps * p, walls), p
+    return _hit_time_drift(x, p, eps, walls, n_reflections)
+
+
+def _hit_time_drift(x, p, eps, walls, n_reflections):
+    """The reflective drift by exact hit times.  Each round reflects every
+    row that hits, at its earliest hit (ties go to the first constraint),
+    and counts it in n_reflections, in place.  Tiny float violations at the
+    end are nudged back onto the boundary."""
     remaining = np.full(x.shape[:-1], float(eps))
     drifting = np.ones(x.shape[:-1], dtype=bool)
     while True:
@@ -144,6 +187,7 @@ def _check_start(target, x0):
 
 def hmc_sample(target, params: HmcParams, x0, n: int, seed):
     """Run the chain for n proposals; returns (path, diagnostics)."""
+    n = count("chain length n", n, 1)
     x, lp = _check_start(target, x0)
     walls = target.constraints
     d = target.dim
@@ -230,14 +274,17 @@ class StandardizedTarget:
         self.dim = d
         self.mu = mu
         self.chol = chol
+        # one view of L^T for every product: a contiguous copy could select
+        # another BLAS kernel, and with it other last bits
+        self._chol_t = chol.T
         self.jittered = jittered
         self.constraints = HalfSpaces(
-            np.matvec(chol.T, walls.normals), walls.offsets - walls.dots(mu)
+            np.matvec(self._chol_t, walls.normals), walls.offsets - walls.dots(mu)
         )
 
     # both maps take a point (d,) or a batch of rows (K, d)
     def to_x(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=float) @ self.chol.T + self.mu
+        return np.asarray(y, dtype=float) @ self._chol_t + self.mu
 
     def to_y(self, x) -> np.ndarray:
         diff = np.asarray(x, dtype=float) - self.mu
@@ -247,8 +294,7 @@ class StandardizedTarget:
         return self.base.logpdf(self.to_x(y))
 
     def grad_logpdf(self, y) -> np.ndarray:
-        x = self.to_x(y)
-        return np.matvec(self.chol.T, self.base.grad_logpdf(x))
+        return np.matvec(self._chol_t, self.base.grad_logpdf(self.to_x(y)))
 
 
 # -- stepsize / integration-time heuristic --------------------------------------
@@ -345,6 +391,7 @@ def tune(target, presample_conditional, t_max: int = 1000, seed=0) -> TuneResult
     change the outcome, and the stream is rewound and redrawn to where the
     one-by-one scan leaves it, after j + 1 momenta.
     """
+    t_max = count("scan length t_max", t_max, 1)
     pts = np.asarray(presample_conditional, dtype=float)
     if pts.ndim != 2:
         raise ValueError("presample must be a k x d matrix")

@@ -521,6 +521,13 @@ def test_rsgs_start_validation():
         rsgs_sample(m, band, params, np.full(2, 3.0), 10, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+def test_rsgs_chain_length_follows_the_count_rule(n):
+    params = GibbsParams(np.full(3, 1.0 / 3.0), 2)
+    with pytest.raises(ValueError, match="chain length n must be an integer of at least 1"):
+        rsgs_sample(preset("M1"), sum_band(3, 5.0, 10.0), params, np.full(3, 2.0), n, seed=0)
+
+
 def test_single_site_update_preserves_target():
     # transition-operator check: apply one single-coordinate update to each
     # of m target-distributed points; the updated cloud must still follow

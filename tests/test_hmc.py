@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskalloc.events import (
@@ -14,6 +14,7 @@ from riskalloc.events import (
     estimate_event,
 )
 from riskalloc.hmc import (
+    CLEAR_MARGIN,
     FEASIBILITY_NUDGE,
     HmcParams,
     StandardizedTarget,
@@ -21,6 +22,8 @@ from riskalloc.hmc import (
     hmc_sample,
     leapfrog_reflect,
     tune,
+    _hit_time_drift,
+    _point_drift,
     _reflective_drift,
 )
 from riskalloc.harness import run_config_from_dict
@@ -219,6 +222,118 @@ def test_reflective_drift_keeps_rows_feasible_and_their_speed(seed, d, m, k, eps
     np.testing.assert_array_equal(p1[straight], p[straight])
 
 
+# -- a point's drift against the batch drift and the hit-time loop ------------
+
+WEDGE = HalfSpaces([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, -1.0]], [-0.5, -0.5, -1.5])
+
+
+@functools.cache
+def drift_walls(name):
+    """(walls, a strictly feasible centre): the standardized M1 es 0.99
+    walls (m = 4, centred on the conditional mean), the unit box or the
+    wedge."""
+    if name == "box":
+        return UNIT_BOX, np.array([0.5, 0.5])
+    if name == "wedge":
+        return WEDGE, np.zeros(3)
+    m = preset("M1")
+    pre = m.sample(10_000, np.random.default_rng(0))
+    event = estimate_event(CrisisEventSpec("es", (0.99,)), pre, m.nonnegative)
+    target = StandardizedTarget(EventTarget(m, event), pre[event.contains_rows(pre)])
+    return target.constraints, np.zeros(3)
+
+
+def drift_start(walls, centre, kind, rng):
+    """A start (x, p).  "inside": x between the centre and the first wall
+    along a random ray, p standard normal.  "near-wall": x on that wall, p
+    along it but for a normal component within 1e-15 of 0, which makes the
+    drift graze the wall, reflect off it or end a rounding error past it."""
+    reach = np.full(len(walls), np.inf)
+    while not np.isfinite(reach.min()):
+        z = rng.normal(size=centre.size)
+        hz = walls.normals @ z
+        with np.errstate(divide="ignore"):
+            reach = np.where(hz < 0.0, (walls.offsets - walls.normals @ centre) / hz, np.inf)
+    j = int(np.argmin(reach))
+    if kind == "inside":
+        return centre + rng.uniform(0.0, 0.99) * reach[j] * z, rng.normal(size=centre.size)
+    h, q = walls.normals[j], rng.normal(size=centre.size)
+    tangent = q - (q @ h) / (h @ h) * h
+    return centre + reach[j] * z, tangent + rng.uniform(-1.0, 1.0) * 1e-15 * h
+
+
+def drift_branch(walls, x, p, eps):
+    """Which branch of the drift (x, p) takes: "clear" (straight), "nudge"
+    (straight, then back onto a wall), "graze" (the clear-margin test
+    fails, nothing is hit) or "reflect"."""
+    if (walls.offsets - walls.dots(x) < (eps * CLEAR_MARGIN) * walls.dots(p)).all():
+        return "nudge" if (walls.dots(x + eps * p) < walls.offsets).any() else "clear"
+    n_reflections = np.zeros((), dtype=np.int64)
+    _hit_time_drift(x, p.copy(), eps, walls, n_reflections)
+    return "reflect" if n_reflections > 0 else "graze"
+
+
+# a start that takes each branch: (walls, kind, seed, eps)
+DRIFT_BRANCHES = {
+    "clear": ("m1-es", "inside", 0, 0.05),
+    "graze": ("wedge", "near-wall", 1, 0.05),
+    "reflect": ("m1-es", "inside", 3, 3.0),
+    "nudge": ("m1-es", "near-wall", 38, 0.001),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(DRIFT_BRANCHES))
+def test_drift_branch_starts_take_their_branch(branch):
+    name, kind, seed, eps = DRIFT_BRANCHES[branch]
+    walls, centre = drift_walls(name)
+    x, p = drift_start(walls, centre, kind, np.random.default_rng(seed))
+    assert drift_branch(walls, x, p, eps) == branch
+    assert type(_point_drift(x, p.copy(), eps, walls)[2]) is np.int64
+
+
+def drift_outcomes(walls, x, p, eps):
+    """The bits of (x, p, reflections) that the point drift, the one-row
+    batch drift and the hit-time loop return, or the message of the
+    RuntimeError each raises: a point on a wall whose normal momentum is
+    too small for the reflection to flip trips the reflection guard."""
+
+    def batch():
+        n_reflections = np.zeros(1, dtype=np.int64)
+        xb, pb = _reflective_drift(x[None].copy(), p[None].copy(), eps, walls, n_reflections)
+        return xb[0], pb[0], n_reflections[0]
+
+    def loop():
+        n_reflections = np.zeros((), dtype=np.int64)
+        return *_hit_time_drift(x.copy(), p.copy(), eps, walls, n_reflections), n_reflections
+
+    # each drift gets its own momentum, which the hit-time loop writes in place
+    outcomes = []
+    for drift in (lambda: _point_drift(x.copy(), p.copy(), eps, walls), batch, loop):
+        try:
+            outcomes.append([np.asarray(a).tobytes() for a in drift()])
+        except RuntimeError as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["m1-es", "box", "wedge"]),
+    kind=st.sampled_from(["inside", "near-wall"]),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(1e-3, 3.0),
+)
+@example(*DRIFT_BRANCHES["clear"])
+@example(*DRIFT_BRANCHES["graze"])
+@example(*DRIFT_BRANCHES["reflect"])
+@example(*DRIFT_BRANCHES["nudge"])
+def test_point_drift_equals_the_batch_drift_and_the_hit_time_loop(name, kind, seed, eps):
+    walls, centre = drift_walls(name)
+    x, p = drift_start(walls, centre, kind, np.random.default_rng(seed))
+    point, batch, loop = drift_outcomes(walls, x, p, eps)
+    assert point == batch == loop
+
+
 def test_reflect_leapfrog_reversible_on_m1_event(m1_rvar_target):
     target, cond = m1_rvar_target
     grad_u = lambda z: -target.grad_logpdf(z)
@@ -295,6 +410,19 @@ def test_hmc_start_validation(m1_rvar_target):
     tgt = GaussianTarget(2)
     with pytest.raises(ValueError, match="dimension"):
         hmc_sample(tgt, HmcParams(0.1, 5), np.zeros(3), 10, seed=0)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+def test_hmc_chain_length_follows_the_count_rule(n):
+    with pytest.raises(ValueError, match="chain length n must be an integer of at least 1"):
+        hmc_sample(GaussianTarget(2), HmcParams(0.1, 5), np.zeros(2), n, seed=0)
+
+
+@pytest.mark.parametrize("t_max", [0, -3, 10.0])
+def test_tune_scan_length_follows_the_count_rule(t_max):
+    pts = np.random.default_rng(12).normal(size=(20, 3))
+    with pytest.raises(ValueError, match="scan length t_max must be an integer of at least 1"):
+        tune(GaussianTarget(3), pts, t_max=t_max)
 
 
 def test_params_validation():
